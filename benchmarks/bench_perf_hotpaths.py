@@ -219,9 +219,15 @@ RESULTS: dict = {}
 
 
 def _record_json(artifact_dir):
-    (artifact_dir / "perf_hotpaths.json").write_text(
-        json.dumps(RESULTS, indent=2) + "\n"
-    )
+    """Merge this run's entries into the JSON results file.
+
+    A partial run (``-k``) replaces only the entries it measured; the
+    others keep their last recorded numbers.
+    """
+    path = artifact_dir / "perf_hotpaths.json"
+    recorded = json.loads(path.read_text()) if path.exists() else {}
+    recorded.update(RESULTS)
+    path.write_text(json.dumps(recorded, indent=2) + "\n")
 
 
 def test_incremental_vs_full_search(record_artifact, artifact_dir):

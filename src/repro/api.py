@@ -30,9 +30,9 @@ stable across releases:
 * **Scale** — the sharded hierarchical tier for 1000-node days:
   :func:`shard_cluster` cells, the :class:`HeadroomRouter`, the
   :class:`GlobalCoordinator`, the :class:`ShardedConsolidationService`
-  (built via :func:`build_sharded_service`), and
-  :class:`ScaleCheckpoint` crash safety (see the "Scale layer"
-  section of ``docs/architecture.md``).
+  (built via :func:`build_sharded_service`), checkpointed through
+  the same :class:`ServiceCheckpoint` as the flat service (see the
+  "Scale layer" section of ``docs/architecture.md``).
 * **Daemon** — the long-running serving layer: the
   :class:`ConsolidationDaemon` over a durable :class:`JobSpool`
   (submit/status/cancel), built from a :class:`ServiceBlueprint`
@@ -58,10 +58,8 @@ stable across releases:
 
 ``repro/__init__.py`` re-exports this module one-to-one, so
 ``from repro import build_model`` and ``from repro.api import
-build_model`` name the same objects.  Symbols that used to live at the
-top level but are *not* part of this surface remain importable from
-``repro`` through deprecation shims (warning once per symbol) or
-directly from their defining submodule.
+build_model`` name the same objects.  Everything else is imported
+from its defining submodule.
 """
 
 from __future__ import annotations
@@ -144,7 +142,6 @@ from repro.scale import (
     CoordinatorConfig,
     GlobalCoordinator,
     HeadroomRouter,
-    ScaleCheckpoint,
     ShardedConsolidationService,
     build_sharded_service,
     scale_day_service,
@@ -213,7 +210,6 @@ __all__ = [
     "CoordinatorConfig",
     "GlobalCoordinator",
     "HeadroomRouter",
-    "ScaleCheckpoint",
     "ShardedConsolidationService",
     "build_sharded_service",
     "scale_day_service",

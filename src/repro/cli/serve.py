@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from dataclasses import replace
 from typing import Mapping
 
 from repro._util import atomic_write_text
 from repro.analysis.reporting import render_event_counts, render_service_snapshot
 from repro.apps.catalog import BATCH_WORKLOADS, NETWORK_WORKLOADS
 from repro.cli._parents import wants_network
+from repro.cluster.cluster import ClusterSpec
 from repro.core.builder import (
     build_batch_profiles,
     build_model,
@@ -135,102 +137,49 @@ def _check_expectation(expected: dict, actual: dict) -> int:
 
 
 def _build_sharded(args: argparse.Namespace, profiling_runner, model, stream):
-    """Stand up the sharded (``--cells``) service behind the same flags.
+    """Stand up the sharded (``--cells N``, N >= 2) service.
 
-    ``--cells 1`` keeps the flat per-cell config and serves on the
-    profiling runner itself, so its day replays the flat service byte
-    for byte (even under a fault plan whose schedule spans profiling
-    and serving).  Multi-cell days run the scale-layer config (shorter
-    annealing schedule, capped admission candidates) on derived
-    per-cell seeds.
+    Cells run the scale-layer config (shorter annealing schedule,
+    capped admission candidates) on derived per-cell seeds.  Each
+    cell's pool is :func:`provider_setup` at its shard's node count —
+    the flat service's pool over the shard — and its runner is built
+    at the node count that returns.
     """
-    from repro.cluster.cluster import ClusterSpec
     from repro.scale import build_sharded_service, scale_service_config
 
-    provider_factory = _cell_provider_factory(args)
-    nodes = args.nodes or profiling_runner.spec.num_nodes
-    if args.cells == 1:
-        config = ServiceConfig(
-            reschedule_every=args.reschedule_every,
-            migration_cost=args.migration_cost,
-        )
-    else:
-        config = scale_service_config(
-            reschedule_every=args.reschedule_every,
-            migration_cost=args.migration_cost,
-        )
     fault_plan = getattr(args, "fault_plan", None)
 
-    def factory(shard, cell_seed):
-        if (
-            args.cells == 1
-            and shard.num_nodes == profiling_runner.spec.num_nodes
-        ):
-            return profiling_runner
+    def runner_factory(shard, cell_seed):
+        _, nodes = provider_setup(args, shard.num_nodes)
+        spec = shard.spec
+        if nodes is not None:
+            spec = replace(spec, num_nodes=nodes)
         return ClusterRunner(
-            shard.spec,
+            spec,
             base_seed=cell_seed,
             faults=fault_plan,
             network_ambient=getattr(args, "network_noise", 0.0),
         )
 
+    def provider_factory(shard, cell_seed):
+        factory, _ = provider_setup(args, shard.num_nodes)
+        return factory() if factory is not None else None
+
     return build_sharded_service(
         model,
-        ClusterSpec(num_nodes=nodes),
+        ClusterSpec(num_nodes=args.nodes or profiling_runner.spec.num_nodes),
         args.cells,
         stream,
         seed=args.seed,
-        config=config,
+        config=scale_service_config(
+            reschedule_every=args.reschedule_every,
+            migration_cost=args.migration_cost,
+        ),
         checkpoint_path=args.checkpoint,
         cell_workers=args.cell_workers,
-        runner_factory=factory,
+        runner_factory=runner_factory,
         degraded_workloads=sorted(profiling_runner.faulted_workloads),
         provider_factory=provider_factory,
-    )
-
-
-def _cell_provider_factory(args: argparse.Namespace):
-    """Per-cell provider factory for ``--cells`` days (``None`` = fixed).
-
-    Cells keep their shard-sized runners, so each cell's provider is
-    built at the shard's node count: ``static`` is a per-cell no-op,
-    ``elastic`` starts the cell full and lets it lose spot capacity to
-    churn (and grow it back) within the shard.
-    """
-    from repro.errors import ConfigurationError
-
-    name = getattr(args, "provider", None)
-    churn_path = getattr(args, "churn", None)
-    if churn_path and name != "elastic":
-        raise ConfigurationError("--churn requires --provider elastic")
-    if name is None:
-        return None
-    if getattr(args, "initial_nodes", None) or getattr(args, "max_nodes", None):
-        raise ConfigurationError(
-            "--initial-nodes/--max-nodes apply to the flat service; "
-            "cells are provider-sized by their shard"
-        )
-    from repro.providers import (
-        AutoscalerConfig,
-        ElasticProvider,
-        StaticProvider,
-    )
-
-    if name == "static":
-        return lambda shard, cell_seed: StaticProvider(shard.num_nodes)
-    if name == "elastic":
-        from repro.faults import FaultPlan
-
-        churn = FaultPlan.load(churn_path) if churn_path else None
-        spot_fraction = args.spot_fraction
-        return lambda shard, cell_seed: ElasticProvider(
-            shard.num_nodes,
-            spot_fraction=spot_fraction,
-            churn=churn,
-            autoscaler=AutoscalerConfig(),
-        )
-    raise ConfigurationError(
-        f"--provider {name!r} is not supported with --cells"
     )
 
 
@@ -239,11 +188,10 @@ def _build_service(args: argparse.Namespace):
     workloads = tuple(args.workloads or DEFAULT_SERVE_MIX)
     distributed = [w for w in workloads if w not in BATCH_WORKLOADS]
     batch = [w for w in workloads if w in BATCH_WORKLOADS]
-    from repro.cluster.cluster import ClusterSpec
-
+    sharded = args.cells > 1
     provider_factory = None
     runner_spec = None
-    if getattr(args, "cells", None) is None:
+    if not sharded:
         provider_factory, provider_nodes = provider_setup(
             args, ClusterSpec().num_nodes
         )
@@ -285,7 +233,7 @@ def _build_service(args: argparse.Namespace):
         ),
         seed=args.seed,
     )
-    if getattr(args, "cells", None):
+    if sharded:
         return _build_sharded(args, runner, report.model, stream)
     return ConsolidationService(
         runner,
@@ -307,20 +255,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         console.info("error: --resume requires --checkpoint")
         return 1
-    if args.cells is not None and args.cells < 1:
+    if args.cells < 1:
         console.info("error: --cells must be at least 1")
         return 1
-    if args.cells is None and (args.nodes or args.cell_workers):
-        console.info("error: --nodes/--cell-workers require --cells")
+    if args.cells == 1 and (args.nodes or args.cell_workers):
+        console.info(
+            "error: --nodes/--cell-workers require --cells 2 or more"
+        )
+        return 1
+    if args.cells > 1 and (args.initial_nodes or args.max_nodes):
+        console.info(
+            "error: --initial-nodes/--max-nodes apply to the flat "
+            "service; cells are sized by their shard"
+        )
         return 1
     service = _build_service(args)
     if args.resume:
-        if args.cells:
-            from repro.scale import ScaleCheckpoint
-
-            checkpoint = ScaleCheckpoint.load(args.checkpoint)
-        else:
-            checkpoint = ServiceCheckpoint.load(args.checkpoint)
+        checkpoint = ServiceCheckpoint.load(args.checkpoint)
         log = None
         if args.event_log and os.path.exists(args.event_log):
             log = EventLog.recover(args.event_log)
@@ -405,10 +356,10 @@ def register(
     p_serve.add_argument(
         "--cells",
         type=int,
+        default=1,
         help=(
             "shard the cluster into N cells under the headroom router "
-            "and global QoS coordinator (1 replays the flat day byte "
-            "for byte; default: the flat service)"
+            "and global QoS coordinator (default 1: the flat service)"
         ),
     )
     p_serve.add_argument(

@@ -156,14 +156,12 @@ class ConsolidationDaemon:
             checkpoint = ServiceCheckpoint.load(
                 str(self.spool.checkpoint_path)
             )
-            if self.spool.events_path.exists():
-                log = EventLog.recover(events_path)
-            else:
-                log = EventLog()
-            log.validate_tail(
-                checkpoint.log_length, checkpoint.epoch, path=events_path
+            log = checkpoint.resume_log(
+                EventLog.recover(events_path)
+                if self.spool.events_path.exists()
+                else EventLog(),
+                path=events_path,
             )
-            log.truncate(checkpoint.log_length)
         else:
             checkpoint = self.blueprint.initial_checkpoint()
             checkpoint.save(str(self.spool.checkpoint_path))

@@ -16,18 +16,19 @@ nodes.  This package makes the reproduction cluster-scale:
   rescheduling;
 * :mod:`repro.scale.service` — the
   :class:`ShardedConsolidationService` tying it together behind the
-  flat service's interface (``repro serve --cells N``);
-* :mod:`repro.scale.checkpoint` — crash-safe
-  :class:`ScaleCheckpoint` resume for sharded days;
+  flat service's interface (``repro serve --cells N``), checkpointed
+  in the flat service's own
+  :class:`~repro.service.checkpoint.ServiceCheckpoint` format (one
+  cell entry per cell);
 * :mod:`repro.scale.scenario` — the seeded 1000-node, 10k-job
   traffic day the ``scale-smoke`` CI job replays.
 
-The 1-cell configuration replays the flat service byte for byte (see
-:mod:`repro.scale.service`), so the scale layer is a strict superset,
+Each cell is an unmodified flat service, and the sharded service is a
+uniform loop over its cells; one cell is simply the flat service
+(``repro serve --cells 1``), so the scale layer is a strict superset,
 not a fork, of the paper-faithful controller.
 """
 
-from repro.scale.checkpoint import SCALE_CHECKPOINT_VERSION, ScaleCheckpoint
 from repro.scale.coordinator import CoordinatorConfig, GlobalCoordinator
 from repro.scale.router import CellScore, HeadroomRouter, free_slot_count
 from repro.scale.scenario import (
@@ -56,14 +57,12 @@ __all__ = [
     "GlobalCoordinator",
     "HeadroomRouter",
     "RoutedStream",
-    "SCALE_CHECKPOINT_VERSION",
     "SCALE_DAY_ARRIVAL_RATE",
     "SCALE_DAY_CELLS",
     "SCALE_DAY_EPOCHS",
     "SCALE_DAY_MIX",
     "SCALE_DAY_NODES",
     "SCALE_DAY_SEED",
-    "ScaleCheckpoint",
     "ShardedConsolidationService",
     "build_sharded_service",
     "free_slot_count",

@@ -16,18 +16,12 @@ cells sit the two global tiers:
   worst tenant to a safer cell (``cell_migrate`` events), gated like
   intra-cell rescheduling.
 
-**The 1-cell contract.**  With one cell there is nothing to route or
-coordinate, so the sharded service reduces *exactly* to the flat one:
-the single cell is the identity shard, its service runs with
-``cell_id=None`` and the flat seed, router scoring and coordinator
-margins are never computed, and merged events carry no ``cell`` field.
-``repro serve --cells 1`` therefore replays the flat ``repro serve``
-day byte for byte — the equivalence the scale tests pin down.
-
-With multiple cells, every merged event carries a ``cell`` payload
-field, every span recorded inside a cell's epoch carries a ``cell``
-attribute, and the per-epoch global snapshot aggregates the cells
-(plus an additive per-cell ``cells`` section).
+Every cell runs the same code at any cell count: each merged event
+carries a ``cell`` payload field, every span recorded inside a cell's
+epoch carries a ``cell`` attribute, and the per-epoch global snapshot
+aggregates the cells (plus an additive per-cell ``cells`` section).
+One cell is not a special case here: ``repro serve --cells 1`` simply
+builds the flat service.
 """
 
 from __future__ import annotations
@@ -43,6 +37,7 @@ from repro.parallel import fan_out
 from repro.scale.coordinator import CoordinatorConfig, GlobalCoordinator
 from repro.scale.router import HeadroomRouter, free_slot_count
 from repro.scale.sharding import CellSpec, shard_cluster
+from repro.service.checkpoint import ServiceCheckpoint
 from repro.service.events import EventLog
 from repro.service.jobs import Job
 from repro.service.loop import ConsolidationService, ServiceConfig
@@ -113,8 +108,8 @@ class ShardedConsolidationService:
     seed:
         Root seed, recorded in checkpoints for resume validation.
     checkpoint_path:
-        When set, a :class:`~repro.scale.checkpoint.ScaleCheckpoint`
-        is written after every epoch.
+        When set, a :class:`~repro.service.checkpoint.ServiceCheckpoint`
+        covering every cell is written after every epoch.
     cell_workers:
         Worker processes the per-cell epochs fan out over (0 or 1 =
         serial, the deterministic-trace default; results are identical
@@ -146,8 +141,6 @@ class ShardedConsolidationService:
         self.log = EventLog()
         self.snapshots: List[MetricsSnapshot] = []
         self._epochs_run = 0
-        self._migrations_in = {cell.cell_id: 0 for cell in cells}
-        self._migrations_out = {cell.cell_id: 0 for cell in cells}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -165,7 +158,12 @@ class ShardedConsolidationService:
     @property
     def cell_migrations_total(self) -> int:
         """Cross-cell moves executed so far."""
-        return sum(self._migrations_in.values())
+        return sum(cell.service.migrations_in_total for cell in self.cells)
+
+    @property
+    def cell_services(self) -> Tuple[ConsolidationService, ...]:
+        """The flat services a checkpoint captures, in cell order."""
+        return tuple(cell.service for cell in self.cells)
 
     def cell(self, cell_id: int) -> Cell:
         """The cell with ``cell_id``."""
@@ -192,22 +190,16 @@ class ShardedConsolidationService:
                 f"epoch {epoch} is not next (service has run "
                 f"{self._epochs_run})"
             )
-        multi = len(self.cells) > 1
         with _obs.RECORDER.span(
             "scale.epoch", epoch=epoch, cells=len(self.cells)
         ) as span:
             self._route(epoch)
             self._run_cells(epoch)
             self._merge_cell_events()
-            moves: List[Dict[str, object]] = []
-            if multi:
-                with _obs.RECORDER.span("scale.rebalance", epoch=epoch):
-                    moves = self.coordinator.rebalance(
-                        self.cells, epoch, self.log, self.router
-                    )
-                for move in moves:
-                    self._migrations_out[move["from_cell"]] += 1
-                    self._migrations_in[move["to_cell"]] += 1
+            with _obs.RECORDER.span("scale.rebalance", epoch=epoch):
+                moves = self.coordinator.rebalance(
+                    self.cells, epoch, self.log, self.router
+                )
             snapshot = self._snapshot(epoch)
             _obs.RECORDER.count("scale.epochs")
             span.set(
@@ -226,13 +218,9 @@ class ShardedConsolidationService:
 
         Routing sees the placements left by the *previous* epoch (the
         operationally honest view: the router cannot know which
-        tenants will depart this epoch).  With one cell the router is
-        bypassed entirely — part of the 1-cell flat contract.
+        tenants will depart this epoch).
         """
         arrivals = self.stream.arrivals(epoch)
-        if len(self.cells) == 1:
-            self.cells[0].stream.push(epoch, arrivals)
-            return
         with _obs.RECORDER.span(
             "scale.route", epoch=epoch, arrivals=len(arrivals)
         ):
@@ -264,7 +252,7 @@ class ShardedConsolidationService:
         Fanned-out cells record into their workers' (null) recorders,
         so traces of parallel days only carry parent-side spans.
         """
-        if self.cell_workers and self.cell_workers > 1 and len(self.cells) > 1:
+        if self.cell_workers > 1:
             returned = fan_out(
                 _cell_epoch,
                 [(cell.service, epoch) for cell in self.cells],
@@ -283,16 +271,12 @@ class ShardedConsolidationService:
     def _merge_cell_events(self) -> None:
         """Append each cell's fresh events to the global log, in cell order.
 
-        Multi-cell merges stamp a ``cell`` field into every payload;
-        the 1-cell merge re-appends the flat events verbatim, so the
-        global log's bytes equal the flat service's.
+        Every merged payload gains a ``cell`` field naming its origin.
         """
-        multi = len(self.cells) > 1
         for cell in self.cells:
             for event in cell.service.log.since(cell.consumed):
                 payload = dict(event.payload)
-                if multi:
-                    payload["cell"] = cell.cell_id
+                payload["cell"] = cell.cell_id
                 self.log.append(event.kind, event.epoch, **payload)
             cell.consumed = len(cell.service.log)
 
@@ -301,11 +285,6 @@ class ShardedConsolidationService:
     # ------------------------------------------------------------------
     def _snapshot(self, epoch: int) -> MetricsSnapshot:
         cell_snaps = [cell.service.snapshots[-1] for cell in self.cells]
-        if len(self.cells) == 1:
-            # The flat snapshot, verbatim (no cells section): the
-            # 1-cell day must serialize byte-identically to the flat
-            # service's.
-            return cell_snaps[0]
         slots = occupied = 0
         for cell in self.cells:
             # Live node count == spec.num_nodes for fixed-pool cells;
@@ -335,8 +314,8 @@ class ShardedConsolidationService:
                     None if margin is None else round(margin, 6)
                 ),
                 "migrated_units_total": snap.migrated_units_total,
-                "migrations_in_total": self._migrations_in[cell.cell_id],
-                "migrations_out_total": self._migrations_out[cell.cell_id],
+                "migrations_in_total": cell.service.migrations_in_total,
+                "migrations_out_total": cell.service.migrations_out_total,
             })
         return MetricsSnapshot(
             epoch=epoch,
@@ -364,37 +343,24 @@ class ShardedConsolidationService:
     # ------------------------------------------------------------------
     # Crash safety
     # ------------------------------------------------------------------
-    def checkpoint(self) -> "ScaleCheckpoint":
+    def checkpoint(self) -> ServiceCheckpoint:
         """Capture the current epoch boundary across every cell."""
-        from repro.scale.checkpoint import ScaleCheckpoint
-
-        return ScaleCheckpoint.capture(self)
+        return ServiceCheckpoint.capture(self)
 
     def restore(
         self,
-        checkpoint: "ScaleCheckpoint",
+        checkpoint: ServiceCheckpoint,
         *,
         log: Optional[EventLog] = None,
     ) -> None:
         """Resume a sharded day from a checkpoint (see the flat contract).
 
         Same semantics as
-        :meth:`repro.service.loop.ConsolidationService.restore`: the
-        service must be freshly constructed from the same seed and
-        topology; ``log`` is the recovered *global* event log, adopted
-        and truncated to the checkpoint's length.
+        :meth:`repro.service.loop.ConsolidationService.restore`; ``log``
+        is the recovered *global* event log.  Cell logs restart empty:
+        the events they already produced live in the global log.
         """
-        if self._epochs_run or len(self.log):
-            raise ServiceError(
-                "restore() requires a freshly constructed service"
-            )
-        checkpoint.restore(self)
-        if log is None:
-            self.log = EventLog(start_seq=checkpoint.log_length)
-        else:
-            log.validate_tail(checkpoint.log_length, checkpoint.epoch)
-            log.truncate(checkpoint.log_length)
-            self.log = log
+        checkpoint.restore(self, log=log)
 
 
 # ----------------------------------------------------------------------
@@ -426,18 +392,20 @@ def build_sharded_service(
         Each cell wraps it in its own
         :class:`~repro.core.online.OnlineModel`, so cells learn
         corrections from their own measurements independently (passing
-        an ``OnlineModel`` for a multi-cell deployment is rejected —
-        shared corrections would entangle the cells).
+        an ``OnlineModel`` is rejected — shared corrections would
+        entangle the cells).
     cluster:
         :class:`~repro.cluster.cluster.Cluster` or
         :class:`~repro.cluster.cluster.ClusterSpec` to shard.
     n_cells:
-        Cell count (1 reduces to the flat service, byte for byte).
+        Cell count.  Every count runs the same routed, coordinated
+        loop; for a day identical to the flat service, build the flat
+        :class:`~repro.service.loop.ConsolidationService` instead (as
+        ``repro serve --cells 1`` does).
     stream:
         Global arrival source (``arrivals(epoch)``).
     seed:
-        Root seed.  The 1-cell service runs the flat seed verbatim;
-        multi-cell cells derive ``stable_seed(seed, "cell", cell_id)``
+        Root seed.  Cells derive ``stable_seed(seed, "cell", cell_id)``
         so their searches and measurements are independent streams.
     runner_factory:
         ``f(shard, cell_seed) -> ClusterRunner`` building each cell's
@@ -456,17 +424,13 @@ def build_sharded_service(
         default) leaves every cell provider-less, byte-identical to
         releases before the provider layer.
     """
-    if n_cells > 1 and isinstance(model, OnlineModel):
+    if isinstance(model, OnlineModel):
         raise ServiceError(
             "pass the base model: each cell wraps its own OnlineModel"
         )
-    shards = shard_cluster(cluster, n_cells, seed=seed)
-    single = n_cells == 1
     cells: List[Cell] = []
-    for shard in shards:
-        cell_seed = (
-            seed if single else stable_seed(seed, "cell", shard.cell_id)
-        )
+    for shard in shard_cluster(cluster, n_cells, seed=seed):
+        cell_seed = stable_seed(seed, "cell", shard.cell_id)
         if runner_factory is None:
             runner = ClusterRunner(shard.spec, base_seed=cell_seed)
         else:
@@ -480,7 +444,7 @@ def build_sharded_service(
             routed,
             config=config,
             seed=cell_seed,
-            cell_id=None if single else shard.cell_id,
+            cell_id=shard.cell_id,
             provider=(
                 provider_factory(shard, cell_seed)
                 if provider_factory is not None

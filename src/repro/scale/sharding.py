@@ -76,9 +76,7 @@ def shard_cluster(
     list of CellSpec
         ``n_cells`` cells ordered by ``cell_id``; sizes differ by at
         most one node.  The 1-cell shard is the identity view
-        (``node_ids == (0, ..., num_nodes - 1)``), which is what makes
-        the 1-cell sharded service replay the flat service byte for
-        byte.
+        (``node_ids == (0, ..., num_nodes - 1)``).
     """
     spec = cluster.spec if isinstance(cluster, Cluster) else cluster
     if n_cells <= 0:

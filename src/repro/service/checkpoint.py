@@ -1,16 +1,21 @@
-"""Crash-safe service checkpoints.
+"""Crash-safe checkpoints: one format for flat, sharded and daemon days.
 
-A :class:`ServiceCheckpoint` captures everything about a running
-:class:`~repro.service.loop.ConsolidationService` that cannot be
-re-derived from its construction seed: the resident tenants and their
-remaining tenancies, the admission queue, the current placement, the
-operational counters, the emitted snapshots, the online model's learned
-corrections, the runner's degraded-workload set, and the event-log
-length at capture time.
+A :class:`ServiceCheckpoint` captures one epoch boundary of a day:
+the day's seed, completed epochs, event-log length and emitted
+snapshots, plus one :class:`CellState` per cell of the service that
+ran it.  A flat :class:`~repro.service.loop.ConsolidationService` (and
+every daemon execution) is one cell; a
+:class:`~repro.scale.service.ShardedConsolidationService` has one per
+cell.  A cell's state is everything about its flat service that
+cannot be re-derived from the construction seed: the resident tenants
+and their remaining tenancies, the admission queue, the current
+placement, the operational counters (cross-cell migrations included),
+the online model's learned corrections, the runner's degraded-workload
+set, pending cancel requests, and the elastic provider's inventory.
 
 Everything else — the workload stream, the per-epoch search seeds, the
 measurement repetitions — derives from ``stable_seed`` labels, so a
-service restored from a checkpoint and run forward produces the **same
+day restored from a checkpoint and run forward produces the **same
 bytes** (event log and snapshots) as one that was never interrupted.
 That identity is the recovery contract ``repro serve --resume`` and
 ``tests/service/test_recovery.py`` enforce.
@@ -28,17 +33,16 @@ from typing import Dict, List, Optional, Tuple
 from repro._util import atomic_write_text
 from repro.errors import ServiceError
 from repro.placement.assignment import Placement
+from repro.service.events import EventLog
 from repro.service.jobs import Job
 from repro.service.telemetry import MetricsSnapshot
 
 #: Checkpoint format version; bumped on incompatible layout changes.
-CHECKPOINT_VERSION = 1
+#: Files of any other version are rejected, not migrated.
+CHECKPOINT_VERSION = 2
 
-#: Operational counters captured verbatim from the service.
-#: ``cancelled``, ``preempted`` and ``requeued`` are additive (older
-#: checkpoints without them load as 0).
+#: Per-cell operational counters, captured verbatim from the service.
 _COUNTER_FIELDS = (
-    "epochs_run",
     "admitted",
     "rejected",
     "completed",
@@ -49,6 +53,8 @@ _COUNTER_FIELDS = (
     "qos_violations",
     "preempted",
     "requeued",
+    "migrations_in",
+    "migrations_out",
 )
 
 
@@ -71,35 +77,25 @@ def _job_from_dict(entry: Dict[str, object]) -> Job:
 
 
 @dataclass(frozen=True)
-class ServiceCheckpoint:
-    """One epoch boundary's worth of non-derivable service state."""
+class CellState:
+    """One flat service's non-derivable state: one cell of a checkpoint."""
 
     counters: Dict[str, int]
     tenants: List[Tuple[Job, int]]
     queue: List[Tuple[Job, int]]
     assignment: Optional[Dict[str, Tuple[int, ...]]]
     unit_slots_per_node: int
-    snapshots: List[MetricsSnapshot]
     model_state: Dict[str, Dict[str, object]]
     faulted_workloads: Tuple[str, ...]
-    log_length: int
     pending_cancels: Tuple[str, ...] = ()
-    seed: int = 0
-    version: int = CHECKPOINT_VERSION
     #: Serialized provider inventory (``None`` for fixed-pool
-    #: services).  Additive: the key is omitted from :meth:`to_dict`
-    #: when ``None``, so provider-less checkpoints keep their bytes.
+    #: services).  The key is omitted from :meth:`to_dict` when
+    #: ``None``.
     provider_state: Optional[Dict[str, object]] = None
 
-    @property
-    def epoch(self) -> int:
-        """Epochs the captured service had completed."""
-        return self.counters["epochs_run"]
-
-    # ------------------------------------------------------------------
     @classmethod
-    def capture(cls, service) -> "ServiceCheckpoint":
-        """Snapshot ``service``'s state at an epoch boundary."""
+    def capture(cls, service) -> "CellState":
+        """Snapshot one flat service at an epoch boundary."""
         placement = service.placement
         assignment = None
         if placement is not None:
@@ -122,12 +118,9 @@ class ServiceCheckpoint:
                 if placement is not None
                 else service.admission.unit_slots_per_node
             ),
-            snapshots=list(service.snapshots),
             model_state=service.model.state_dict(),
             faulted_workloads=tuple(sorted(service.runner.faulted_workloads)),
-            log_length=len(service.log),
             pending_cancels=tuple(service._pending_cancels),
-            seed=service.seed,
             provider_state=(
                 service.provider.state_dict()
                 if service.provider is not None and service.provider.elastic
@@ -136,17 +129,7 @@ class ServiceCheckpoint:
         )
 
     def restore(self, service) -> None:
-        """Install this state into a freshly constructed ``service``.
-
-        The service must have been built from the same seed, stream,
-        config, and profiled model as the captured one; only then does
-        the resumed run replay the uninterrupted one byte for byte.
-        """
-        if self.seed != service.seed:
-            raise ServiceError(
-                f"checkpoint was captured at seed {self.seed}, "
-                f"service runs seed {service.seed}"
-            )
+        """Install this state into one freshly constructed flat service."""
         for name in _COUNTER_FIELDS:
             setattr(service, f"_{name}", int(self.counters[name]))
         service._tenants = {job.job_id: job for job, _ in self.tenants}
@@ -166,7 +149,6 @@ class ServiceCheckpoint:
                 {key: tuple(nodes) for key, nodes in self.assignment.items()},
                 unit_slots_per_node=self.unit_slots_per_node,
             )
-        service.snapshots = list(self.snapshots)
         service._pending_cancels = list(self.pending_cancels)
         service.model.load_state(self.model_state)
         service.runner.faulted_workloads.update(self.faulted_workloads)
@@ -185,16 +167,9 @@ class ServiceCheckpoint:
                 "pool"
             )
 
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """Plain JSON-able rendering.
-
-        The ``provider_state`` key appears only when a provider was
-        attached, so fixed-pool checkpoint bytes are unchanged.
-        """
+        """Plain JSON-able rendering."""
         entry: Dict[str, object] = {
-            "version": self.version,
-            "seed": self.seed,
             "counters": dict(self.counters),
             "tenants": [
                 {"job": asdict(job), "ends_at": ends}
@@ -212,15 +187,156 @@ class ServiceCheckpoint:
                 }
             ),
             "unit_slots_per_node": self.unit_slots_per_node,
-            "snapshots": [snap.to_dict() for snap in self.snapshots],
             "model_state": self.model_state,
             "faulted_workloads": list(self.faulted_workloads),
-            "log_length": self.log_length,
             "pending_cancels": list(self.pending_cancels),
         }
         if self.provider_state is not None:
             entry["provider_state"] = dict(self.provider_state)
         return entry
+
+    @classmethod
+    def from_dict(cls, entry: Dict[str, object]) -> "CellState":
+        """Rebuild a cell from its :meth:`to_dict` form."""
+        assignment = entry["assignment"]
+        return cls(
+            counters={
+                name: int(entry["counters"][name]) for name in _COUNTER_FIELDS
+            },
+            tenants=[
+                (_job_from_dict(item["job"]), int(item["ends_at"]))
+                for item in entry["tenants"]
+            ],
+            queue=[
+                (_job_from_dict(item["job"]), int(item["failures"]))
+                for item in entry["queue"]
+            ],
+            assignment=(
+                None if assignment is None
+                else {
+                    str(key): tuple(int(n) for n in nodes)
+                    for key, nodes in assignment.items()
+                }
+            ),
+            unit_slots_per_node=int(entry["unit_slots_per_node"]),
+            model_state={
+                str(workload): dict(state)
+                for workload, state in entry["model_state"].items()
+            },
+            faulted_workloads=tuple(
+                str(w) for w in entry["faulted_workloads"]
+            ),
+            pending_cancels=tuple(str(j) for j in entry["pending_cancels"]),
+            provider_state=(
+                None if entry.get("provider_state") is None
+                else dict(entry["provider_state"])
+            ),
+        )
+
+
+@dataclass(frozen=True)
+class ServiceCheckpoint:
+    """One epoch boundary of a day, across every cell of its service."""
+
+    seed: int
+    epochs_run: int
+    log_length: int
+    snapshots: List[MetricsSnapshot]
+    cells: Tuple[CellState, ...]
+    version: int = CHECKPOINT_VERSION
+
+    @property
+    def epoch(self) -> int:
+        """Epochs the captured day had completed."""
+        return self.epochs_run
+
+    @property
+    def tenants(self) -> List[Tuple[Job, int]]:
+        """Resident ``(job, ends_at)`` pairs, cell by cell."""
+        return [pair for cell in self.cells for pair in cell.tenants]
+
+    @property
+    def queue(self) -> List[Tuple[Job, int]]:
+        """Queued ``(job, failures)`` pairs, cell by cell."""
+        return [pair for cell in self.cells for pair in cell.queue]
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def capture(cls, service) -> "ServiceCheckpoint":
+        """Snapshot a flat or sharded service at an epoch boundary."""
+        return cls(
+            seed=service.seed,
+            epochs_run=service.epochs_run,
+            log_length=len(service.log),
+            snapshots=list(service.snapshots),
+            cells=tuple(
+                CellState.capture(flat) for flat in service.cell_services
+            ),
+        )
+
+    def restore(self, service, *, log: Optional[EventLog] = None) -> None:
+        """Install this boundary into a freshly constructed service.
+
+        The flat or sharded ``service`` must have been built from the
+        same seed, stream, config, topology and profiled model as the
+        captured one; only then does the resumed day replay the
+        uninterrupted one byte for byte.  Its event log becomes
+        :meth:`resume_log` of ``log``.
+        """
+        if service.epochs_run or len(service.log):
+            raise ServiceError(
+                "restore() requires a freshly constructed service"
+            )
+        if self.seed != service.seed:
+            raise ServiceError(
+                f"checkpoint was captured at seed {self.seed}, "
+                f"service runs seed {service.seed}"
+            )
+        cell_services = service.cell_services
+        if len(self.cells) != len(cell_services):
+            raise ServiceError(
+                f"checkpoint covers {len(self.cells)} cell(s), "
+                f"service has {len(cell_services)}"
+            )
+        for cell, flat in zip(self.cells, cell_services):
+            cell.restore(flat)
+            flat._epochs_run = self.epochs_run
+        service._epochs_run = self.epochs_run
+        service.snapshots = list(self.snapshots)
+        service.log = self.resume_log(log)
+
+    def resume_log(
+        self, log: Optional[EventLog] = None, *, path: Optional[str] = None
+    ) -> EventLog:
+        """The event log a day resumed from this boundary continues on.
+
+        ``log`` is the recovered log (usually :meth:`EventLog.recover`
+        of the persisted file).  It is validated against this boundary
+        — a mismatched checkpoint/log pair fails with the epoch, the
+        path, and the reason rather than replaying a diverged history
+        — then truncated to the checkpoint's length: events appended
+        by a partially completed epoch are re-derived when the epoch
+        re-runs.  Without a ``log`` the day continues on an empty log
+        whose numbering starts at the boundary, so freshly appended
+        events still carry their global sequence numbers.
+        """
+        if log is None:
+            return EventLog(start_seq=self.log_length)
+        log.validate_tail(self.log_length, self.epochs_run, path=path)
+        log.truncate(self.log_length)
+        return log
+
+    # ------------------------------------------------------------------
+    def to_dict(self) -> Dict[str, object]:
+        """Plain JSON-able rendering."""
+        return {
+            "version": self.version,
+            "seed": self.seed,
+            "epochs_run": self.epochs_run,
+            "log_length": self.log_length,
+            "snapshots": [snap.to_dict() for snap in self.snapshots],
+            "cells": [cell.to_dict() for cell in self.cells],
+        }
 
     @classmethod
     def from_dict(cls, entry: Dict[str, object]) -> "ServiceCheckpoint":
@@ -232,53 +348,22 @@ class ServiceCheckpoint:
                     f"checkpoint version {version} unsupported "
                     f"(expected {CHECKPOINT_VERSION})"
                 )
-            assignment = entry["assignment"]
             return cls(
                 version=version,
                 seed=int(entry["seed"]),
-                counters={
-                    name: int(entry["counters"].get(name, 0))
-                    for name in _COUNTER_FIELDS
-                },
-                tenants=[
-                    (_job_from_dict(item["job"]), int(item["ends_at"]))
-                    for item in entry["tenants"]
-                ],
-                queue=[
-                    (_job_from_dict(item["job"]), int(item["failures"]))
-                    for item in entry["queue"]
-                ],
-                assignment=(
-                    None if assignment is None
-                    else {
-                        str(key): tuple(int(n) for n in nodes)
-                        for key, nodes in assignment.items()
-                    }
-                ),
-                unit_slots_per_node=int(entry["unit_slots_per_node"]),
+                epochs_run=int(entry["epochs_run"]),
+                log_length=int(entry["log_length"]),
                 snapshots=[
                     MetricsSnapshot.from_dict(item)
                     for item in entry["snapshots"]
                 ],
-                model_state={
-                    str(workload): dict(state)
-                    for workload, state in entry["model_state"].items()
-                },
-                faulted_workloads=tuple(
-                    str(w) for w in entry["faulted_workloads"]
-                ),
-                log_length=int(entry["log_length"]),
-                pending_cancels=tuple(
-                    str(j) for j in entry.get("pending_cancels", ())
-                ),
-                provider_state=(
-                    None if entry.get("provider_state") is None
-                    else dict(entry["provider_state"])
+                cells=tuple(
+                    CellState.from_dict(item) for item in entry["cells"]
                 ),
             )
         except ServiceError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ServiceError("malformed service checkpoint") from exc
 
     def save(self, path: str) -> None:

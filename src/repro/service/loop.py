@@ -207,6 +207,8 @@ class ConsolidationService:
         self._qos_violations = 0
         self._preempted = 0
         self._requeued = 0
+        self._migrations_in = 0
+        self._migrations_out = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -245,6 +247,21 @@ class ConsolidationService:
     def requeued_total(self) -> int:
         """Jobs returned to the queue (preemption or vanished node)."""
         return self._requeued
+
+    @property
+    def migrations_in_total(self) -> int:
+        """Tenants moved into this cell from another cell so far."""
+        return self._migrations_in
+
+    @property
+    def migrations_out_total(self) -> int:
+        """Tenants moved out of this cell to another cell so far."""
+        return self._migrations_out
+
+    @property
+    def cell_services(self) -> Tuple["ConsolidationService", ...]:
+        """The flat services a checkpoint captures: this one."""
+        return (self,)
 
     def live_node_count(self) -> int:
         """Nodes currently hosting work (the utilization denominator)."""
@@ -877,6 +894,7 @@ class ConsolidationService:
         job = self._tenants.pop(job_id)
         ends_at = self._ends_at.pop(job_id)
         self._placement = placement_without_job(self._placement, job_id)
+        self._migrations_out += 1
         return job, ends_at
 
     def admit_transfer(self, job: Job, ends_at: int, decision) -> None:
@@ -893,10 +911,11 @@ class ConsolidationService:
         if job.job_id in self._tenants:
             raise ServiceError(f"job {job.job_id!r} is already a tenant")
         # Not counted in ``_admitted``: the job was admitted once, on
-        # arrival; cross-cell moves are tracked by the scale layer.
+        # arrival; the move counts as a migration in.
         self._placement = decision.placement
         self._tenants[job.job_id] = job
         self._ends_at[job.job_id] = ends_at
+        self._migrations_in += 1
 
     # ------------------------------------------------------------------
     # Crash safety
@@ -916,27 +935,11 @@ class ConsolidationService:
         """Resume from a checkpoint captured on an identical service.
 
         ``log`` is the recovered event log (usually
-        :meth:`EventLog.recover` of the persisted file); it is
-        validated against the checkpoint's boundary (a mismatched
-        checkpoint/log pair fails with the epoch, path, and reason
-        rather than replaying a diverged history), then adopted and
-        truncated to the checkpoint's length — events appended by a
-        partially completed epoch are re-derived when the epoch
-        re-runs.  Without a ``log``, the service continues on an empty
-        log whose sequence numbering starts at the checkpoint's
-        boundary, so freshly appended events still carry their global
-        sequence numbers.  Epoch numbering continues from the
-        checkpoint's boundary, so the resumed run's log and snapshots
-        come out byte-identical to an uninterrupted run's.
+        :meth:`EventLog.recover` of the persisted file), validated
+        against the checkpoint's boundary and truncated to it (see
+        :meth:`~repro.service.checkpoint.ServiceCheckpoint.resume_log`).
+        Epoch numbering continues from the checkpoint's boundary, so
+        the resumed run's log and snapshots come out byte-identical to
+        an uninterrupted run's.
         """
-        if self._epochs_run or len(self.log):
-            raise ServiceError(
-                "restore() requires a freshly constructed service"
-            )
-        checkpoint.restore(self)
-        if log is None:
-            self.log = EventLog(start_seq=checkpoint.log_length)
-        else:
-            log.validate_tail(checkpoint.log_length, checkpoint.epoch)
-            log.truncate(checkpoint.log_length)
-            self.log = log
+        checkpoint.restore(self, log=log)

@@ -4,7 +4,7 @@ The recovery contract extended to the provider layer: a day killed at
 an epoch boundary that sits *after* autoscale resizes and *inside* a
 preemption warning window must resume byte-identically — pool shape,
 draining state, and pending reclaims all travel through
-``ServiceCheckpoint.provider_state``.
+``CellState.provider_state``.
 """
 
 import pytest
@@ -85,7 +85,7 @@ class TestProviderStateCapture:
         self, boundary_checkpoint
     ):
         service, checkpoint = boundary_checkpoint
-        state = checkpoint.to_dict()["provider_state"]
+        state = checkpoint.to_dict()["cells"][0]["provider_state"]
         assert state == service.provider.state_dict()
         assert state["provider"] == "elastic"
         assert state["max_nodes"] == CEILING
@@ -94,7 +94,7 @@ class TestProviderStateCapture:
         # The scenario this module exists for: the kill epoch sits
         # after autoscale resizes with a preemption warning in flight.
         service, checkpoint = boundary_checkpoint
-        state = checkpoint.to_dict()["provider_state"]
+        state = checkpoint.to_dict()["cells"][0]["provider_state"]
         draining = [
             entry for entry in state["instances"]
             if entry["state"] == "draining"
@@ -114,7 +114,7 @@ class TestProviderStateCapture:
         self, boundary_checkpoint
     ):
         service, checkpoint = boundary_checkpoint
-        counters = checkpoint.to_dict()["counters"]
+        counters = checkpoint.to_dict()["cells"][0]["counters"]
         assert counters["preempted"] == service.preempted_total
         assert counters["requeued"] == service.requeued_total
 
@@ -126,7 +126,7 @@ class TestRestoreValidation:
         donor = make_service(environment, provider=None)
         donor.run(2)
         checkpoint = donor.checkpoint()
-        assert "provider_state" not in checkpoint.to_dict()
+        assert "provider_state" not in checkpoint.to_dict()["cells"][0]
         fresh = make_service(environment, provider=churn_provider())
         with pytest.raises(ServiceError, match="provider"):
             fresh.restore(checkpoint, log=donor.log)
@@ -158,7 +158,7 @@ class TestRestoreValidation:
         service = make_service(environment, provider=StaticProvider(CEILING))
         service.run(2)
         checkpoint = service.checkpoint()
-        assert "provider_state" not in checkpoint.to_dict()
+        assert "provider_state" not in checkpoint.to_dict()["cells"][0]
         # And restores into a fresh static-provider service cleanly.
         resumed = make_service(
             environment, provider=StaticProvider(CEILING)
@@ -196,7 +196,7 @@ class TestElasticResumeIdentity:
 
         checkpoint = ServiceCheckpoint.load(checkpoint_path)
         assert checkpoint.epoch == BOUNDARY
-        assert checkpoint.to_dict()["provider_state"] is not None
+        assert checkpoint.to_dict()["cells"][0]["provider_state"] is not None
         recovered = EventLog.recover(log_path)
         resumed = make_service(
             environment,
@@ -209,7 +209,7 @@ class TestElasticResumeIdentity:
         # resize and the in-flight warning — not its own epoch-0 one.
         assert (
             resumed.provider.state_dict()
-            == checkpoint.to_dict()["provider_state"]
+            == checkpoint.to_dict()["cells"][0]["provider_state"]
         )
         resumed.log.attach(log_path)
         resumed.run(DAY - BOUNDARY)
@@ -225,7 +225,7 @@ class TestElasticResumeIdentity:
         final = ServiceCheckpoint.load(checkpoint_path)
         assert final.epoch == DAY
         assert (
-            final.to_dict()["provider_state"]
+            final.to_dict()["cells"][0]["provider_state"]
             == uninterrupted.provider.state_dict()
         )
 

@@ -1,4 +1,5 @@
-"""The sharded service's core contracts: flat parity and determinism."""
+"""The sharded service's core contracts: one-cell identity, determinism
+and aggregation."""
 
 from __future__ import annotations
 
@@ -6,37 +7,48 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ServiceError
 from repro.core.online import OnlineModel
 from repro.cluster.cluster import ClusterSpec
 from repro.scale import build_sharded_service
-from tests.scale._helpers import (
-    arrival_stream,
-    flat_service,
-    sharded_service,
-)
+from tests.scale._helpers import arrival_stream, sharded_service
+from tests.test_cli import SERVE_FAST
 
 EPOCHS = 6
 
 
-def test_one_cell_replays_the_flat_service_byte_for_byte(synthetic_model):
+@pytest.fixture(scope="module")
+def serve_days(tmp_path_factory):
+    """Output directories of a flat ``repro serve`` day and its
+    ``--cells 1`` twin."""
+    days = {}
+    for name, flags in (("flat", []), ("one_cell", ["--cells", "1"])):
+        out = tmp_path_factory.mktemp(name)
+        assert main(
+            SERVE_FAST + flags + [
+                "--event-log", str(out / "events.jsonl"),
+                "--snapshot", str(out / "snapshot.json"),
+            ]
+        ) == 0
+        days[name] = out
+    return days
+
+
+def test_one_cell_replays_the_flat_service_byte_for_byte(serve_days):
     """The load-bearing equivalence: ``--cells 1`` == the flat service."""
-    flat = flat_service(synthetic_model)
-    flat.run(EPOCHS)
-    sharded = sharded_service(synthetic_model, 1)
-    sharded.run(EPOCHS)
-    assert sharded.log.to_jsonl() == flat.log.to_jsonl()
-    assert [s.to_dict() for s in sharded.snapshots] == [
-        s.to_dict() for s in flat.snapshots
-    ]
+    for name in ("events.jsonl", "snapshot.json"):
+        assert (serve_days["one_cell"] / name).read_bytes() == (
+            serve_days["flat"] / name
+        ).read_bytes()
 
 
-def test_one_cell_events_carry_no_cell_field(synthetic_model):
-    sharded = sharded_service(synthetic_model, 1)
-    sharded.run(2)
-    for line in sharded.log.to_jsonl().splitlines():
+def test_one_cell_events_carry_no_cell_field(serve_days):
+    out = serve_days["one_cell"]
+    for line in (out / "events.jsonl").read_text().splitlines():
         assert "cell" not in json.loads(line)
-    assert sharded.snapshots[-1].cells is None
+    snapshot = json.loads((out / "snapshot.json").read_text())
+    assert all("cells" not in s for s in snapshot["per_epoch"])
 
 
 def test_multi_cell_day_is_deterministic(synthetic_model):

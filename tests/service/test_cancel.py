@@ -145,7 +145,7 @@ class TestCancelAcrossCheckpoints:
         boundary = resumed.checkpoint()
         resumed.cancel(victim)
         checkpoint = resumed.checkpoint()
-        assert checkpoint.pending_cancels == (victim,)
+        assert checkpoint.cells[0].pending_cancels == (victim,)
 
         fresh = make_service(model)
         fresh.restore(checkpoint)
@@ -159,7 +159,7 @@ class TestCancelAcrossCheckpoints:
         assert [e.to_json() for e in fresh.log.since(0)] == tail
         assert fresh.cancelled_total == straight.cancelled_total == 1
         # The pre-cancel boundary checkpoint carries no request.
-        assert boundary.pending_cancels == ()
+        assert boundary.cells[0].pending_cancels == ()
 
     def test_cancelled_counter_round_trips(self, model):
         service = make_service(model)

@@ -217,7 +217,7 @@ class TestCheckpointRoundTrip:
 
     def test_from_dict_rejects_missing_fields(self, checkpoint):
         entry = checkpoint.to_dict()
-        del entry["counters"]
+        del entry["cells"][0]["counters"]
         with pytest.raises(ServiceError, match="malformed"):
             ServiceCheckpoint.from_dict(entry)
 

@@ -156,6 +156,59 @@ class TestServeCommand:
         assert "--resume requires --checkpoint" in err
 
 
+class TestServeCellsAndResume:
+    """``--resume`` finishes its day; flags of the other mode are refused.
+
+    The ``--cells 1`` == flat identity is pinned in
+    ``tests/scale/test_service.py``.
+    """
+
+    @pytest.fixture(scope="class")
+    def flat_day(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("flat")
+        assert main(
+            SERVE_FAST + [
+                "--event-log", str(out / "events.jsonl"),
+                "--snapshot", str(out / "snapshot.json"),
+            ]
+        ) == 0
+        return out
+
+    def test_resumed_day_equals_the_uninterrupted_one(
+        self, tmp_path, flat_day
+    ):
+        durable = [
+            "--checkpoint", str(tmp_path / "day.ckpt"),
+            "--event-log", str(tmp_path / "events.jsonl"),
+        ]
+        assert main(SERVE_FAST + durable + ["--epochs", "1"]) == 0
+        assert main(
+            SERVE_FAST + durable + [
+                "--snapshot", str(tmp_path / "snapshot.json"), "--resume",
+            ]
+        ) == 0
+        for name in ("events.jsonl", "snapshot.json"):
+            assert (tmp_path / name).read_bytes() == (
+                flat_day / name
+            ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cells", "1", "--nodes", "16"], "--cells 2 or more"),
+            (
+                ["--cells", "2", "--provider", "elastic",
+                 "--max-nodes", "20"],
+                "sized by their shard",
+            ),
+        ],
+        ids=["one-cell-nodes", "cells-max-nodes"],
+    )
+    def test_rejects_flags_of_the_other_mode(self, flags, message, capsys):
+        assert main(SERVE_FAST + flags) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestNetworkFlags:
     """``--network-noise`` / ``--domains`` on profile, serve and daemon."""
 
