@@ -482,7 +482,7 @@ def test_admission_wave_batch(record_artifact, artifact_dir):
         f"  speedup:              {speedup:8.2f}x (identical decision)",
     )
     _record_json(artifact_dir)
-    # Candidate Placement construction is shared overhead on both
-    # sides, so the wave's end-to-end win is bounded well below the
-    # prediction-only ratio.
+    # The scalar side builds and validates every candidate Placement;
+    # the wave builds only the winner and re-predicts only the tenants
+    # each candidate touches.
     assert speedup >= 2.0

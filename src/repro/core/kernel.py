@@ -8,8 +8,9 @@ profile lookups, and policy instantiation per call.  This module
 flattens a model into a :class:`PredictionKernel` — a frozen snapshot
 holding each profile's propagation matrix, heterogeneity policy, and
 bubble score behind contiguous NumPy arrays — so a whole placement (or
-a whole admission wave of candidate placements) is scored in a handful
-of array operations.
+a whole admission wave, in the factored form of
+:meth:`PredictionKernel.admission_wave`) is scored in a handful of
+array operations.
 
 **Bit-identity contract.**  The batch path must be a pure accelerator:
 every float it produces is bit-identical to the scalar path's.  Three
@@ -75,6 +76,42 @@ class _WorkloadTable:
     max_count: float
     policy: HeterogeneityPolicy
     bubble_score: float
+
+
+@dataclass(frozen=True)
+class AdmissionWave:
+    """An admission wave in factored form (see
+    :meth:`PredictionKernel.admission_wave`).
+
+    ``workloads``/``vectors`` are the wave's distinct rows.  Candidate
+    ``c``'s instance ``k`` reads row ``base_rows[k]`` unless a changed
+    cell ``(candidates[i], columns[i]) == (c, k)`` points it at
+    ``rows[i]`` instead; the job is column ``num_base`` and always a
+    changed cell.
+    """
+
+    workloads: List[str]
+    vectors: List[List[float]]
+    base_rows: np.ndarray
+    candidates: np.ndarray
+    columns: np.ndarray
+    rows: np.ndarray
+    num_base: int
+    num_candidates: int
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Per-row ``values`` as a ``(candidates, num_base + 1)`` matrix.
+
+        Row ``c`` is candidate ``c``'s per-instance values in instance
+        order, the job last.
+        """
+        matrix = np.empty(
+            (self.num_candidates, self.num_base + 1), dtype=float
+        )
+        if self.num_candidates:
+            matrix[:, : self.num_base] = values[self.base_rows]
+            matrix[self.candidates, self.columns] = values[self.rows]
+        return matrix
 
 
 class PredictionKernel:
@@ -149,6 +186,74 @@ class PredictionKernel:
             for node in workload_nodes
         ]
 
+    def _excluding_views(
+        self, residents: Mapping[int, Sequence[Tuple[object, str]]]
+    ) -> Dict[int, Dict[object, float]]:
+        """Per node, the combined co-runner pressure each resident sees.
+
+        ``residents`` maps a node to its ``(key, workload)`` units in
+        summation order; each resident's view combines the scores of
+        every *other* unit there, in that order, so the memoized combine
+        replays the scalar summation order.  Raises ``KeyError`` on an
+        unknown co-runner workload.
+        """
+        scores = self._scores
+        single = self._single_cache
+        empty = self.combined_pressure(())
+        # Nodes host at most ``unit_slots_per_node`` units, so the one-
+        # and two-unit cases below cover real clusters; the generic
+        # branch keeps larger nodes exact (order-preserving tuples).
+        excluding: Dict[int, Dict[object, float]] = {}
+        for node, units in residents.items():
+            if len(units) == 1:
+                excluding[node] = {units[0][0]: empty}
+                continue
+            if len(units) == 2:
+                (key_a, work_a), (key_b, work_b) = units
+                if key_a == key_b:
+                    excluding[node] = {key_a: empty}
+                    continue
+                score_a = scores[work_a]
+                score_b = scores[work_b]
+                seen_by_a = single.get(score_b)
+                if seen_by_a is None:
+                    seen_by_a = self.combined_pressure((score_b,))
+                    single[score_b] = seen_by_a
+                seen_by_b = single.get(score_a)
+                if seen_by_b is None:
+                    seen_by_b = self.combined_pressure((score_a,))
+                    single[score_a] = seen_by_b
+                excluding[node] = {key_a: seen_by_a, key_b: seen_by_b}
+                continue
+            scored = [(key, scores[workload]) for key, workload in units]
+            views: Dict[object, float] = {}
+            for key, _ in scored:
+                if key not in views:
+                    views[key] = self.combined_pressure(
+                        tuple([s for other, s in scored if other != key])
+                    )
+            excluding[node] = views
+        return excluding
+
+    def _raise_unknown(
+        self,
+        entries: Sequence[Tuple[object, str, Sequence[int]]],
+        residents: Mapping[int, Sequence[Tuple[object, str]]],
+    ) -> None:
+        """Replay the scalar walk to raise its unknown-workload error.
+
+        ``entries`` are ``(key, workload, spanned_nodes)`` in instance
+        order: the scalar path looks up each instance's co-runners node
+        by node and then the instance's own workload, so the error
+        names the workload it would have hit first.
+        """
+        for key, workload, nodes in entries:
+            for node in nodes:
+                for other_key, other in residents.get(node, ()):
+                    if other_key != key:
+                        self._score_of(other)
+            self._score_of(workload)
+
     def placement_vectors(
         self, placement: "Placement"  # noqa: F821
     ) -> List[Tuple[str, str, List[float]]]:
@@ -162,59 +267,21 @@ class PredictionKernel:
         ``co_runner_workloads`` reports it, so the memoized combine
         replays the scalar summation order.
         """
-        scores = self._scores
-        single = self._single_cache
         residents = placement.node_residents()
-        empty = self.combined_pressure(())
-        # Per node, the combined co-runner pressure seen by each of its
-        # resident instances (excluding that instance's own units).
-        # Nodes host at most ``unit_slots_per_node`` units, so the one-
-        # and two-unit cases below cover real clusters; the generic
-        # branch keeps larger nodes exact (assignment-order tuples).
-        excluding: Dict[int, Dict[str, float]] = {}
         try:
-            for node, units in residents.items():
-                if len(units) == 1:
-                    excluding[node] = {units[0][0]: empty}
-                    continue
-                if len(units) == 2:
-                    (key_a, work_a), (key_b, work_b) = units
-                    if key_a == key_b:
-                        excluding[node] = {key_a: empty}
-                        continue
-                    score_a = scores[work_a]
-                    score_b = scores[work_b]
-                    seen_by_a = single.get(score_b)
-                    if seen_by_a is None:
-                        seen_by_a = self.combined_pressure((score_b,))
-                        single[score_b] = seen_by_a
-                    seen_by_b = single.get(score_a)
-                    if seen_by_b is None:
-                        seen_by_b = self.combined_pressure((score_a,))
-                        single[score_a] = seen_by_b
-                    excluding[node] = {key_a: seen_by_a, key_b: seen_by_b}
-                    continue
-                scored = [(key, scores[workload]) for key, workload in units]
-                views: Dict[str, float] = {}
-                for key, _ in scored:
-                    if key not in views:
-                        views[key] = self.combined_pressure(
-                            tuple(
-                                [s for other, s in scored if other != key]
-                            )
-                        )
-                excluding[node] = views
+            excluding = self._excluding_views(residents)
         except KeyError:
-            # An unknown workload somewhere: replay the scalar walk
-            # (instance order, then node order) so the error names the
-            # workload the scalar path would have hit first.
-            for spec in placement.instances:
-                key = spec.instance_key
-                for node in placement.spanned_nodes(key):
-                    for other_key, workload in residents.get(node, ()):
-                        if other_key != key:
-                            self._score_of(workload)
-                self._score_of(spec.workload)
+            self._raise_unknown(
+                [
+                    (
+                        spec.instance_key,
+                        spec.workload,
+                        placement.spanned_nodes(spec.instance_key),
+                    )
+                    for spec in placement.instances
+                ],
+                residents,
+            )
             raise  # pragma: no cover - unknowns always reachable above
         out: List[Tuple[str, str, List[float]]] = []
         for spec in placement.instances:
@@ -230,6 +297,104 @@ class PredictionKernel:
                 )
             )
         return out
+
+    def admission_wave(
+        self,
+        base: Optional["Placement"],  # noqa: F821
+        job: "InstanceSpec",  # noqa: F821
+        node_sets: Sequence[Sequence[int]],
+    ) -> AdmissionWave:
+        """Pressure vectors of ``base`` extended by ``job`` on each node set.
+
+        The factored form of calling :meth:`placement_vectors` on every
+        candidate placement: an arriving job only changes the vectors
+        of the tenants sharing one of its nodes, so each base tenant's
+        vector is built once, and each candidate adds rows only for the
+        job and for the tenants with a unit on the candidate's nodes.
+        Every node's residents are taken in ``base.instances`` order
+        with the job last — the order the service's
+        ``placement_with_job`` rebuilds the assignment in — so every
+        cell equals the matching candidate placement's vector bit for
+        bit.  Equal ``(workload, vector)`` rows are stored once.  Node
+        sets must be valid extensions of ``base``.
+        """
+        tenants = base.instances if base is not None else ()
+        num_base = len(tenants)
+        # Column ``num_base`` is the job's; it doubles as a resident key.
+        workload_of = [spec.workload for spec in tenants] + [job.workload]
+        spanned = [base.spanned_nodes(spec.instance_key) for spec in tenants]
+        residents: Dict[int, List[Tuple[object, str]]] = {}
+        for column, spec in enumerate(tenants):
+            for node in base.nodes_of(spec.instance_key):
+                residents.setdefault(node, []).append((column, spec.workload))
+        spans = [sorted(set(nodes)) for nodes in node_sets]
+        if not spans:
+            nothing = np.empty(0, dtype=np.intp)
+            return AdmissionWave(
+                [], [], nothing, nothing, nothing, nothing, num_base, 0
+            )
+        joined = {
+            node: residents.get(node, []) + [(num_base, job.workload)]
+            for node in sorted(set().union(*spans))
+        }
+        if not all(workload in self._scores for workload in workload_of):
+            first = spans[0]
+            self._raise_unknown(
+                list(zip(range(num_base + 1), workload_of, spanned + [first])),
+                {**residents, **{node: joined[node] for node in first}},
+            )
+        views = self._excluding_views(residents)
+        with_job = self._excluding_views(joined)
+        workloads: List[str] = []
+        vectors: List[List[float]] = []
+        row_of: Dict[Tuple[str, Tuple[float, ...]], int] = {}
+
+        def row(column: int, vector: List[float]) -> int:
+            key = (workload_of[column], tuple(vector))
+            index = row_of.get(key)
+            if index is None:
+                index = row_of[key] = len(vectors)
+                workloads.append(key[0])
+                vectors.append(vector)
+            return index
+
+        base_vectors = [
+            [views[node][column] for node in nodes]
+            for column, nodes in enumerate(spanned)
+        ]
+        base_rows = [
+            row(column, vector) for column, vector in enumerate(base_vectors)
+        ]
+        position = [
+            {node: i for i, node in enumerate(nodes)} for nodes in spanned
+        ]
+        candidates: List[int] = []
+        columns: List[int] = []
+        rows: List[int] = []
+        for candidate, span in enumerate(spans):
+            changed: Dict[int, List[float]] = {}
+            for node in span:
+                seen = with_job[node]
+                for column, _ in residents.get(node, ()):
+                    vector = changed.get(column)
+                    if vector is None:
+                        vector = changed[column] = list(base_vectors[column])
+                    vector[position[column][node]] = seen[column]
+            changed[num_base] = [with_job[node][num_base] for node in span]
+            for column, vector in changed.items():
+                candidates.append(candidate)
+                columns.append(column)
+                rows.append(row(column, vector))
+        return AdmissionWave(
+            workloads=workloads,
+            vectors=vectors,
+            base_rows=np.asarray(base_rows, dtype=np.intp),
+            candidates=np.asarray(candidates, dtype=np.intp),
+            columns=np.asarray(columns, dtype=np.intp),
+            rows=np.asarray(rows, dtype=np.intp),
+            num_base=num_base,
+            num_candidates=len(spans),
+        )
 
     # ------------------------------------------------------------------
     # Vectorized prediction

@@ -18,15 +18,20 @@ scores of whatever shares its nodes (Figure 5's procedure).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.cluster.contention import ContentionDomain, combine_pressures
 from repro.core.curves import HomogeneousSetting, PropagationMatrix
-from repro.core.kernel import PredictionKernel, PredictionRequest
+from repro.core.kernel import (
+    AdmissionWave, PredictionKernel, PredictionRequest,
+)
 from repro.core.policies import HeterogeneityPolicy, get_policy
 from repro.errors import ModelError
+from repro.faults.degradation import conservative_wave
 from repro.obs import recorder as _obs
 
 #: What :meth:`InterferenceModel.predict` accepts as an interference
@@ -724,74 +729,85 @@ class InterferenceModel:
         return values
 
     def predict_placements_batch(
-        self, placements: Sequence["Placement"]  # noqa: F821
+        self,
+        base: Optional["Placement"],  # noqa: F821
+        job: "InstanceSpec",  # noqa: F821
+        node_sets: Sequence[Sequence[int]],
+        *,
+        degraded: Collection[str] = frozenset(),
     ) -> np.ndarray:
-        """Score a whole wave of candidate placements in one batch.
+        """Score an admission wave: ``base`` extended by ``job`` per node set.
 
-        All placements must share the same instance list in the same
-        order (an admission wave extends one base placement with the
-        same job).  Returns a ``(num_placements, num_instances)`` array
-        whose row ``c`` holds candidate ``c``'s per-instance
-        predictions in instance order.
+        Returns a ``(len(node_sets), num_instances)`` array whose row
+        ``c`` holds the predictions of the placement with ``job`` on
+        ``node_sets[c]``, in instance order with the job last — each
+        value bit-identical to the scalar path on that placement.  The
+        wave is scored in factored form
+        (:meth:`~repro.core.kernel.PredictionKernel.admission_wave`):
+        base rows once, then per candidate only the rows the job
+        changes.  Node sets must be valid extensions of ``base``.
+        Workloads in ``degraded`` are raised to their conservative
+        ALL-max prediction where that is worse
+        (:func:`repro.faults.degradation.conservative_wave`).
         """
-        if not placements:
-            return np.empty((0, 0), dtype=float)
-        keys = tuple(spec.instance_key for spec in placements[0].instances)
-        workloads: List[str] = []
-        vectors: List[List[float]] = []
+        wave, predictions = self._wave_predictions(base, job, node_sets)
+        if degraded:
+            conservative_wave(self, wave, predictions, degraded)
+        return predictions
+
+    def _wave_predictions(
+        self,
+        base: Optional["Placement"],  # noqa: F821
+        job: "InstanceSpec",  # noqa: F821
+        node_sets: Sequence[Sequence[int]],
+    ) -> Tuple[AdmissionWave, np.ndarray]:
+        """One wave's factored rows and its combined prediction matrix.
+
+        A wave counts as one batch of ``candidates x instances``
+        requests, the work it stands for.
+        """
         kernel = self.prediction_kernel()
-        net_kernel = self.network_kernel() if self.has_network else None
-        net_vectors: List[List[float]] = []
-        for placement in placements:
-            if tuple(
-                spec.instance_key for spec in placement.instances
-            ) != keys:
-                raise ModelError(
-                    "predict_placements_batch requires every placement "
-                    "to share one instance list"
-                )
-            for _, workload, vector in kernel.placement_vectors(placement):
-                workloads.append(workload)
-                vectors.append(vector)
-            if net_kernel is not None:
-                for _, _, vector in net_kernel.placement_vectors(placement):
-                    net_vectors.append(vector)
-        _count_batch(len(workloads))
-        values = kernel.predict_vectors(workloads, vectors)
+        wave = kernel.admission_wave(base, job, node_sets)
+        if not wave.num_candidates:
+            return wave, wave.scatter(np.empty(0, dtype=float))
+        _count_batch(wave.num_candidates * (wave.num_base + 1))
+        values = kernel.predict_vectors(wave.workloads, wave.vectors)
         if values is None:
             values = np.array(
                 [
                     self.predict_heterogeneous(workload, vector)
-                    for workload, vector in zip(workloads, vectors)
+                    for workload, vector in zip(wave.workloads, wave.vectors)
                 ],
                 dtype=float,
             )
-        if net_kernel is not None:
+        predictions = wave.scatter(values)
+        if self.has_network:
+            # The network wave has the same cells over its own distinct
+            # rows.  Targets without a network profile keep factor 1.0,
+            # and ``x * 1.0 == x`` exactly.
+            net_kernel = self.network_kernel()
+            net_wave = net_kernel.admission_wave(base, job, node_sets)
             predictable = self._network_predictable()
             indices = [
-                i for i, workload in enumerate(workloads)
+                i for i, workload in enumerate(net_wave.workloads)
                 if workload in predictable
             ]
             if indices:
-                factors = net_kernel.predict_vectors(
-                    [workloads[i] for i in indices],
-                    [net_vectors[i] for i in indices],
-                )
+                workloads = [net_wave.workloads[i] for i in indices]
+                vectors = [net_wave.vectors[i] for i in indices]
+                factors = net_kernel.predict_vectors(workloads, vectors)
                 if factors is None:
-                    factors = np.array(
-                        [
-                            self._predict_heterogeneous(
-                                workloads[i],
-                                net_vectors[i],
-                                domain=ContentionDomain.NETWORK,
-                            )
-                            for i in indices
-                        ],
-                        dtype=float,
-                    )
-                for i, factor in zip(indices, factors):
-                    values[i] = values[i] * factor
-        return values.reshape(len(placements), len(keys))
+                    factors = [
+                        self._predict_heterogeneous(
+                            workload, vector,
+                            domain=ContentionDomain.NETWORK,
+                        )
+                        for workload, vector in zip(workloads, vectors)
+                    ]
+                per_row = np.ones(len(net_wave.workloads), dtype=float)
+                per_row[indices] = factors
+                predictions = predictions * net_wave.scatter(per_row)
+        return wave, predictions
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -23,7 +23,7 @@ unobserved workload predicts exactly like the static model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.cluster.contention import ContentionDomain
 from repro.core.kernel import PredictionKernel, PredictionRequest
 from repro.core.model import InterferenceModel
 from repro.errors import ModelError
+from repro.faults.degradation import conservative_wave
 
 
 @dataclass
@@ -218,19 +219,34 @@ class OnlineModel:
             for key, value in raw.items()
         }
 
-    def predict_placements_batch(self, placements: Sequence) -> np.ndarray:
-        """Corrected :meth:`InterferenceModel.predict_placements_batch`."""
-        values = self.base.predict_placements_batch(placements)
-        if values.size == 0:
-            return values
-        factors = np.array(
-            [
-                self.correction(spec.workload).factor
-                for spec in placements[0].instances
-            ],
-            dtype=float,
-        )
-        return 1.0 + (values - 1.0) * factors[None, :]
+    def predict_placements_batch(
+        self,
+        base,
+        job,
+        node_sets: Sequence[Sequence[int]],
+        *,
+        degraded: Collection[str] = frozenset(),
+    ) -> np.ndarray:
+        """Corrected :meth:`InterferenceModel.predict_placements_batch`.
+
+        Corrections apply per column (the base instances, then the
+        job) before the degraded-workload override compares against
+        them.
+        """
+        wave, predictions = self.base._wave_predictions(base, job, node_sets)
+        if wave.num_candidates:
+            instances = base.instances if base is not None else ()
+            factors = np.array(
+                [
+                    self.correction(spec.workload).factor
+                    for spec in (*instances, job)
+                ],
+                dtype=float,
+            )
+            predictions = 1.0 + (predictions - 1.0) * factors[None, :]
+        if degraded:
+            conservative_wave(self, wave, predictions, degraded)
+        return predictions
 
     # ------------------------------------------------------------------
     # Learning

@@ -12,7 +12,11 @@ propagation matrix.  Over-predicting slowdown can only make admission
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
+
+import numpy as np
+
+from repro.obs import recorder as _obs
 
 
 def conservative_prediction(
@@ -28,14 +32,17 @@ def conservative_prediction(
     selected one (including the profiled-span rescaling of the
     converted node count).
     """
+    vector = model.pressure_vector(workload_nodes, co_runners_by_node)
+    return _all_max(model.profile(workload), vector)
+
+
+def _all_max(profile, vector: Sequence[float]) -> float:
     # Imported lazily: repro.core pulls in the profiling stack, which
     # imports the runner, which imports this package — a module-level
     # import here would close that cycle.
     from repro.core.curves import HomogeneousSetting
     from repro.core.policies import AllMaxPolicy
 
-    vector = model.pressure_vector(workload_nodes, co_runners_by_node)
-    profile = model.profile(workload)
     setting = AllMaxPolicy().convert(vector)
     scale = profile.matrix.max_count / len(vector)
     return profile.matrix.lookup(
@@ -43,54 +50,45 @@ def conservative_prediction(
     )
 
 
-def conservative_placements_batch(
-    model,
-    placements: Sequence,
-    workload: str,
-    instance_key: str,
-):
-    """:func:`conservative_prediction` for one instance across a wave.
+def conservative_wave(
+    model, wave, predictions: np.ndarray, degraded: Collection[str]
+) -> None:
+    """Apply the degraded-workload override to a scored admission wave.
 
-    Returns a float array with one ALL-max prediction per candidate
-    placement, bit-identical to calling :func:`conservative_prediction`
-    per candidate.  Models exposing a ``prediction_kernel`` (the
-    interference-aware family) are evaluated in one vectorized batch;
-    anything else falls back to the scalar loop.
+    ``wave`` is a :class:`~repro.core.kernel.AdmissionWave` and
+    ``predictions`` its ``(candidates, instances)`` matrix, raised in
+    place.  Every row of a degraded workload gets its
+    :func:`conservative_prediction` — computed once per distinct row,
+    bit-identical to calling it on each candidate placement — and a
+    cell is raised to it wherever it is worse than the model's own
+    estimate (degradation only ever raises a prediction).  Each raised
+    cell counts one ``fault.degraded_prediction``.
     """
-    import numpy as np
-
     from repro.core.policies import AllMaxPolicy
 
-    kernel_of = getattr(model, "prediction_kernel", None)
-    if kernel_of is not None:
-        kernel = kernel_of()
-        if kernel.knows(workload):
-            vectors = [
-                kernel.pressure_vector(
-                    placement.spanned_nodes(instance_key),
-                    placement.co_runner_workloads(instance_key),
-                )
-                for placement in placements
-            ]
-            values = kernel.predict_vectors(
-                [workload] * len(placements),
-                vectors,
-                policy_override=AllMaxPolicy(),
-            )
-            if values is not None:
-                return values
-    return np.array(
-        [
-            conservative_prediction(
-                model,
-                workload,
-                placement.spanned_nodes(instance_key),
-                placement.co_runner_workloads(instance_key),
-            )
-            for placement in placements
-        ],
-        dtype=float,
+    rows = [
+        i for i, workload in enumerate(wave.workloads) if workload in degraded
+    ]
+    if not rows:
+        return
+    workloads = [wave.workloads[i] for i in rows]
+    vectors = [wave.vectors[i] for i in rows]
+    values = model.prediction_kernel().predict_vectors(
+        workloads, vectors, policy_override=AllMaxPolicy()
     )
+    if values is None:
+        values = [
+            _all_max(model.profile(workload), vector)
+            for workload, vector in zip(workloads, vectors)
+        ]
+    per_row = np.full(len(wave.workloads), -np.inf)
+    per_row[rows] = values
+    conservative = wave.scatter(per_row)
+    raised = conservative > predictions
+    count = int(raised.sum())
+    if count:
+        predictions[raised] = conservative[raised]
+        _obs.RECORDER.count("fault.degraded_prediction", count)
 
 
 def supports_degradation(model) -> bool:

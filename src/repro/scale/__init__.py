@@ -9,7 +9,8 @@ nodes.  This package makes the reproduction cluster-scale:
   a cluster into *cells*, each a flat service over its own slice;
 * :mod:`repro.scale.router` — the :class:`HeadroomRouter`, a cheap
   global tier scoring arrivals against per-cell predicted QoS headroom
-  (batch-scored through ``predict_placements_batch``);
+  (each cell's admission candidates, scored as one
+  ``predict_placements_batch`` wave);
 * :mod:`repro.scale.coordinator` — the :class:`GlobalCoordinator`,
   which watches per-cell margins each epoch and triggers cross-cell
   migration only on margin collapse, gated like intra-cell

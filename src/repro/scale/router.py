@@ -2,14 +2,14 @@
 
 Arriving jobs are routed to the cell predicted to absorb them with the
 most *QoS headroom*: the router probes a few candidate node
-combinations per cell (enumerated in the same deterministic sorted
-order the admission controller uses), scores them through the cell's
-own online model — in one vectorized
-``predict_placements_batch`` call when the model supports it — and
-summarizes each cell as the best candidate's worst margin over every
-mission-critical bound involved.  Emptier, calmer cells score higher;
-the global tier (:mod:`repro.scale.coordinator`) only intervenes later
-if a cell's margin collapses anyway.
+combinations per cell (the cell admission controller's own
+:meth:`~repro.service.admission.AdmissionController.candidate_node_sets`
+enumeration), scores them through the cell's own online model — as
+one factored ``predict_placements_batch`` wave when the model supports
+it — and summarizes each cell as the best candidate's worst margin
+over every mission-critical bound involved.  Emptier, calmer cells
+score higher; the global tier (:mod:`repro.scale.coordinator`) only
+intervenes later if a cell's margin collapses anyway.
 
 The router is intentionally much cheaper than admission proper: it
 probes ``probe_candidates`` combinations (default 4) instead of
@@ -20,16 +20,14 @@ admission controller still makes the binding yes/no decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import PlacementError, ServiceError
+from repro.errors import ServiceError
 from repro.obs import recorder as _obs
 from repro.placement.objectives import (
     QoSConstraint,
     predict_placement_scalar,
 )
-from repro.service.admission import placement_with_job
 from repro.service.jobs import Job
 
 #: Reference bound used to score best-effort jobs (the paper's
@@ -95,7 +93,10 @@ class HeadroomRouter:
         """This cell's :class:`CellScore` for ``job``.
 
         ``None`` when the cell lacks the free slots to hold the job's
-        units at all (capacity, not QoS).
+        units at all (capacity, not QoS).  Candidates come from the
+        cell admission controller's own enumeration
+        (:meth:`~repro.service.admission.AdmissionController.candidate_node_sets`)
+        and are scored as one factored wave when the model supports it.
         """
         service = cell.service
         placement = service.placement
@@ -103,40 +104,46 @@ class HeadroomRouter:
         free = admission.free_nodes(placement)
         if len(free) < job.num_units:
             return None
-        candidates = []
-        for nodes in islice(
-            combinations(free, job.num_units), self.probe_candidates
-        ):
-            try:
-                candidates.append(
-                    placement_with_job(
-                        placement,
-                        admission.cluster_spec,
-                        job,
-                        nodes,
-                        unit_slots_per_node=admission.unit_slots_per_node,
-                    )
-                )
-            except PlacementError:
-                continue
-        if not candidates:
+        node_sets = admission.candidate_node_sets(
+            placement, job, free, self.probe_candidates
+        )
+        if not node_sets:
             return None
-        constraints = self._constraints(service.tenants, job)
-        tables = self._predict(service.model, candidates)
+        spec = job.instance_spec()
+        instances = (
+            (*placement.instances, spec) if placement is not None else (spec,)
+        )
+        column_of = {
+            instance.instance_key: column
+            for column, instance in enumerate(instances)
+        }
+        bounds = [
+            (constraint.max_normalized_time,
+             column_of[constraint.instance_key])
+            for constraint in self._constraints(service.tenants, job)
+        ]
+        model = service.model
+        if hasattr(model, "predict_placements_batch"):
+            rows = model.predict_placements_batch(
+                placement, spec, node_sets
+            ).tolist()
+        else:
+            rows = []
+            for nodes in node_sets:
+                table = predict_placement_scalar(
+                    model, admission.candidate(placement, job, nodes)
+                )
+                rows.append([table[key] for key in column_of])
         best: Optional[CellScore] = None
         slots = free_slot_count(cell)
-        for predictions in tables:
-            margin = min(
-                constraint.max_normalized_time
-                - predictions[constraint.instance_key]
-                for constraint in constraints
-            )
+        for row in rows:
+            margin = min(bound - row[column] for bound, column in bounds)
             # Strict > keeps the first (sorted-order) candidate on ties.
             if best is None or margin > best.headroom:
                 best = CellScore(
                     cell_id=cell.cell_id,
                     headroom=margin,
-                    predicted_time=predictions[job.job_id],
+                    predicted_time=row[-1],
                     free_slots=slots,
                 )
         return best
@@ -251,18 +258,3 @@ class HeadroomRouter:
             )
         )
         return [c for c in constraints if c is not None]
-
-    @staticmethod
-    def _predict(model, candidates: Sequence) -> List[Dict[str, float]]:
-        """Per-candidate prediction tables, batched when the model can."""
-        if hasattr(model, "predict_placements_batch"):
-            matrix = model.predict_placements_batch(candidates)
-            keys = [spec.instance_key for spec in candidates[0].instances]
-            return [
-                {key: float(value) for key, value in zip(keys, row)}
-                for row in matrix
-            ]
-        return [
-            predict_placement_scalar(model, candidate)
-            for candidate in candidates
-        ]

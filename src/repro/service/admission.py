@@ -6,7 +6,12 @@ existing tenants — that is the rescheduler's prerogative — so the
 decision reduces to choosing nodes for the new job's units among the
 free unit slots and predicting the resulting normalized times with the
 interference model (:func:`~repro.placement.objectives.predict_placement`
-over the :class:`~repro.core.online.OnlineModel`).
+over the :class:`~repro.core.online.OnlineModel`).  A whole wave of
+candidate node sets is scored in factored form
+(:meth:`~repro.core.model.InterferenceModel.predict_placements_batch`):
+an arriving job only changes the predictions of the tenants sharing
+one of its nodes, so only those are re-predicted per candidate, and
+only the winning candidate is built as a :class:`Placement`.
 
 A job is admitted only if some candidate keeps **every** co-resident
 tenant inside its QoS bound *and* satisfies the job's own bound; among
@@ -25,7 +30,6 @@ import numpy as np
 from repro.cluster.cluster import ClusterSpec
 from repro.errors import PlacementError, ServiceError
 from repro.faults.degradation import (
-    conservative_placements_batch,
     conservative_prediction,
     supports_degradation,
 )
@@ -61,10 +65,7 @@ def placement_with_job(
         If the extension violates capacity or co-location constraints.
     """
     instances = list(placement.instances) if placement is not None else []
-    assignment: Dict[str, Tuple[int, ...]] = {
-        spec.instance_key: placement.nodes_of(spec.instance_key)
-        for spec in instances
-    } if placement is not None else {}
+    assignment = _assignment(placement) if placement is not None else {}
     if job.job_id in assignment:
         raise ServiceError(f"job {job.job_id!r} is already placed")
     instances.append(job.instance_spec())
@@ -107,8 +108,8 @@ class AdmissionDecision:
     """Outcome of one admission attempt.
 
     ``placement``/``predictions`` are populated only when admitted;
-    ``candidates_evaluated`` counts the placements the controller
-    predicted before deciding (its work measure).
+    ``candidates_evaluated`` counts the valid candidate node sets the
+    controller predicted before deciding (its work measure).
     """
 
     job: Job
@@ -213,11 +214,7 @@ class AdmissionController:
         :class:`~repro.scale.router.HeadroomRouter` probes candidate
         placements over the same free-slot inventory admission uses.
         """
-        load: Dict[int, int] = {}
-        if placement is not None:
-            for spec in placement.instances:
-                for node in placement.nodes_of(spec.instance_key):
-                    load[node] = load.get(node, 0) + 1
+        load = _unit_load(placement)
         slots = (
             placement.unit_slots_per_node
             if placement is not None
@@ -228,6 +225,79 @@ class AdmissionController:
         else:
             pool = range(self.cluster_spec.num_nodes)
         return [node for node in pool if load.get(node, 0) < slots]
+
+    def candidate_node_sets(
+        self,
+        placement: Optional[Placement],
+        job: Job,
+        free: Sequence[int],
+        limit: int,
+    ) -> List[Tuple[int, ...]]:
+        """Node sets for ``job``'s units that make a valid placement.
+
+        Enumerates ``combinations(free, job.num_units)`` in order and
+        stops after ``limit`` of them, valid or not, so the cap cuts
+        the tail deterministically.  A node set is kept exactly when
+        :func:`placement_with_job` would accept it: the base validates
+        once against this controller's cluster spec (if it does not, no
+        node set is valid), and then each node must be in range, have a
+        free unit slot, and stay within the distinct-workload limit.
+        Shared by :meth:`try_admit` and the scale layer's router.
+
+        Raises
+        ------
+        ServiceError
+            If ``job`` is already placed.
+        """
+        slots = self.unit_slots_per_node
+        if placement is not None:
+            if any(
+                spec.instance_key == job.job_id
+                for spec in placement.instances
+            ):
+                raise ServiceError(f"job {job.job_id!r} is already placed")
+            try:
+                Placement(
+                    self.cluster_spec,
+                    placement.instances,
+                    _assignment(placement),
+                    unit_slots_per_node=placement.unit_slots_per_node,
+                )
+            except PlacementError:
+                return []
+            slots = placement.unit_slots_per_node
+        # A valid placement holds at most one unit of an instance per
+        # node, so a node's unit load is also its distinct-workload
+        # count: the job fits wherever both stay within their limits.
+        room = min(slots, self.cluster_spec.max_workloads_per_node)
+        load = _unit_load(placement)
+        fits = {
+            node
+            for node in free
+            if 0 <= node < self.cluster_spec.num_nodes
+            and load.get(node, 0) < room
+        }
+        node_sets = islice(combinations(free, job.num_units), limit)
+        if len(fits) == len(free):
+            return list(node_sets)
+        return [
+            nodes
+            for nodes in node_sets
+            if len(set(nodes)) == len(nodes)
+            and all(node in fits for node in nodes)
+        ]
+
+    def candidate(
+        self, placement: Optional[Placement], job: Job, nodes: Sequence[int]
+    ) -> Placement:
+        """The placement with ``job`` on ``nodes`` (this controller's spec)."""
+        return placement_with_job(
+            placement,
+            self.cluster_spec,
+            job,
+            nodes,
+            unit_slots_per_node=self.unit_slots_per_node,
+        )
 
     @staticmethod
     def _constraints(
@@ -269,32 +339,22 @@ class AdmissionController:
             free = [node for node in free if node in durable]
             if len(free) < job.num_units:
                 return AdmissionDecision(job, False, NO_DURABLE_CAPACITY)
-        constraints = self._constraints(tenants, job)
-        candidates: List[Placement] = []
-        for nodes in islice(
-            combinations(free, job.num_units), self.max_candidates
-        ):
-            try:
-                candidates.append(
-                    placement_with_job(
-                        placement,
-                        self.cluster_spec,
-                        job,
-                        nodes,
-                        unit_slots_per_node=self.unit_slots_per_node,
-                    )
-                )
-            except PlacementError:
-                continue
-        evaluated = len(candidates)
-        if not candidates:
+        node_sets = self.candidate_node_sets(
+            placement, job, free, self.max_candidates
+        )
+        evaluated = len(node_sets)
+        if not node_sets:
             return AdmissionDecision(
                 job, False, NO_CAPACITY, candidates_evaluated=0
             )
+        constraints = self._constraints(tenants, job)
         if hasattr(self.model, "predict_placements_batch"):
-            best = self._select_batch(candidates, constraints)
+            best = self._select_batch(placement, job, node_sets, constraints)
         else:
-            best = self._select_scalar(candidates, constraints)
+            best = self._select_scalar(
+                [self.candidate(placement, job, nodes) for nodes in node_sets],
+                constraints,
+            )
         if best is None:
             return AdmissionDecision(
                 job, False, QOS_INFEASIBLE, candidates_evaluated=evaluated
@@ -350,39 +410,39 @@ class AdmissionController:
 
     def _select_batch(
         self,
-        candidates: Sequence[Placement],
+        placement: Optional[Placement],
+        job: Job,
+        node_sets: Sequence[Tuple[int, ...]],
         constraints: Sequence[QoSConstraint],
     ) -> Optional[Tuple[Placement, Dict[str, float]]]:
         """Score the whole candidate wave as one vectorized batch.
 
-        Bit-identical to :meth:`_select_scalar`: predictions replay the
-        scalar float operations (see :mod:`repro.core.kernel`), the
-        degraded-workload conservative ALL-max override applies
-        per-cell with the same replacement rule, and the winner is the
-        *first* feasible candidate attaining the minimum total — the
-        same deterministic sorted-enumeration tie-break as the scalar
-        ``total < best`` scan.
+        Bit-identical to :meth:`_select_scalar` over the materialised
+        candidates: the model scores the wave in factored form (see
+        :meth:`~repro.core.model.InterferenceModel.predict_placements_batch`),
+        applying the degraded-workload conservative ALL-max override
+        with the same replacement rule, and the winner is the *first*
+        feasible candidate attaining the minimum total — the same
+        deterministic sorted-enumeration tie-break as the scalar
+        ``total < best`` scan.  Only the winner becomes a
+        :class:`Placement`.
         """
-        instances = candidates[0].instances
-        predictions = self.model.predict_placements_batch(candidates)
-        if self.degraded_workloads and supports_degradation(self.model):
-            for column, spec in enumerate(instances):
-                if spec.workload not in self.degraded_workloads:
-                    continue
-                conservative = conservative_placements_batch(
-                    self.model, candidates, spec.workload, spec.instance_key
-                )
-                # Degradation only ever raises a prediction: the
-                # model's own estimate still applies when it is
-                # already worse.
-                raised = conservative > predictions[:, column]
-                if raised.any():
-                    predictions[raised, column] = conservative[raised]
-                    _obs.RECORDER.count(
-                        "fault.degraded_prediction", int(raised.sum())
-                    )
-        keys = [spec.instance_key for spec in instances]
-        feasible = np.ones(len(candidates), dtype=bool)
+        spec = job.instance_spec()
+        instances = (
+            (*placement.instances, spec) if placement is not None else (spec,)
+        )
+        predictions = self.model.predict_placements_batch(
+            placement,
+            spec,
+            node_sets,
+            degraded=(
+                self.degraded_workloads
+                if supports_degradation(self.model)
+                else frozenset()
+            ),
+        )
+        keys = [instance.instance_key for instance in instances]
+        feasible = np.ones(len(node_sets), dtype=bool)
         for constraint in constraints:
             column = keys.index(constraint.instance_key)
             feasible &= (
@@ -393,11 +453,29 @@ class AdmissionController:
             return None
         # Same summation order as ``weighted_total_time``: one
         # instance-weight term at a time, accumulated left to right.
-        totals = np.zeros(len(candidates), dtype=float)
-        for column, spec in enumerate(instances):
-            totals = totals + spec.weight * predictions[:, column]
+        totals = np.zeros(len(node_sets), dtype=float)
+        for column, instance in enumerate(instances):
+            totals = totals + instance.weight * predictions[:, column]
         winner = int(chosen[np.argmin(totals[chosen])])
-        return candidates[winner], {
+        return self.candidate(placement, job, node_sets[winner]), {
             key: float(value)
             for key, value in zip(keys, predictions[winner])
         }
+
+
+def _assignment(placement: Placement) -> Dict[str, Tuple[int, ...]]:
+    """``instance_key -> unit nodes`` in instance order."""
+    return {
+        spec.instance_key: placement.nodes_of(spec.instance_key)
+        for spec in placement.instances
+    }
+
+
+def _unit_load(placement: Optional[Placement]) -> Dict[int, int]:
+    """Resident units per node (empty for an empty cluster)."""
+    load: Dict[int, int] = {}
+    if placement is not None:
+        for spec in placement.instances:
+            for node in placement.nodes_of(spec.instance_key):
+                load[node] = load.get(node, 0) + 1
+    return load

@@ -222,12 +222,33 @@ class TestBatchScalarIdentity:
                     placement.spanned_nodes(key),
                     placement.co_runner_workloads(key),
                 )
-        # The wave surface returns a (num_placements, num_instances)
-        # row per candidate, in instance order.
-        many = model.predict_placements_batch(placements)
-        for row, placement in zip(many, placements):
-            per_key = model.predict_placement_batch(placement)
-            for value, instance in zip(row, instances):
+        # The wave surface extends one base placement with one job per
+        # node set and returns a (num_node_sets, num_instances) row per
+        # candidate, in instance order with the job last.
+        base = Placement.random(
+            spec, [InstanceSpec(i.instance_key, i.workload, 2)
+                   for i in instances[:3]], seed=5,
+        )
+        job = InstanceSpec("app#3", "app", 2)
+        load = {}
+        for instance in base.instances:
+            for node in base.nodes_of(instance.instance_key):
+                load[node] = load.get(node, 0) + 1
+        free = [node for node in range(8) if load.get(node, 0) < 2]
+        node_sets = [(a, b) for a in free for b in free if a < b]
+        many = model.predict_placements_batch(base, job, node_sets)
+        assert many.shape == (len(node_sets), 4)
+        for row, nodes in zip(many, node_sets):
+            assignment = {
+                i.instance_key: base.nodes_of(i.instance_key)
+                for i in base.instances
+            }
+            assignment[job.instance_key] = nodes
+            candidate = Placement(
+                spec, (*base.instances, job), assignment
+            )
+            per_key = model.predict_placement_batch(candidate)
+            for value, instance in zip(row, candidate.instances):
                 assert value == per_key[instance.instance_key]
 
 

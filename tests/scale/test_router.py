@@ -107,3 +107,114 @@ def test_route_many_overflows_only_when_every_cell_is_at_cap(
 def test_router_rejects_nonpositive_probe_budget():
     with pytest.raises(ServiceError):
         HeadroomRouter(probe_candidates=0)
+
+
+# ----------------------------------------------------------------------
+# Identity with the materialised reference
+# ----------------------------------------------------------------------
+#
+# The router scores a cell through its admission controller's candidate
+# enumeration and one factored wave.  On generated cells that must give
+# exactly what building every probed candidate placement and predicting
+# it one instance at a time gives.
+
+import random
+from itertools import combinations, islice
+
+from repro.errors import PlacementError
+from repro.placement.objectives import predict_placement_scalar
+from repro.scale import CellScore
+from repro.service.admission import placement_with_job
+from tests.service.test_admission import _ScalarOnlyModel
+
+
+def _reference_score(router, cell, job):
+    """Materialise each probed candidate and predict it scalar-wise."""
+    service = cell.service
+    placement = service.placement
+    admission = service.admission
+    free = admission.free_nodes(placement)
+    if len(free) < job.num_units:
+        return None
+    candidates = []
+    for nodes in islice(
+        combinations(free, job.num_units), router.probe_candidates
+    ):
+        try:
+            candidates.append(
+                placement_with_job(
+                    placement,
+                    admission.cluster_spec,
+                    job,
+                    nodes,
+                    unit_slots_per_node=admission.unit_slots_per_node,
+                )
+            )
+        except PlacementError:
+            continue
+    if not candidates:
+        return None
+    constraints = router._constraints(service.tenants, job)
+    best = None
+    for candidate in candidates:
+        predictions = predict_placement_scalar(service.model, candidate)
+        margin = min(
+            c.max_normalized_time - predictions[c.instance_key]
+            for c in constraints
+        )
+        if best is None or margin > best.headroom:
+            best = CellScore(
+                cell_id=cell.cell_id,
+                headroom=margin,
+                predicted_time=predictions[job.job_id],
+                free_slots=free_slot_count(cell),
+            )
+    return best
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_score_equals_materialised_reference(
+    synthetic_model, seed, monkeypatch
+):
+    rng = random.Random(seed)
+    cells = sharded_service(synthetic_model, 3, num_nodes=24).cells
+    for i in range(rng.randint(3, 12)):
+        cell = cells[rng.randrange(len(cells))]
+        job = Job(
+            job_id=f"load-{i}",
+            workload=rng.choice(["appA", "appB"]),
+            num_units=rng.randint(1, 3),
+            duration_epochs=4,
+            qos_target=rng.choice([None, 1.05, 1.4, 2.0, 3.0]),
+        )
+        service = cell.service
+        decision = service.admission.try_admit(
+            service.placement, service.tenants, job
+        )
+        if decision.admitted:
+            service.admit_transfer(job, ends_at=99, decision=decision)
+    probes = [
+        Job(
+            job_id=f"probe-{units}-{qos}",
+            workload=workload,
+            num_units=units,
+            qos_target=qos,
+        )
+        for units in (1, 2, 4)
+        for qos in (None, 1.5)
+        for workload in ("appA", "appB")
+    ]
+    for probe_candidates in (4, 16):
+        router = HeadroomRouter(probe_candidates=probe_candidates)
+        for cell in cells:
+            for probe in probes:
+                expected = _reference_score(router, cell, probe)
+                assert router.score(cell, probe) == expected
+                # Without the batch interface the router predicts the
+                # materialised candidates itself: same score.
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        cell.service, "model",
+                        _ScalarOnlyModel(cell.service.model),
+                    )
+                    assert router.score(cell, probe) == expected

@@ -313,6 +313,154 @@ class TestBatchScalarIdentity:
 
 
 # ----------------------------------------------------------------------
+# Candidate validity
+# ----------------------------------------------------------------------
+#
+# Admission keeps exactly the node combinations a materialised
+# candidate placement would accept, and the cap counts combinations,
+# valid or not.  Each case runs through the scalar path (FakeModel) and
+# the batch path (a real model).
+
+from repro.placement.assignment import Placement
+
+
+class _WideCapacity:
+    """A capacity hook offering node ids past the cluster spec."""
+
+    def __init__(self, num_nodes):
+        self._nodes = list(range(num_nodes))
+
+    def schedulable_nodes(self):
+        return list(self._nodes)
+
+    def durable_nodes(self):
+        return list(self._nodes)
+
+
+@pytest.fixture(params=["scalar", "batch"])
+def model_and_workload(request):
+    if request.param == "scalar":
+        return FakeModel(), "wl"
+    return _real_model(random.Random(0)), "app0"
+
+
+class TestCandidateValidity:
+    def test_out_of_range_capacity_nodes_are_skipped(
+        self, model_and_workload
+    ):
+        model, workload = model_and_workload
+        controller = AdmissionController(
+            model, SPEC_4, capacity=_WideCapacity(6)
+        )
+        decision = controller.try_admit(
+            None, [], Job("a", workload, num_units=2)
+        )
+        assert decision.admitted
+        # C(4, 2) of the C(6, 2) combinations stay on nodes 0-3.
+        assert decision.candidates_evaluated == 6
+        assert set(decision.placement.nodes_of("a")) <= {0, 1, 2, 3}
+
+    def test_cap_counts_out_of_range_combinations(self, model_and_workload):
+        model, workload = model_and_workload
+        controller = AdmissionController(
+            model, SPEC_4, capacity=_WideCapacity(6), max_candidates=5
+        )
+        decision = controller.try_admit(
+            None, [], Job("a", workload, num_units=2)
+        )
+        # The first five combinations pair node 0 with 1-5; two of
+        # them reach past the spec.
+        assert decision.admitted
+        assert decision.candidates_evaluated == 3
+
+    def _crowded(self, workload):
+        """Node 0 of three holds two workloads: its limit, two free slots."""
+        spec = ClusterSpec(num_nodes=3, max_workloads_per_node=2)
+        tenants = [
+            Job("a", workload, num_units=1), Job("b", workload, num_units=1)
+        ]
+        placement = Placement(
+            spec,
+            [job.instance_spec() for job in tenants],
+            {"a": (0,), "b": (0,)},
+            unit_slots_per_node=4,
+        )
+        return spec, placement, tenants
+
+    def test_node_at_workload_limit_is_not_a_candidate(
+        self, model_and_workload
+    ):
+        model, workload = model_and_workload
+        spec, placement, tenants = self._crowded(workload)
+        controller = AdmissionController(model, spec, unit_slots_per_node=4)
+        assert controller.free_nodes(placement) == [0, 1, 2]
+        decision = controller.try_admit(
+            placement, tenants, Job("c", workload, num_units=1)
+        )
+        assert decision.admitted
+        assert decision.candidates_evaluated == 2
+        assert decision.placement.nodes_of("c") != (0,)
+
+    def test_every_combination_through_a_full_node_means_no_capacity(
+        self, model_and_workload
+    ):
+        model, workload = model_and_workload
+        spec, placement, tenants = self._crowded(workload)
+        controller = AdmissionController(model, spec, unit_slots_per_node=4)
+        decision = controller.try_admit(
+            placement, tenants, Job("c", workload, num_units=3)
+        )
+        assert not decision.admitted
+        assert decision.reason == NO_CAPACITY
+        assert decision.candidates_evaluated == 0
+
+    def test_base_invalid_for_the_controller_spec(self, model_and_workload):
+        model, workload = model_and_workload
+        tenant = Job("a", workload, num_units=2)
+        # Placed on an eight-node spec, on nodes the controller's
+        # four-node spec does not have.
+        placement = placement_with_job(None, SPEC_8, tenant, [6, 7])
+        controller = AdmissionController(model, SPEC_4)
+        assert controller.free_nodes(placement) == [0, 1, 2, 3]
+        decision = controller.try_admit(
+            placement, [tenant], Job("b", workload, num_units=2)
+        )
+        assert not decision.admitted
+        assert decision.reason == NO_CAPACITY
+        assert decision.candidates_evaluated == 0
+
+    def test_base_over_the_controller_workload_limit(
+        self, model_and_workload
+    ):
+        model, workload = model_and_workload
+        loose = ClusterSpec(num_nodes=3, max_workloads_per_node=3)
+        tenants = [Job(key, workload, num_units=1) for key in "abc"]
+        placement = Placement(
+            loose,
+            [job.instance_spec() for job in tenants],
+            {"a": (0,), "b": (0,), "c": (0,)},
+            unit_slots_per_node=4,
+        )
+        controller = AdmissionController(
+            model, ClusterSpec(num_nodes=3), unit_slots_per_node=4
+        )
+        decision = controller.try_admit(
+            placement, tenants, Job("d", workload, num_units=1)
+        )
+        assert not decision.admitted
+        assert decision.reason == NO_CAPACITY
+        assert decision.candidates_evaluated == 0
+
+    def test_already_placed_job_raises(self, model_and_workload):
+        model, workload = model_and_workload
+        job = Job("a", workload, num_units=2)
+        placement = placement_with_job(None, SPEC_8, job, [0, 1])
+        controller = AdmissionController(model, SPEC_8)
+        with pytest.raises(ServiceError, match="already placed"):
+            controller.try_admit(placement, [job], job)
+
+
+# ----------------------------------------------------------------------
 # Capacity-aware admission (the elastic provider hook)
 # ----------------------------------------------------------------------
 
