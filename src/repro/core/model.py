@@ -17,6 +17,7 @@ scores of whatever shares its nodes (Figure 5's procedure).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
@@ -78,10 +79,14 @@ class InterferenceProfile:
     network_score: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bubble_score < 0:
-            raise ModelError("bubble_score must be non-negative")
-        if self.network_score < 0:
-            raise ModelError("network_score must be non-negative")
+        for name in ("bubble_score", "network_score"):
+            score = getattr(self, name)
+            # NaN passes ``< 0``; caught here, it cannot surface later
+            # as a NaN pressure in some co-runner's prediction.
+            if not math.isfinite(score):
+                raise ModelError(f"{name} must be finite, got {score!r}")
+            if score < 0:
+                raise ModelError(f"{name} must be non-negative")
         get_policy(self.policy_name)  # validates the name
 
     @property
@@ -578,6 +583,52 @@ class InterferenceModel:
             dtype=float,
         )
 
+    def _predict_rows(
+        self,
+        workloads: Sequence[str],
+        vectors: Sequence[Sequence[float]],
+        *,
+        network: bool = False,
+    ) -> np.ndarray:
+        """Kernel predictions of parallel workload/vector rows.
+
+        Compute predictions by default.  With ``network`` each row's
+        NETWORK-domain slowdown factor instead, 1.0 for targets without
+        a network profile, so multiplying the factors into compute
+        predictions is the combined prediction (``x * 1.0 == x``
+        exactly).  On a kernel anomaly the rows replay the scalar path,
+        which raises its exception in row order.  With finite profile
+        scores a network row can fail only where its compute row
+        fails, so callers fold the compute rows first.
+        """
+        domain = ContentionDomain.COMPUTE
+        kernel = self.prediction_kernel()
+        factors = None
+        if network:
+            domain = ContentionDomain.NETWORK
+            kernel = self.network_kernel()
+            predictable = self._network_predictable()
+            rows = [
+                i for i, workload in enumerate(workloads)
+                if workload in predictable
+            ]
+            factors = np.ones(len(workloads), dtype=float)
+            workloads = [workloads[i] for i in rows]
+            vectors = [vectors[i] for i in rows]
+        values = kernel.predict_vectors(workloads, vectors)
+        if values is None:
+            values = np.array(
+                [
+                    self._predict_heterogeneous(workload, vector, domain=domain)
+                    for workload, vector in zip(workloads, vectors)
+                ],
+                dtype=float,
+            )
+        if factors is None:
+            return values
+        factors[rows] = values
+        return factors
+
     def predict_corunners_batch(
         self,
         items: Sequence[Tuple[str, Sequence[int], Mapping[int, Sequence[str]]]],
@@ -585,15 +636,18 @@ class InterferenceModel:
         """Vectorized :meth:`predict_under_corunners` over many items.
 
         Each item is ``(workload, workload_nodes, co_runners_by_node)``.
+        No production path calls it: annealing's memo misses take the
+        scalar path (see ``docs/performance.md``).
         """
         _count_batch(len(items))
         kernel = self.prediction_kernel()
-        workloads: List[str] = []
-        vectors: List[List[float]] = []
         try:
-            for workload, nodes, co_runners in items:
-                workloads.append(workload)
-                vectors.append(kernel.pressure_vector(nodes, co_runners))
+            vectors = [kernel.pressure_vector(n, c) for _, n, c in items]
+            if self.has_network:
+                net_kernel = self.network_kernel()
+                net_vectors = [
+                    net_kernel.pressure_vector(n, c) for _, n, c in items
+                ]
         except ModelError:
             # An unknown co-runner: replay scalar in item order so the
             # error surfaces exactly where the scalar loop raises it.
@@ -601,63 +655,12 @@ class InterferenceModel:
                 [self.predict_under_corunners(w, n, c) for w, n, c in items],
                 dtype=float,
             )
-        values = kernel.predict_vectors(workloads, vectors)
-        if values is None:
-            return np.array(
-                [self.predict_under_corunners(w, n, c) for w, n, c in items],
-                dtype=float,
-            )
+        workloads = [workload for workload, _, _ in items]
+        values = self._predict_rows(workloads, vectors)
         if self.has_network:
-            values = self._apply_network_factors(
-                values,
-                [(w, n, c) for w, n, c in items],
+            values = values * self._predict_rows(
+                workloads, net_vectors, network=True
             )
-            if values is None:
-                return np.array(
-                    [
-                        self.predict_under_corunners(w, n, c)
-                        for w, n, c in items
-                    ],
-                    dtype=float,
-                )
-        return values
-
-    def _apply_network_factors(
-        self,
-        values: np.ndarray,
-        items: Sequence[Tuple[str, Sequence[int], Mapping[int, Sequence[str]]]],
-    ) -> Optional[np.ndarray]:
-        """Fold NETWORK-domain factors into compute predictions in place.
-
-        ``values[i]`` is multiplied by the network slowdown of
-        ``items[i]`` for every network-predictable target — one
-        multiplication per item, in item order, exactly as the scalar
-        combined path does it.  Returns ``None`` on a kernel anomaly so
-        callers replay the whole batch through the scalar path.
-        """
-        predictable = self._network_predictable()
-        net_kernel = self.network_kernel()
-        indices: List[int] = []
-        net_workloads: List[str] = []
-        net_vectors: List[List[float]] = []
-        try:
-            for i, (workload, nodes, co_runners) in enumerate(items):
-                if workload not in predictable:
-                    continue
-                indices.append(i)
-                net_workloads.append(workload)
-                net_vectors.append(
-                    net_kernel.pressure_vector(nodes, co_runners)
-                )
-        except ModelError:
-            return None
-        if not indices:
-            return values
-        factors = net_kernel.predict_vectors(net_workloads, net_vectors)
-        if factors is None:
-            return None
-        for i, factor in zip(indices, factors):
-            values[i] = values[i] * factor
         return values
 
     def predict_placement_batch(
@@ -669,64 +672,24 @@ class InterferenceModel:
         :func:`repro.placement.objectives.predict_placement_scalar`,
         with the per-instance table in the same (instance) order.
         """
-        kernel = self.prediction_kernel()
-        triples = kernel.placement_vectors(placement)
+        triples = self.prediction_kernel().placement_vectors(placement)
         _count_batch(len(triples))
-        values = kernel.predict_vectors(
-            [workload for _, workload, _ in triples],
-            [vector for _, _, vector in triples],
+        workloads = [workload for _, workload, _ in triples]
+        values = self._predict_rows(
+            workloads, [vector for _, _, vector in triples]
         )
-        net_triples = None
         if self.has_network:
             # Same placement, network view: vectors combine co-runner
-            # *network* scores; triple order matches `triples`.
+            # *network* scores, in the same instance order.
             net_triples = self.network_kernel().placement_vectors(placement)
-        if values is not None and net_triples is not None:
-            values = self._fold_placement_network(values, triples, net_triples)
-        if values is None:
-            predictable = self._network_predictable()
-            out: Dict[str, float] = {}
-            for i, (key, workload, vector) in enumerate(triples):
-                value = self.predict_heterogeneous(workload, vector)
-                if net_triples is not None and workload in predictable:
-                    value = value * self._predict_heterogeneous(
-                        workload, net_triples[i][2],
-                        domain=ContentionDomain.NETWORK,
-                    )
-                out[key] = value
-            return out
+            values = values * self._predict_rows(
+                workloads, [vector for _, _, vector in net_triples],
+                network=True,
+            )
         return {
             key: float(value)
             for (key, _, _), value in zip(triples, values)
         }
-
-    def _fold_placement_network(
-        self,
-        values: np.ndarray,
-        triples: Sequence[Tuple[str, str, List[float]]],
-        net_triples: Sequence[Tuple[str, str, List[float]]],
-    ) -> Optional[np.ndarray]:
-        """Multiply NETWORK factors into placement predictions in place.
-
-        Returns ``None`` on a network-kernel anomaly so the caller
-        replays the combined scalar path.
-        """
-        predictable = self._network_predictable()
-        indices = [
-            i for i, (_, workload, _) in enumerate(triples)
-            if workload in predictable
-        ]
-        if not indices:
-            return values
-        factors = self.network_kernel().predict_vectors(
-            [triples[i][1] for i in indices],
-            [net_triples[i][2] for i in indices],
-        )
-        if factors is None:
-            return None
-        for i, factor in zip(indices, factors):
-            values[i] = values[i] * factor
-        return values
 
     def predict_placements_batch(
         self,
@@ -766,47 +729,23 @@ class InterferenceModel:
         A wave counts as one batch of ``candidates x instances``
         requests, the work it stands for.
         """
-        kernel = self.prediction_kernel()
-        wave = kernel.admission_wave(base, job, node_sets)
+        wave = self.prediction_kernel().admission_wave(base, job, node_sets)
         if not wave.num_candidates:
             return wave, wave.scatter(np.empty(0, dtype=float))
         _count_batch(wave.num_candidates * (wave.num_base + 1))
-        values = kernel.predict_vectors(wave.workloads, wave.vectors)
-        if values is None:
-            values = np.array(
-                [
-                    self.predict_heterogeneous(workload, vector)
-                    for workload, vector in zip(wave.workloads, wave.vectors)
-                ],
-                dtype=float,
-            )
-        predictions = wave.scatter(values)
+        predictions = wave.scatter(
+            self._predict_rows(wave.workloads, wave.vectors)
+        )
         if self.has_network:
-            # The network wave has the same cells over its own distinct
-            # rows.  Targets without a network profile keep factor 1.0,
-            # and ``x * 1.0 == x`` exactly.
-            net_kernel = self.network_kernel()
-            net_wave = net_kernel.admission_wave(base, job, node_sets)
-            predictable = self._network_predictable()
-            indices = [
-                i for i, workload in enumerate(net_wave.workloads)
-                if workload in predictable
-            ]
-            if indices:
-                workloads = [net_wave.workloads[i] for i in indices]
-                vectors = [net_wave.vectors[i] for i in indices]
-                factors = net_kernel.predict_vectors(workloads, vectors)
-                if factors is None:
-                    factors = [
-                        self._predict_heterogeneous(
-                            workload, vector,
-                            domain=ContentionDomain.NETWORK,
-                        )
-                        for workload, vector in zip(workloads, vectors)
-                    ]
-                per_row = np.ones(len(net_wave.workloads), dtype=float)
-                per_row[indices] = factors
-                predictions = predictions * net_wave.scatter(per_row)
+            # The network wave has the same cells over its own rows.
+            net_wave = self.network_kernel().admission_wave(
+                base, job, node_sets
+            )
+            predictions = predictions * net_wave.scatter(
+                self._predict_rows(
+                    net_wave.workloads, net_wave.vectors, network=True
+                )
+            )
         return wave, predictions
 
     # ------------------------------------------------------------------

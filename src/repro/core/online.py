@@ -177,6 +177,8 @@ class OnlineModel:
     def _apply_batch(
         self, workloads: Sequence[str], values: np.ndarray
     ) -> np.ndarray:
+        """:meth:`_apply` over ``values``, whose last axis runs over
+        ``workloads`` (one :meth:`correction` call per workload)."""
         factors = np.array(
             [self.correction(workload).factor for workload in workloads],
             dtype=float,
@@ -211,13 +213,11 @@ class OnlineModel:
     def predict_placement_batch(self, placement) -> Dict[str, float]:
         """Corrected :meth:`InterferenceModel.predict_placement_batch`."""
         raw = self.base.predict_placement_batch(placement)
-        workload_of = {
-            spec.instance_key: spec.workload for spec in placement.instances
-        }
-        return {
-            key: float(self._apply(workload_of[key], value))
-            for key, value in raw.items()
-        }
+        values = self._apply_batch(
+            [spec.workload for spec in placement.instances],
+            np.fromiter(raw.values(), dtype=float, count=len(raw)),
+        )
+        return dict(zip(raw, values.tolist()))
 
     def predict_placements_batch(
         self,
@@ -236,14 +236,9 @@ class OnlineModel:
         wave, predictions = self.base._wave_predictions(base, job, node_sets)
         if wave.num_candidates:
             instances = base.instances if base is not None else ()
-            factors = np.array(
-                [
-                    self.correction(spec.workload).factor
-                    for spec in (*instances, job)
-                ],
-                dtype=float,
+            predictions = self._apply_batch(
+                [spec.workload for spec in (*instances, job)], predictions
             )
-            predictions = 1.0 + (predictions - 1.0) * factors[None, :]
         if degraded:
             conservative_wave(self, wave, predictions, degraded)
         return predictions

@@ -200,87 +200,54 @@ def probe_accounting(
     return rows
 
 
-def fault_accounting(payload: Dict[str, object]) -> List[Tuple[str, object]]:
-    """Fault-injection totals from the trace: ``fault.*`` / ``retry.*``.
+_BATCH = "model.predict.batch."
 
-    Empty for clean runs — the fault path records nothing unless a
-    plan is active, so the summary section only appears when the trace
-    actually covers an injected run.
-    """
-    counters = payload.get("counters", {})
-    return sorted(
-        (name, value)
-        for name, value in counters.items()
-        if name.startswith(("fault.", "retry."))
-    )
+#: The ``repro trace summarize`` sections that total counters by name
+#: prefix, in report order: ``(title, first column, prefixes, include
+#: gauges, float format)``.  A section appears only when some name
+#: matches; ints print as they are, floats in the section's format.
+PREFIX_SECTIONS: Tuple[Tuple[str, str, Tuple[str, ...], bool, str], ...] = (
+    ("Fault injection (fault.* / retry.* totals)", "Event",
+     ("fault.", "retry."), False, ".3f"),
+    ("Daemon (daemon.* counters and gauges)", "Metric",
+     ("daemon.",), True, ".1f"),
+    ("Elastic capacity (provider.* counters and gauges)", "Metric",
+     ("provider.",), True, ".3f"),
+    ("Batch prediction (model.predict.batch.* totals)", "Metric",
+     (_BATCH,), False, ".1f"),
+)
 
 
-def batch_accounting(payload: Dict[str, object]) -> List[Tuple[str, object]]:
-    """Vectorized-prediction totals: the ``model.predict.batch.*`` counters.
+def prefix_accounting(
+    payload: Dict[str, object],
+    prefixes: Tuple[str, ...],
+    *,
+    gauges: bool = False,
+) -> List[Tuple[str, object]]:
+    """Counters named under ``prefixes``, then (with ``gauges``) gauges.
 
-    ``...calls`` counts batch dispatches, ``...requests`` the
-    predictions they carried; the derived mean batch size is how an
-    operator checks the hot loop actually amortizes (a mean near 1
-    means the batch path is pure overhead).  Empty when the run never
-    touched the batch kernel.
+    Rows are ``(name, value)``, sorted within counters and within
+    gauges; gauge names carry a `` (gauge)`` suffix.  The batch
+    section adds the derived mean batch size (requests per call), the
+    operator's check that the hot loop amortizes: a mean near 1 means
+    the batch path is pure overhead.
     """
     counters = payload.get("counters", {})
     rows = sorted(
         (name, value)
         for name, value in counters.items()
-        if name.startswith("model.predict.batch.")
+        if name.startswith(prefixes)
     )
-    calls = counters.get("model.predict.batch.calls", 0)
-    requests = counters.get("model.predict.batch.requests", 0)
-    if calls:
+    if gauges:
+        rows.extend(sorted(
+            (f"{name} (gauge)", value)
+            for name, value in payload.get("gauges", {}).items()
+            if name.startswith(prefixes)
+        ))
+    calls = counters.get(_BATCH + "calls", 0)
+    if prefixes == (_BATCH,) and calls:
+        requests = counters.get(_BATCH + "requests", 0)
         rows.append(("mean batch size", round(requests / calls, 1)))
-    return rows
-
-
-def daemon_accounting(payload: Dict[str, object]) -> List[Tuple[str, object]]:
-    """Daemon totals: ``daemon.*`` counters plus queue/lease gauges.
-
-    Counters cover the whole claim/commit protocol (claims, commits,
-    reaps, requeues, worker crashes, fenced stale commits); the gauges
-    are the last-observed spool queue depth and active lease count.
-    Empty when the trace does not cover a daemon run, so flat-serve
-    summaries are unchanged.
-    """
-    counters = payload.get("counters", {})
-    rows = sorted(
-        (name, value)
-        for name, value in counters.items()
-        if name.startswith("daemon.")
-    )
-    gauges = payload.get("gauges", {})
-    rows.extend(sorted(
-        (f"{name} (gauge)", value)
-        for name, value in gauges.items()
-        if name.startswith("daemon.")
-    ))
-    return rows
-
-
-def provider_accounting(payload: Dict[str, object]) -> List[Tuple[str, object]]:
-    """Elastic-capacity totals: ``provider.*`` counters and gauges.
-
-    Counters cover autoscale decisions, reclaimed spot nodes, and
-    requeued jobs; the gauges are the last-observed pool size and spot
-    fraction.  Empty when the trace covers no elastic-provider run —
-    fixed-pool (and ``--provider static``) summaries are unchanged.
-    """
-    counters = payload.get("counters", {})
-    rows = sorted(
-        (name, value)
-        for name, value in counters.items()
-        if name.startswith("provider.")
-    )
-    gauges = payload.get("gauges", {})
-    rows.extend(sorted(
-        (f"{name} (gauge)", value)
-        for name, value in gauges.items()
-        if name.startswith("provider.")
-    ))
     return rows
 
 
@@ -335,54 +302,17 @@ def summarize_text(payload: Dict[str, object]) -> str:
                 ],
             )
         )
-    faults = fault_accounting(payload)
-    if faults:
-        sections.append(
-            "Fault injection (fault.* / retry.* totals):\n"
-            + format_table(
-                ["Event", "Total"],
+    for title, column, prefixes, gauges, spec in PREFIX_SECTIONS:
+        rows = prefix_accounting(payload, prefixes, gauges=gauges)
+        if rows:
+            sections.append(f"{title}:\n" + format_table(
+                [column, "Total"],
                 [
-                    (name, value if isinstance(value, int) else f"{value:.3f}")
-                    for name, value in faults
+                    (name, value if isinstance(value, int)
+                     else format(value, spec))
+                    for name, value in rows
                 ],
-            )
-        )
-    daemon = daemon_accounting(payload)
-    if daemon:
-        sections.append(
-            "Daemon (daemon.* counters and gauges):\n"
-            + format_table(
-                ["Metric", "Total"],
-                [
-                    (name, value if isinstance(value, int) else f"{value:.1f}")
-                    for name, value in daemon
-                ],
-            )
-        )
-    provider = provider_accounting(payload)
-    if provider:
-        sections.append(
-            "Elastic capacity (provider.* counters and gauges):\n"
-            + format_table(
-                ["Metric", "Total"],
-                [
-                    (name, value if isinstance(value, int) else f"{value:.3f}")
-                    for name, value in provider
-                ],
-            )
-        )
-    batches = batch_accounting(payload)
-    if batches:
-        sections.append(
-            "Batch prediction (model.predict.batch.* totals):\n"
-            + format_table(
-                ["Metric", "Total"],
-                [
-                    (name, value if isinstance(value, int) else f"{value:.1f}")
-                    for name, value in batches
-                ],
-            )
-        )
+            ))
     if not sections:
         return "(empty trace)"
     return "\n\n".join(sections)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.errors import PlacementError
 from repro.placement.assignment import Placement
@@ -224,14 +224,6 @@ class PredictionEnergy(IncrementalEnergy):
     #: configurations).
     MEMO_LIMIT = 200_000
 
-    #: Fewest memo misses routed through one vectorized
-    #: ``predict_corunners_batch`` call; below this the per-call array
-    #: setup outweighs the win and the scalar path (bit-identical
-    #: anyway) is faster.  Swap deltas re-predict a handful of
-    #: instances, so in practice only full-state evaluations of large
-    #: placements batch.
-    BATCH_MIN = 32
-
     def __init__(self, model) -> None:
         self.model = model
         self._memo: Dict[Tuple, float] = {}
@@ -256,13 +248,8 @@ class PredictionEnergy(IncrementalEnergy):
     def _predict_table(
         self, placement: Placement, keys: Sequence[str]
     ) -> Dict[str, float]:
-        """Memoized predictions for ``keys``, misses batched together."""
-        memo_keys: List[Tuple] = []
-        # Values are captured here as they are resolved (not re-read
-        # from the memo at the end): a huge table could trip eviction
-        # mid-call and drop entries this very call produced.
-        resolved: Dict[Tuple, float] = {}
-        missing: List[Tuple[Tuple, str, List[int], Dict[int, List[str]]]] = []
+        """Memoized predictions for ``keys``; misses predicted as found."""
+        table: Dict[str, float] = {}
         for key in keys:
             spec = placement.instance(key)
             nodes = placement.spanned_nodes(key)
@@ -274,35 +261,14 @@ class PredictionEnergy(IncrementalEnergy):
                 spec.workload,
                 tuple((node, tuple(co_runners[node])) for node in nodes),
             )
-            memo_keys.append(memo_key)
-            cached = self._memo.get(memo_key)
-            if cached is None:
-                if memo_key not in resolved:
-                    missing.append((memo_key, spec.workload, nodes, co_runners))
-                    resolved[memo_key] = 0.0  # placeholder, filled below
-            else:
-                resolved[memo_key] = cached
-        if missing:
-            batch = getattr(self.model, "predict_corunners_batch", None)
-            if batch is not None and len(missing) >= self.BATCH_MIN:
-                values = batch(
-                    [(workload, nodes, co_runners)
-                     for _, workload, nodes, co_runners in missing]
+            value = self._memo.get(memo_key)
+            if value is None:
+                value = self.model.predict_under_corunners(
+                    spec.workload, nodes, co_runners
                 )
-                for (memo_key, *_), value in zip(missing, values):
-                    self._store(memo_key, float(value))
-                    resolved[memo_key] = float(value)
-            else:
-                for memo_key, workload, nodes, co_runners in missing:
-                    value = self.model.predict_under_corunners(
-                        workload, nodes, co_runners
-                    )
-                    self._store(memo_key, value)
-                    resolved[memo_key] = value
-        return {
-            key: resolved[memo_key]
-            for key, memo_key in zip(keys, memo_keys)
-        }
+                self._store(memo_key, value)
+            table[key] = value
+        return table
 
     def _predict(self, placement: Placement, key: str) -> float:
         return self._predict_table(placement, [key])[key]

@@ -148,30 +148,6 @@ class HeadroomRouter:
                 )
         return best
 
-    def route(self, cells: Sequence, job: Job) -> int:
-        """The cell id ``job`` should be offered to.
-
-        Maximum headroom wins; ties break toward the lowest cell id.
-        When no cell can hold the job's units, the job goes to the cell
-        with the most free slots (it will queue or bounce there — the
-        router never silently drops work).
-        """
-        best: Optional[CellScore] = None
-        for cell in cells:
-            score = self.score(cell, job)
-            if score is None:
-                continue
-            if best is None or score.headroom > best.headroom:
-                best = score
-        if best is not None:
-            _obs.RECORDER.count("scale.router.routed")
-            return best.cell_id
-        _obs.RECORDER.count("scale.router.no_capacity")
-        fallback = max(
-            cells, key=lambda cell: (free_slot_count(cell), -cell.cell_id)
-        )
-        return fallback.cell_id
-
     def route_many(
         self,
         cells: Sequence,
@@ -181,10 +157,13 @@ class HeadroomRouter:
     ) -> Dict[str, int]:
         """Route one epoch's whole arrival wave: ``job_id -> cell id``.
 
-        Routing a wave through :meth:`route` alone would send every
-        job to the same best cell — cell placements do not change while
-        the wave is being routed, so neither do their scores.  This
-        method adds the intake bookkeeping that makes a wave spread:
+        Maximum headroom wins.  When no cell can hold a job's units,
+        the job goes to the cell with the most free slots (it will
+        queue or bounce there — the router never silently drops work).
+        Picking each job's best cell alone would send the whole wave to
+        the same cell — cell placements do not change while the wave is
+        being routed, so neither do their scores.  This method adds the
+        intake bookkeeping that makes a wave spread:
 
         * ``queue_room`` caps how many wave jobs a cell may take (the
           service passes each cell's remaining queue depth); cells at

@@ -47,6 +47,16 @@ class TestProfile:
         with pytest.raises(ModelError):
             profile(score=-1.0)
 
+    @pytest.mark.parametrize("field", ["bubble_score", "network_score"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_score_rejected_on_load(self, field, value):
+        payload = profile().to_dict()
+        payload[field] = value
+        with pytest.raises(ModelError, match=f"{field} must be finite"):
+            InterferenceProfile.from_dict(payload)
+
     def test_serialization_roundtrip(self):
         original = profile()
         clone = InterferenceProfile.from_dict(original.to_dict())

@@ -9,8 +9,8 @@ from repro.experiments.registry import REGISTRY, ExperimentEntry
 from repro.obs import recorder as _obs
 from repro.obs.recorder import NULL_RECORDER
 from repro.obs.summary import (
-    daemon_accounting,
     load_trace,
+    prefix_accounting,
     probe_accounting,
     summarize_text,
 )
@@ -136,7 +136,7 @@ class TestTraceSummarize:
             },
             "gauges": {"daemon.queue_depth": 2, "other.gauge": 1},
         }
-        rows = daemon_accounting(payload)
+        rows = prefix_accounting(payload, ("daemon.",), gauges=True)
         assert rows == [
             ("daemon.claims", 8),
             ("daemon.commits", 6),
@@ -148,7 +148,7 @@ class TestTraceSummarize:
 
     def test_flat_traces_have_no_daemon_section(self):
         payload = {"spans": [], "counters": {"engine.runs": 3}}
-        assert daemon_accounting(payload) == []
+        assert prefix_accounting(payload, ("daemon.",), gauges=True) == []
         assert "Daemon" not in summarize_text(payload)
 
     def test_probe_accounting_matches_builder_report(self, tmp_path, capsys):

@@ -46,13 +46,14 @@ def test_empty_cell_outscores_a_loaded_one(synthetic_model, cells):
     loaded = router.score(cells[0], probe)
     assert empty is not None and loaded is not None
     assert empty.headroom > loaded.headroom
-    assert router.route(cells, probe) in (1, 2)
+    assert router.route_many(cells, [probe])[probe.job_id] in (1, 2)
 
 
 def test_ties_break_toward_the_lowest_cell_id(synthetic_model, cells):
     router = HeadroomRouter()
     # All three cells identical and empty: identical headroom.
-    assert router.route(cells, _job("probe")) == 0
+    probe = _job("probe")
+    assert router.route_many(cells, [probe])[probe.job_id] == 0
 
 
 def test_score_is_none_without_capacity(synthetic_model, cells):
@@ -75,7 +76,7 @@ def test_full_cells_fall_back_to_most_free_slots(synthetic_model, cells):
     probe = _job("probe", units=2)
     assert all(router.score(cell, probe) is None for cell in cells)
     assert free_slot_count(cells[1]) == 1
-    assert router.route(cells, probe) == 1
+    assert router.route_many(cells, [probe])[probe.job_id] == 1
 
 
 def test_route_many_spreads_a_wave_across_equal_cells(synthetic_model, cells):
