@@ -1,7 +1,6 @@
 """Discrete-event simulation of consolidated cluster executions."""
 
 from repro.sim.cache import MeasurementCache, cache_key
-from repro.sim.engine import Engine
 from repro.sim.metrics import (
     StageStats,
     all_stage_stats,
@@ -27,7 +26,6 @@ __all__ = [
     "CoRunExecutor",
     "DeployedInstance",
     "EC2_NOISE",
-    "Engine",
     "ExecutionTrace",
     "InstanceResult",
     "MeasurementCache",

@@ -2,11 +2,12 @@
 
 This is the simulated equivalent of "launch the VMs and wait": given a
 set of :class:`DeployedInstance` objects (workload + unit-to-node map),
-the executor drives each instance's program through the discrete-event
-engine.  Task durations are scaled by the workload's sensitivity to the
+the executor drives every instance's program through one discrete-event
+loop.  Task durations are scaled by the workload's sensitivity to the
 pressure currently present on the slot's node; when an instance
 finishes, its pressure disappears and co-runners speed up from their
-next task onward.
+next task onward.  Each instance runs its program once: in a sustained
+co-run its pressure simply stays present after it finishes.
 
 The executor is the *only* ground truth in this reproduction — the
 interference model (:mod:`repro.core`) sees nothing but the execution
@@ -15,13 +16,15 @@ times it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+import itertools
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro._util import child_rng, make_rng
 from repro.apps.base import Stage, Workload
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.engine import Engine
+from repro.obs import recorder as _obs
 from repro.sim.noise import NoiseProfile, PRIVATE_TESTBED_NOISE, TaskJitter
 from repro.sim.pressure import PressureField
 from repro.sim.trace import ExecutionTrace
@@ -77,7 +80,13 @@ class DeployedInstance:
 
 @dataclass
 class InstanceResult:
-    """Outcome of one instance in a co-run."""
+    """Outcome of one instance in a co-run.
+
+    ``finish_time``, ``tasks_executed`` and ``stages_completed`` cover
+    the instance's first pass through its program, in sustained co-runs
+    too (its trace records likewise).  A passive instance reports the
+    run's end as its finish time and no tasks.
+    """
 
     instance_key: str
     workload_name: str
@@ -93,145 +102,49 @@ class InstanceResult:
     passive: bool = False
 
 
-class _InstanceController:
-    """Drives one instance's program through the engine."""
+class _Pass:
+    """State of one active instance's first pass through its program."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        pressure: PressureField,
-        deployed: DeployedInstance,
-        jitter: TaskJitter,
-        noise: NoiseProfile,
-        rng,
-        on_finish: Callable[[str], None],
-        trace: Optional[ExecutionTrace],
-        loop: bool = False,
-        keep_running: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        self._engine = engine
-        self._pressure = pressure
-        self._deployed = deployed
-        self._jitter = jitter
-        self._noise = noise
-        self._rng = rng
-        self._on_finish = on_finish
-        self._trace = trace
-        self._loop = loop
-        self._keep_running = keep_running or (lambda: False)
-        self._sensitivity = deployed.workload.spec.sensitivity
-        self._net_sensitivity = deployed.workload.spec.network_sensitivity
-        self._spanned_nodes = deployed.spanned_nodes()
-        self._slot_nodes = deployed.slot_nodes()
-        self._program: List[Stage] = deployed.workload.build_program(
+    __slots__ = (
+        "key", "program", "slot_nodes", "spanned_nodes", "sensitivity",
+        "net_sensitivity", "jitter", "rng", "stage_index", "stage",
+        "not_started", "running", "slot_pending", "slots", "version",
+        "tasks_executed", "stages_completed", "finish_time",
+    )
+
+    def __init__(self, deployed: DeployedInstance, jitter: TaskJitter, rng) -> None:
+        spec = deployed.workload.spec
+        self.key = deployed.instance_key
+        self.program: List[Stage] = deployed.workload.build_program(
             max(deployed.num_slots, 1)
         )
-        self._stage_index = -1
-        self._stage: Optional[Stage] = None
-        self._tasks_not_started = 0
-        self._tasks_running = 0
-        self._slot_pending: List[int] = []
+        self.slot_nodes = deployed.slot_nodes()
+        self.spanned_nodes = deployed.spanned_nodes()
+        self.sensitivity = spec.sensitivity
+        self.net_sensitivity = spec.network_sensitivity
+        self.jitter = jitter
+        self.rng = rng
+        self.stage_index = -1
+        self.stage: Optional[Stage] = None
+        self.not_started = 0
+        self.running = 0
+        self.slot_pending: List[int] = []
+        #: Per-slot ``(slowdown, pressure)``, valid while the run's
+        #: deactivation count equals ``version``.
+        self.slots: List[Tuple[float, float]] = []
+        self.version = -1
         self.tasks_executed = 0
         self.stages_completed = 0
         self.finish_time: Optional[float] = None
 
-    @property
-    def key(self) -> str:
-        return self._deployed.instance_key
-
-    def start(self) -> None:
-        """Begin executing the program (no-op for empty programs)."""
-        if not self._program:
-            self._finish()
-            return
-        self._advance_stage()
-
-    def _advance_stage(self) -> None:
-        self._stage_index += 1
-        if self._stage_index >= len(self._program):
-            self._finish()
-            return
-        stage = self._program[self._stage_index]
-        self._stage = stage
-        self._tasks_not_started = stage.n_tasks
-        self._tasks_running = 0
-        num_slots = len(self._slot_nodes)
-        if stage.dynamic:
-            self._slot_pending = []
-            for slot in range(min(num_slots, stage.n_tasks)):
-                self._begin_task(slot)
-        else:
-            base, extra = divmod(stage.n_tasks, num_slots)
-            self._slot_pending = [
-                base + (1 if slot < extra else 0) for slot in range(num_slots)
-            ]
-            for slot in range(num_slots):
-                if self._slot_pending[slot] > 0:
-                    self._begin_task(slot)
-
-    def _begin_task(self, slot: int) -> None:
-        stage = self._stage
-        assert stage is not None
-        if self._tasks_not_started <= 0:
-            raise SimulationError("attempted to start more tasks than the stage has")
-        self._tasks_not_started -= 1
-        self._tasks_running += 1
-        node = self._slot_nodes[slot]
-        pressure = self._pressure.pressure_seen(self.key, node)
-        slowdown = self._sensitivity.slowdown(pressure)
-        duration = stage.task_time * slowdown * self._jitter.sample()
-        duration *= self._noise.stall.factor(
-            self._rng, pressure, reacts=slowdown > 1.0
-        )
-        self._engine.schedule(duration, lambda: self._complete_task(slot))
-
-    def _complete_task(self, slot: int) -> None:
-        stage = self._stage
-        assert stage is not None
-        self._tasks_running -= 1
-        self.tasks_executed += 1
-        if stage.dynamic:
-            if self._tasks_not_started > 0:
-                self._begin_task(slot)
-        else:
-            self._slot_pending[slot] -= 1
-            if self._slot_pending[slot] > 0:
-                self._begin_task(slot)
-        if self._tasks_running == 0 and self._tasks_not_started == 0:
-            self._end_stage()
-
-    def _end_stage(self) -> None:
-        stage = self._stage
-        assert stage is not None
-        self.stages_completed += 1
-        if self._trace is not None:
-            self._trace.record_stage(self.key, stage.name, self._engine.now)
-        if stage.sync_cost > 0.0:
-            sync_cost = stage.sync_cost
-            # NETWORK domain: the collective crosses every occupied
-            # uplink, so it is paced by the most congested one.  Both
-            # gates are false for every scalar-era run, keeping the
-            # flat path bit-identical.
-            if self._net_sensitivity is not None and self._pressure.has_network:
-                link = max(
-                    self._pressure.link_pressure_seen(self.key, node)
-                    for node in self._spanned_nodes
-                )
-                sync_cost *= self._net_sensitivity.slowdown(link)
-            self._engine.schedule(sync_cost, self._advance_stage)
-        else:
-            self._advance_stage()
-
-    def _finish(self) -> None:
-        if self.finish_time is None:
-            self.finish_time = self._engine.now
-            self._on_finish(self.key)
-        if self._loop and self._program and self._keep_running():
-            # Sustained co-run: restart the program so this instance
-            # keeps exerting (and receiving) interference while slower
-            # co-runners complete their first pass.
-            self._stage_index = -1
-            self._advance_stage()
+    def refresh(self, field: PressureField, version: int) -> None:
+        """Re-read every slot's pressure and slowdown from ``field``."""
+        per_node = {}
+        for node in self.spanned_nodes:
+            pressure = field.pressure_seen(self.key, node)
+            per_node[node] = (self.sensitivity.slowdown(pressure), pressure)
+        self.slots = [per_node[node] for node in self.slot_nodes]
+        self.version = version
 
 
 class CoRunExecutor:
@@ -256,12 +169,15 @@ class CoRunExecutor:
         ``--network-noise`` injection).  Deterministic — no RNG draw —
         and ``None`` (the default) keeps every link flat.
     sustained:
-        If true, every instance restarts its program after completing
-        it, so interference stays present until the *slowest* instance
-        finishes its first pass; reported finish times are first-pass
-        completions.  This matches the paper's measurement methodology,
-        where co-runners execute continuously during validation and
-        placement experiments.
+        If true, an instance's pressure stays present after it
+        completes its program, as if it kept running until the
+        *slowest* instance finishes; reported finish times are
+        first-pass completions.  This matches the paper's measurement
+        methodology, where co-runners execute continuously during
+        validation and placement experiments.  The executor does not
+        replay the program: pressure is never withdrawn and every
+        instance draws from its own RNG, so a replay could change no
+        reported value.
     """
 
     def __init__(
@@ -293,7 +209,6 @@ class CoRunExecutor:
 
     def run(self) -> Dict[str, InstanceResult]:
         """Execute the co-run and return per-instance results."""
-        engine = Engine()
         ambient: Mapping[int, float] = {}
         if self._noise.ambient is not None:
             ambient = self._noise.ambient.draw(
@@ -303,37 +218,13 @@ class CoRunExecutor:
         for inst in self._instances:
             field.register(inst.instance_key, inst.workload, inst.units_to_nodes)
 
-        active_remaining = sum(
-            1 for inst in self._instances if not inst.workload.is_passive
-        )
-        finish_order: List[str] = []
-
-        def on_finish(key: str) -> None:
-            nonlocal active_remaining
-            finish_order.append(key)
-            active_remaining -= 1
-            if self._sustained:
-                # Pressure stays present (the instance loops) until the
-                # last first-pass completion, then the run is over.
-                if active_remaining == 0:
-                    engine.stop()
-            else:
-                field.deactivate(key)
-
-        def keep_running() -> bool:
-            return active_remaining > 0
-
-        controllers: Dict[str, _InstanceController] = {}
+        passes: List[_Pass] = []
         for inst in self._instances:
             if inst.workload.is_passive:
                 continue
             rng = child_rng(self._rng, inst.instance_key)
             cv = inst.workload.spec.noise_cv * self._noise.jitter_scale
-            jitter = TaskJitter(cv, rng)
-            controllers[inst.instance_key] = _InstanceController(
-                engine, field, inst, jitter, self._noise, rng, on_finish,
-                self._trace, loop=self._sustained, keep_running=keep_running,
-            )
+            passes.append(_Pass(inst, TaskJitter(cv, rng), rng))
 
         start_pressures = {
             inst.instance_key: self._mean_pressure(field, inst)
@@ -350,10 +241,113 @@ class CoRunExecutor:
             start_link_pressures = {
                 inst.instance_key: 0.0 for inst in self._instances
             }
-        for controller in controllers.values():
-            controller.start()
-        end_time = engine.run()
 
+        # Events are (time, seq, pass index, slot): a task on ``slot``
+        # completes, or slot -1 advances the stage after its sync cost.
+        # One ``seq`` for every pass fires equal-time events in the
+        # order they were scheduled, which matters when a finish
+        # deactivates pressure that co-runners' next tasks read.
+        heap: List[Tuple[float, int, int, int]] = []
+        seq = itertools.count()
+        stall = self._noise.stall.factor
+        trace = self._trace
+        sustained = self._sustained
+        deactivations = 0
+
+        def begin(index: int, state: _Pass, slot: int, now: float) -> None:
+            """Start the current stage's next task on ``slot``."""
+            if state.not_started <= 0:
+                raise SimulationError(
+                    "attempted to start more tasks than the stage has"
+                )
+            state.not_started -= 1
+            state.running += 1
+            if state.version != deactivations:
+                state.refresh(field, deactivations)
+            slowdown, pressure = state.slots[slot]
+            duration = state.stage.task_time * slowdown * state.jitter.sample()
+            duration *= stall(state.rng, pressure, reacts=slowdown > 1.0)
+            heappush(heap, (now + duration, next(seq), index, slot))
+
+        def advance(index: int, state: _Pass, now: float) -> None:
+            """Start the pass's next stage, or finish the pass."""
+            nonlocal deactivations
+            state.stage_index += 1
+            if state.stage_index >= len(state.program):
+                # First pass done: schedule nothing more.  A sustained
+                # run keeps the pressure present (see ``sustained``).
+                state.finish_time = now
+                if not sustained:
+                    field.deactivate(state.key)
+                    deactivations += 1
+                return
+            stage = state.program[state.stage_index]
+            state.stage = stage
+            state.not_started = stage.n_tasks
+            num_slots = len(state.slot_nodes)
+            if stage.dynamic:
+                for slot in range(min(num_slots, stage.n_tasks)):
+                    begin(index, state, slot, now)
+            else:
+                base, extra = divmod(stage.n_tasks, num_slots)
+                state.slot_pending = [
+                    base + (1 if slot < extra else 0) for slot in range(num_slots)
+                ]
+                for slot in range(num_slots):
+                    if state.slot_pending[slot] > 0:
+                        begin(index, state, slot, now)
+
+        for index, state in enumerate(passes):
+            advance(index, state, 0.0)
+        # The loop terminates without an event cap: every event either
+        # completes one of a stage's finitely many tasks or advances
+        # the stage index of a finite program.
+        now = 0.0
+        events = 0
+        while heap:
+            now, _seq, index, slot = heappop(heap)
+            events += 1
+            state = passes[index]
+            if slot < 0:
+                advance(index, state, now)
+                continue
+            stage = state.stage
+            state.running -= 1
+            state.tasks_executed += 1
+            if stage.dynamic:
+                if state.not_started > 0:
+                    begin(index, state, slot, now)
+            else:
+                state.slot_pending[slot] -= 1
+                if state.slot_pending[slot] > 0:
+                    begin(index, state, slot, now)
+            if state.running or state.not_started:
+                continue
+            state.stages_completed += 1
+            if trace is not None:
+                trace.record_stage(state.key, stage.name, now)
+            if stage.sync_cost > 0.0:
+                sync_cost = stage.sync_cost
+                # NETWORK domain: the collective crosses every occupied
+                # uplink, so it is paced by the most congested one.  Both
+                # gates are false for every scalar-era run, keeping the
+                # flat path bit-identical.
+                if state.net_sensitivity is not None and field.has_network:
+                    link = max(
+                        field.link_pressure_seen(state.key, node)
+                        for node in state.spanned_nodes
+                    )
+                    sync_cost *= state.net_sensitivity.slowdown(link)
+                heappush(heap, (now + sync_cost, next(seq), index, -1))
+            else:
+                advance(index, state, now)
+        # Telemetry is per run, never per event: the loop above is the
+        # hottest path in the repository.
+        recorder = _obs.RECORDER
+        recorder.count("engine.runs")
+        recorder.count("engine.events", events)
+
+        by_key = {state.key: state for state in passes}
         results: Dict[str, InstanceResult] = {}
         for inst in self._instances:
             key = inst.instance_key
@@ -361,7 +355,7 @@ class CoRunExecutor:
                 results[key] = InstanceResult(
                     instance_key=key,
                     workload_name=inst.workload.name,
-                    finish_time=end_time,
+                    finish_time=now,
                     tasks_executed=0,
                     stages_completed=0,
                     mean_pressure_seen=start_pressures[key],
@@ -369,17 +363,17 @@ class CoRunExecutor:
                     passive=True,
                 )
             else:
-                controller = controllers[key]
-                if controller.finish_time is None:
+                state = by_key[key]
+                if state.finish_time is None:
                     raise SimulationError(
                         f"instance {key!r} did not finish; simulation deadlock"
                     )
                 results[key] = InstanceResult(
                     instance_key=key,
                     workload_name=inst.workload.name,
-                    finish_time=controller.finish_time,
-                    tasks_executed=controller.tasks_executed,
-                    stages_completed=controller.stages_completed,
+                    finish_time=state.finish_time,
+                    tasks_executed=state.tasks_executed,
+                    stages_completed=state.stages_completed,
                     mean_pressure_seen=start_pressures[key],
                     mean_link_pressure_seen=start_link_pressures[key],
                 )

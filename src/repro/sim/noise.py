@@ -23,6 +23,7 @@ from typing import Dict
 import numpy as np
 
 from repro._util import make_rng
+from repro.units import MAX_PRESSURE
 
 
 class TaskJitter:
@@ -122,8 +123,6 @@ class StallModel:
         """Sample a stall multiplier (1.0 when no stall occurs)."""
         if self.prob_at_max <= 0.0 or pressure <= 0.0 or not reacts:
             return 1.0
-        from repro.units import MAX_PRESSURE  # local import: avoid cycle
-
         probability = self.prob_at_max * min(pressure, MAX_PRESSURE) / MAX_PRESSURE
         if rng.random() >= probability:
             return 1.0

@@ -26,7 +26,7 @@ from repro.core.model import InterferenceModel, InterferenceProfile
 from repro.placement.annealing import AnnealingSchedule, SimulatedAnnealingPlacer
 from repro.placement.assignment import InstanceSpec, Placement
 from repro.placement.objectives import WeightedTimeEnergy
-from repro.sim.runner import MeasurementRequest
+from repro.sim.runner import ClusterRunner, MeasurementRequest
 from tests._synthetic import quiet_runner
 
 pytestmark = pytest.mark.perf_smoke
@@ -161,6 +161,32 @@ def test_measurement_batch_not_regressed():
             quiet_runner(num_nodes=4).measure_many(requests)
 
     _check("measurement_batch_s", _best_of(run))
+
+
+def test_deployment_corun_not_regressed():
+    """A sustained co-run of 20 catalog deployments on 50 nodes.
+
+    Times the ground-truth simulator on the call the service makes for
+    every epoch.  A fresh runner per round means the solo baselines
+    that normalize each deployment are simulated, and timed, too.
+    """
+    abbrevs = (
+        "M.milc", "M.lmps", "H.KM", "S.WC", "D.PS",
+        "D.BFS", "C.mcf", "N.cg", "M.Gems", "S.PR",
+    )
+    deployments = []
+    for i in range(20):
+        # Two layers of ten 5-unit deployments, the second shifted by
+        # two nodes: every node hosts two deployments.
+        layer, slot = divmod(i, 10)
+        nodes = [(5 * slot + unit + 2 * layer) % 50 for unit in range(5)]
+        deployments.append((f"d{i}", abbrevs[i % 10], dict(enumerate(nodes))))
+    spec = ClusterSpec(num_nodes=50)
+
+    def run():
+        ClusterRunner(spec).run_deployments(deployments)
+
+    _check("deployment_corun_s", _best_of(run))
 
 
 def _smoke_placement(num_instances: int, num_nodes: int) -> Placement:

@@ -3,34 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Engine
 from repro.sim.execution import CoRunExecutor, DeployedInstance
 from tests._synthetic import QUIET_NOISE, bsp_workload
-
-delays = st.lists(
-    st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=30
-)
-
-
-class TestEngineProperties:
-    @given(delay_list=delays)
-    @settings(max_examples=50, deadline=None)
-    def test_events_fire_in_order(self, delay_list):
-        engine = Engine()
-        fired = []
-        for delay in delay_list:
-            engine.schedule(delay, lambda d=delay: fired.append(engine.now))
-        engine.run()
-        assert fired == sorted(fired)
-        assert len(fired) == len(delay_list)
-
-    @given(delay_list=delays)
-    @settings(max_examples=50, deadline=None)
-    def test_final_time_is_max_delay(self, delay_list):
-        engine = Engine()
-        for delay in delay_list:
-            engine.schedule(delay, lambda: None)
-        assert engine.run() == max(delay_list)
 
 
 class TestExecutionProperties:

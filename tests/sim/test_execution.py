@@ -150,6 +150,24 @@ class TestSustainedMode:
         # LinearSensitivity(2.0) at p=2, slowdown is 1.25.
         assert results["b"].finish_time == pytest.approx(25.0)
 
+    def test_faster_instance_reports_its_first_pass(self):
+        # The faster instance's pressure stays present until the slower
+        # one finishes, but its accounting covers one pass of its own
+        # program: 2 units x 2 slots x 4 iterations, 4 stages.
+        a = bsp_workload("a", iterations=4, base_time=5.0, score=2.0)
+        b = bsp_workload("b", base_time=20.0, score=2.0)
+        trace = ExecutionTrace()
+        results = run(
+            deploy(a, [0, 1], key="a"),
+            deploy(b, [0, 1], key="b"),
+            sustained=True,
+            trace=trace,
+        )
+        assert results["a"].tasks_executed == 16
+        assert results["a"].stages_completed == 4
+        assert trace.summary() == {"a": 4, "b": 4}
+        assert trace.stages_of("a")[-1].completed_at == results["a"].finish_time
+
     def test_symmetric_pair(self):
         a = bsp_workload("x", base_time=10.0, score=4.0)
         results = run(

@@ -65,6 +65,31 @@ class TestSlowdownBreakdown:
         for ratio in ratios:
             assert ratio == pytest.approx(2.0, rel=0.01)
 
+    def test_sustained_faster_instance(self):
+        # A sustained co-run's faster instance keeps exerting pressure
+        # while the slower one finishes, yet its trace holds one pass:
+        # one ratio per program stage.
+        a = bsp_workload("a", iterations=4, base_time=8.0, score=2.0)
+        b = bsp_workload("b", iterations=4, base_time=40.0, score=2.0)
+        solo = traced_run(DeployedInstance("a", a, {0: 0, 1: 1}))
+        trace = ExecutionTrace()
+        CoRunExecutor(
+            [
+                DeployedInstance("a", a, {0: 0, 1: 1}),
+                DeployedInstance("b", b, {0: 0, 1: 1}),
+            ],
+            seed=0,
+            noise=QUIET_NOISE,
+            trace=trace,
+            sustained=True,
+        ).run()
+        ratios = slowdown_breakdown(solo, trace, "a")
+        assert len(ratios) == 4
+        # LinearSensitivity(2.0) at pressure 2 -> 1.25x per stage.
+        for ratio in ratios:
+            assert ratio == pytest.approx(1.25)
+        assert stage_stats(trace, "a").stages == 4
+
     def test_stage_count_mismatch(self):
         a = bsp_workload("t", iterations=2)
         b = bsp_workload("t", iterations=3)
