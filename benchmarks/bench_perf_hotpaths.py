@@ -16,6 +16,10 @@ Covers the PR's fast paths, each against the slow path it replaces:
   :class:`~repro.core.kernel.PredictionKernel` path, versus the scalar
   per-instance reference.  Bit-identical by construction (see the
   "Batch prediction" section of ``docs/performance.md``).
+* **Scalar lookup** — ``PropagationMatrix.lookup`` on its Python-float
+  table, versus the per-row ``np.interp`` formulation it replaced (an
+  inline copy below).  Bit-identical; the ratio catches NumPy creeping
+  back into the scalar route without a wall-time baseline.
 * **Flat-network gate** — the per-resource prediction API's only cost
   on models without network profiles: one ``has_network`` consultation
   per batch call.  The guard bounds the gate at 5% of an end-to-end
@@ -37,7 +41,7 @@ import time
 import numpy as np
 
 from repro.cluster.cluster import ClusterSpec
-from repro.core.curves import PropagationMatrix
+from repro.core.curves import HomogeneousSetting, PropagationMatrix
 from repro.core.model import InterferenceModel, InterferenceProfile
 from repro.placement.annealing import AnnealingSchedule, SimulatedAnnealingPlacer
 from repro.placement.assignment import InstanceSpec, Placement
@@ -367,6 +371,72 @@ def test_full_placement_batch(record_artifact, artifact_dir):
     )
     _record_json(artifact_dir)
     assert speedup >= 10.0
+
+
+def _numpy_lookup(matrix: PropagationMatrix, setting: HomogeneousSetting):
+    """The per-row ``np.interp`` lookup the float table replaced."""
+    if np.isnan(matrix.values).any():
+        raise AssertionError("incomplete matrix")
+    if setting.count <= 0 or setting.pressure <= 0:
+        return 1.0
+    count = min(setting.count, matrix.max_count)
+    pressure = min(setting.pressure, float(matrix.pressures[-1]))
+    column = np.array(
+        [np.interp(count, matrix.counts, row) for row in matrix.values]
+    )
+    levels = matrix.pressures
+    if pressure <= levels[0]:
+        return float(1.0 + (column[0] - 1.0) * (pressure / levels[0]))
+    return float(np.interp(pressure, levels, column))
+
+
+def lookup_matrix() -> PropagationMatrix:
+    """A profiled-shape matrix: 8 pressure levels by counts 0..8."""
+    levels = [float(level) for level in range(1, 9)]
+    counts = [float(count) for count in range(9)]
+    values = np.array(
+        [[1.0 + 0.12 * level * count ** 0.7 for count in counts]
+         for level in levels]
+    )
+    return PropagationMatrix(levels, counts, values)
+
+
+#: Knots, fractional points, pressures below the first level and
+#: settings past both clamps.
+LOOKUP_SETTINGS = [
+    HomogeneousSetting(pressure, count)
+    for pressure in (0.4, 1.0, 2.5, 4.0, 5.75, 8.0, 9.5)
+    for count in (0.5, 1.0, 2.0, 3.3, 6.5, 8.0, 12.0)
+]
+
+
+def test_scalar_lookup(record_artifact, artifact_dir):
+    matrix = lookup_matrix()
+    for setting in LOOKUP_SETTINGS:
+        result = matrix.lookup(setting)
+        assert type(result) is float
+        assert result.hex() == _numpy_lookup(matrix, setting).hex()
+
+    numpy_s, table_s = _best_pair(
+        lambda: [_numpy_lookup(matrix, s) for s in LOOKUP_SETTINGS],
+        lambda: [matrix.lookup(s) for s in LOOKUP_SETTINGS],
+        reps=20,
+    )
+    speedup = numpy_s / table_s
+    per_call = len(LOOKUP_SETTINGS)
+    RESULTS["scalar_lookup"] = {
+        "numpy_s": numpy_s, "table_s": table_s, "speedup": speedup,
+        "settings": per_call,
+    }
+    record_artifact(
+        "perf_hotpaths_scalar_lookup",
+        f"Scalar lookup ({per_call} settings on an 8x9 matrix)\n"
+        f"  per-row np.interp: {numpy_s / per_call * 1e6:8.3f} us/lookup\n"
+        f"  float table:       {table_s / per_call * 1e6:8.3f} us/lookup\n"
+        f"  speedup:           {speedup:8.2f}x (bit-identical results)",
+    )
+    _record_json(artifact_dir)
+    assert speedup >= 4.0
 
 
 def test_flat_network_gate_overhead(record_artifact, artifact_dir):

@@ -12,8 +12,9 @@ do (Figure 12 profiles counts 0,1,2,4,8,16,24,32).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +31,8 @@ class HomogeneousSetting:
 
     def __post_init__(self) -> None:
         validate_pressure(self.pressure)
+        if self.count != self.count:
+            raise ValueError("count must not be NaN")
         if self.count < 0:
             raise ValueError("count must be non-negative")
 
@@ -77,6 +80,8 @@ class PropagationMatrix:
                 f"values shape {self.values.shape} does not match axes "
                 f"({len(self.pressures)}, {len(self.counts)})"
             )
+        # (content key, float table or None if incomplete).
+        self._table: Tuple[tuple, Optional[tuple]] = ((), None)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -133,31 +138,48 @@ class PropagationMatrix:
         counts above the last column clamp (the bubble scale and the
         cluster size bound the physical domain).
 
+        Reads Python floats (:meth:`_float_table`), interpolating only
+        the two rows that bracket the pressure, bit for bit ``np.interp``.
+
         Raises
         ------
         ModelError
             If the matrix still has unfilled cells.
         """
-        if not self.is_complete():
-            raise ModelError("cannot look up an incomplete propagation matrix")
+        levels, counts, rows = self._float_table()
         if setting.count <= 0 or setting.pressure <= 0:
             return 1.0
-        count = min(setting.count, self.max_count)
-        pressure = min(setting.pressure, float(self.pressures[-1]))
-
-        column = self._interp_columns(count)
+        count = float(min(setting.count, counts[-1]))
+        pressure = float(min(setting.pressure, levels[-1]))
+        at = bisect_right(counts, count) - 1
         # Interpolate along pressure, with an implicit (0, 1.0) anchor.
-        levels = self.pressures
         if pressure <= levels[0]:
             fraction = pressure / levels[0]
-            return 1.0 + (column[0] - 1.0) * fraction
-        return float(np.interp(pressure, levels, column))
+            return 1.0 + (_interp(count, counts, rows[0], at) - 1.0) * fraction
+        j = bisect_right(levels, pressure) - 1
+        low = _interp(count, counts, rows[j], at)
+        if j == len(levels) - 1 or levels[j] == pressure:
+            return low
+        high = _interp(count, counts, rows[j + 1], at)
+        return _interp(pressure, levels[j:j + 2], (low, high), 0)
 
-    def _interp_columns(self, count: float) -> np.ndarray:
-        """Per-row value at a (possibly fractional) node count."""
-        return np.array(
-            [np.interp(count, self.counts, self.values[i]) for i in range(len(self.pressures))]
-        )
+    def _float_table(self) -> Tuple[list, list, list]:
+        """Python-float axes and rows, rebuilt whenever the content changes.
+
+        Keyed on the bytes of the axes and values, not on :meth:`set`:
+        profilers and tests also write ``values`` in place.
+        """
+        pressures, counts, values = self.pressures, self.counts, self.values
+        key = (pressures.tobytes(), counts.tobytes(), values.tobytes())
+        built_for, table = self._table
+        if key != built_for:
+            table = None
+            if self.is_complete():
+                table = pressures.tolist(), counts.tolist(), values.tolist()
+            self._table = key, table
+        if table is None:
+            raise ModelError("cannot look up an incomplete propagation matrix")
+        return table
 
     def lookup_batch(
         self, pressures: np.ndarray, counts: np.ndarray
@@ -175,8 +197,7 @@ class PropagationMatrix:
         ModelError
             If the matrix still has unfilled cells.
         """
-        if not self.is_complete():
-            raise ModelError("cannot look up an incomplete propagation matrix")
+        self._float_table()  # raises on an incomplete matrix
         pressure_in = np.asarray(pressures, dtype=float)
         count_in = np.asarray(counts, dtype=float)
         out = np.ones(pressure_in.shape, dtype=float)
@@ -223,6 +244,21 @@ class PropagationMatrix:
             f"PropagationMatrix(levels={len(self.pressures)}, "
             f"counts={self.counts.tolist()})"
         )
+
+
+def _interp(x: float, xp: Sequence[float], fp: Sequence[float], j: int):
+    """``np.interp(x, xp, fp)``'s C arithmetic, exact-knot shortcut and
+    NaN fallback for ``x >= xp[0]``, given ``j = bisect_right(xp, x) - 1``.
+    """
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    value = slope * (x - xp[j]) + fp[j]
+    if value != value:
+        value = slope * (x - xp[j + 1]) + fp[j + 1]
+        if value != value and fp[j] == fp[j + 1]:
+            value = fp[j]
+    return value
 
 
 def _interp_per_column(

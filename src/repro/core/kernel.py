@@ -4,7 +4,7 @@ Every annealing swap, admission check, and epoch reschedule funnels
 through :meth:`~repro.core.model.InterferenceModel.predict` one
 instance at a time.  The scalar path is the reference the paper's
 Figure-5 procedure is tested against, but it pays Python dispatch,
-profile lookups, and policy instantiation per call.  This module
+profile lookups, and a policy conversion per call.  This module
 flattens a model into a :class:`PredictionKernel` — a frozen snapshot
 holding each profile's propagation matrix, heterogeneity policy, and
 bubble score behind contiguous NumPy arrays — so a whole placement (or
@@ -52,7 +52,9 @@ from repro.errors import ModelError
 #: Below this many rows in a per-workload group, the array machinery
 #: costs more than it saves; such groups run the scalar conversion and
 #: lookup directly (which is trivially bit-identical — it *is* the
-#: scalar computation).  Crossover measured on 2-5 level matrices.
+#: scalar computation).  With the float-table lookup, one group of
+#: N+1 MAX rows over 4-node vectors costs the same both ways at 12 rows
+#: on 4x5 and 8x9 matrices, and the array path wins from 16 rows.
 SMALL_GROUP = 12
 
 #: What one batched prediction asks for; ``interference`` takes the
@@ -146,9 +148,14 @@ class PredictionKernel:
         # Distinct co-runner score tuple -> combined pressure, computed
         # by the scalar combine (see module docstring).
         self._combine_cache: Dict[Tuple[float, ...], float] = {}
-        # Single-score shortcut (score -> combined of its 1-tuple):
-        # two-unit-per-node clusters hit this for every co-runner.
-        self._single_cache: Dict[float, float] = {}
+        # Co-runner name tuple -> combined pressure (pressure_vector).
+        self._by_names: Dict[Tuple[str, ...], float] = {}
+        # What each workload's unit alone exerts (the combine of its
+        # 1-tuple): two-unit-per-node clusters read it per co-runner.
+        self._alone: Dict[str, float] = {
+            name: self.combined_pressure((score,))
+            for name, score in self._scores.items()
+        }
 
     # ------------------------------------------------------------------
     # Pressure-vector extraction
@@ -175,16 +182,20 @@ class PredictionKernel:
         workload_nodes: Sequence[int],
         co_runners_by_node: Mapping[int, Sequence[str]],
     ) -> List[float]:
-        """Mirror of :meth:`InterferenceModel.pressure_vector`."""
-        return [
-            self.combined_pressure(
-                tuple(
-                    self._score_of(name)
-                    for name in co_runners_by_node.get(node, ())
+        """Mirror of :meth:`InterferenceModel.pressure_vector`.
+
+        Memoized per co-runner name tuple on top of the score memo.
+        """
+        vector: List[float] = []
+        for node in workload_nodes:
+            names = tuple(co_runners_by_node.get(node, ()))
+            value = self._by_names.get(names)
+            if value is None:
+                value = self._by_names[names] = self.combined_pressure(
+                    tuple([self._score_of(name) for name in names])
                 )
-            )
-            for node in workload_nodes
-        ]
+            vector.append(value)
+        return vector
 
     def _excluding_views(
         self, residents: Mapping[int, Sequence[Tuple[object, str]]]
@@ -198,7 +209,7 @@ class PredictionKernel:
         unknown co-runner workload.
         """
         scores = self._scores
-        single = self._single_cache
+        alone = self._alone
         empty = self.combined_pressure(())
         # Nodes host at most ``unit_slots_per_node`` units, so the one-
         # and two-unit cases below cover real clusters; the generic
@@ -210,20 +221,10 @@ class PredictionKernel:
                 continue
             if len(units) == 2:
                 (key_a, work_a), (key_b, work_b) = units
-                if key_a == key_b:
-                    excluding[node] = {key_a: empty}
-                    continue
-                score_a = scores[work_a]
-                score_b = scores[work_b]
-                seen_by_a = single.get(score_b)
-                if seen_by_a is None:
-                    seen_by_a = self.combined_pressure((score_b,))
-                    single[score_b] = seen_by_a
-                seen_by_b = single.get(score_a)
-                if seen_by_b is None:
-                    seen_by_b = self.combined_pressure((score_a,))
-                    single[score_a] = seen_by_b
-                excluding[node] = {key_a: seen_by_a, key_b: seen_by_b}
+                excluding[node] = (
+                    {key_a: empty} if key_a == key_b
+                    else {key_a: alone[work_b], key_b: alone[work_a]}
+                )
                 continue
             scored = [(key, scores[workload]) for key, workload in units]
             views: Dict[object, float] = {}
@@ -283,20 +284,18 @@ class PredictionKernel:
                 residents,
             )
             raise  # pragma: no cover - unknowns always reachable above
-        out: List[Tuple[str, str, List[float]]] = []
-        for spec in placement.instances:
-            key = spec.instance_key
-            out.append(
-                (
-                    key,
-                    spec.workload,
-                    [
-                        excluding[node][key]
-                        for node in placement.spanned_nodes(key)
-                    ],
-                )
-            )
-        return out
+        # Visiting nodes in ascending order appends each instance's
+        # entries in ``spanned_nodes`` order.
+        vectors: Dict[str, List[float]] = {
+            spec.instance_key: [] for spec in placement.instances
+        }
+        for node in sorted(excluding):
+            for key, pressure in excluding[node].items():
+                vectors[key].append(pressure)
+        return [
+            (spec.instance_key, spec.workload, vectors[spec.instance_key])
+            for spec in placement.instances
+        ]
 
     def admission_wave(
         self,
@@ -454,7 +453,9 @@ class PredictionKernel:
             if len(indices) < SMALL_GROUP:
                 matrix = table.matrix
                 for i in indices:
-                    vector = padded[i, : lengths[i]]
+                    # The caller's row, not the array copy: same floats
+                    # (the checks above ran on the copy), cheaper to walk.
+                    vector = vectors[i]
                     setting = policy.convert(vector)
                     scale = table.max_count / len(vector)
                     out[i] = matrix.lookup(

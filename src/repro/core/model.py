@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
 
-from repro.cluster.contention import ContentionDomain, combine_pressures
+from repro.cluster.contention import ContentionDomain
 from repro.core.curves import HomogeneousSetting, PropagationMatrix
 from repro.core.kernel import (
     AdmissionWave, PredictionKernel, PredictionRequest,
@@ -46,6 +47,9 @@ Interference = Union[HomogeneousSetting, Tuple[float, float], Sequence[float]]
 #: exchange — so the worst per-node link pressure propagates to the
 #: entire span regardless of the workload's compute-domain policy.
 NETWORK_POLICY = "ALL MAX"
+
+#: The one (stateless) policy instance every NETWORK prediction uses.
+_NETWORK_POLICY = get_policy(NETWORK_POLICY)
 
 
 def _count_batch(size: int) -> None:
@@ -89,9 +93,9 @@ class InterferenceProfile:
                 raise ModelError(f"{name} must be non-negative")
         get_policy(self.policy_name)  # validates the name
 
-    @property
+    @cached_property
     def policy(self) -> HeterogeneityPolicy:
-        """Instantiate the profile's heterogeneity policy."""
+        """The profile's heterogeneity policy, instantiated once."""
         return get_policy(self.policy_name)
 
     def to_dict(self) -> dict:
@@ -350,7 +354,7 @@ class InterferenceModel:
         if domain is ContentionDomain.COMPUTE:
             policy = profile.policy
         else:
-            policy = get_policy(NETWORK_POLICY)
+            policy = _NETWORK_POLICY
         setting = policy.convert(pressures)
         scale = matrix.max_count / len(pressures)
         scaled = HomogeneousSetting(setting.pressure, setting.count * scale)
@@ -405,16 +409,13 @@ class InterferenceModel:
         Pressures combine using the public scoring rule (one level per
         doubling of misses) without the collision surcharge — the model
         cannot observe the surcharge, which is one of its honest error
-        sources.
+        sources.  The combine is memoized per co-runner score tuple on
+        the version's :meth:`prediction_kernel` (bubble scores are
+        frozen profile fields, so the memo is exact).
         """
-        vector: List[float] = []
-        for node in workload_nodes:
-            scores = [
-                self.profile(name).bubble_score
-                for name in co_runners_by_node.get(node, ())
-            ]
-            vector.append(combine_pressures(scores, collision_surcharge=0.0))
-        return vector
+        return self.prediction_kernel().pressure_vector(
+            workload_nodes, co_runners_by_node
+        )
 
     def network_pressure_vector(
         self,
@@ -425,16 +426,12 @@ class InterferenceModel:
 
         The NETWORK-domain analogue of :meth:`pressure_vector`,
         combining the co-runners' network bubble scores per node with
-        the same surcharge-free public rule.
+        the same surcharge-free public rule, memoized on the
+        :meth:`network_kernel`.
         """
-        vector: List[float] = []
-        for node in workload_nodes:
-            scores = [
-                self.profile(name).network_score
-                for name in co_runners_by_node.get(node, ())
-            ]
-            vector.append(combine_pressures(scores, collision_surcharge=0.0))
-        return vector
+        return self.network_kernel().pressure_vector(
+            workload_nodes, co_runners_by_node
+        )
 
     def _network_factor(
         self,
@@ -474,7 +471,7 @@ class InterferenceModel:
         exactly the scalar-era code path.
         """
         vector = self.pressure_vector(workload_nodes, co_runners_by_node)
-        value = self.predict_heterogeneous(workload, vector)
+        value = self._predict_heterogeneous(workload, vector)
         if self.has_network:
             factor = self._network_factor(
                 workload, workload_nodes, co_runners_by_node
@@ -640,13 +637,11 @@ class InterferenceModel:
         scalar path (see ``docs/performance.md``).
         """
         _count_batch(len(items))
-        kernel = self.prediction_kernel()
         try:
-            vectors = [kernel.pressure_vector(n, c) for _, n, c in items]
+            vectors = [self.pressure_vector(n, c) for _, n, c in items]
             if self.has_network:
-                net_kernel = self.network_kernel()
                 net_vectors = [
-                    net_kernel.pressure_vector(n, c) for _, n, c in items
+                    self.network_pressure_vector(n, c) for _, n, c in items
                 ]
         except ModelError:
             # An unknown co-runner: replay scalar in item order so the
@@ -686,10 +681,7 @@ class InterferenceModel:
                 workloads, [vector for _, _, vector in net_triples],
                 network=True,
             )
-        return {
-            key: float(value)
-            for (key, _, _), value in zip(triples, values)
-        }
+        return dict(zip([key for key, _, _ in triples], values.tolist()))
 
     def predict_placements_batch(
         self,

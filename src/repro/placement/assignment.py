@@ -235,9 +235,9 @@ class Placement:
         """
         residents: Dict[int, List[Tuple[str, str]]] = {}
         for key, nodes in self._assignment.items():
-            workload = self._by_key[key].workload
+            unit = (key, self._by_key[key].workload)
             for node in nodes:
-                residents.setdefault(node, []).append((key, workload))
+                residents.setdefault(node, []).append(unit)
         return residents
 
     def swap_units(

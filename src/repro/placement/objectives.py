@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import PlacementError
 from repro.placement.assignment import Placement
@@ -155,6 +155,18 @@ def qos_status(
 # turns an O(instances) energy evaluation into an O(slots-per-node)
 # one.
 
+#: Per node, ``(rank, instance_key, workload)`` units in assignment order.
+Residents = Dict[int, List[Tuple[int, str, str]]]
+
+
+def _residents_index(placement: Placement) -> Residents:
+    """:meth:`Placement.node_residents`, each unit with its assignment rank."""
+    rank = {key: i for i, key in enumerate(placement._assignment)}
+    return {
+        node: [(rank[key], key, workload) for key, workload in units]
+        for node, units in placement.node_residents().items()
+    }
+
 
 @dataclass
 class EnergyState:
@@ -163,12 +175,14 @@ class EnergyState:
     ``predictions`` is the cached table delta evaluation carries
     forward; ``energy`` is always re-aggregated from the full table so
     incremental and full evaluation agree bit-for-bit (no running-sum
-    drift).
+    drift).  ``residents`` indexes the placement's units per node so a
+    swap re-reads only its touched nodes (``None``: not indexed yet).
     """
 
     placement: Placement
     predictions: Dict[str, float]
     energy: float
+    residents: Optional[Residents] = None
 
 
 class IncrementalEnergy:
@@ -246,27 +260,30 @@ class PredictionEnergy(IncrementalEnergy):
         self._memo[memo_key] = value
 
     def _predict_table(
-        self, placement: Placement, keys: Sequence[str]
+        self, placement: Placement, keys: Iterable[str],
+        residents: Optional[Residents] = None,
     ) -> Dict[str, float]:
         """Memoized predictions for ``keys``; misses predicted as found."""
+        if residents is None:
+            residents = _residents_index(placement)
         table: Dict[str, float] = {}
         for key in keys:
-            spec = placement.instance(key)
+            workload = placement.instance(key).workload
             nodes = placement.spanned_nodes(key)
-            co_runners = placement.co_runner_workloads(key)
             # The co-runner lists keep placement iteration order (NOT
             # sorted): combining pressures sums floats in list order,
             # so a reordered key could replay a bit-different result.
-            memo_key = (
-                spec.workload,
-                tuple((node, tuple(co_runners[node])) for node in nodes),
-            )
-            value = self._memo.get(memo_key)
+            layout = tuple([
+                (node, tuple([w for _, k, w in residents[node] if k != key]))
+                for node in nodes
+            ])
+            value = self._memo.get((workload, layout))
             if value is None:
+                co_runners = {node: list(names) for node, names in layout}
                 value = self.model.predict_under_corunners(
-                    spec.workload, nodes, co_runners
+                    workload, nodes, co_runners
                 )
-                self._store(memo_key, value)
+                self._store((workload, layout), value)
             table[key] = value
         return table
 
@@ -274,12 +291,11 @@ class PredictionEnergy(IncrementalEnergy):
         return self._predict_table(placement, [key])[key]
 
     def full_state(self, placement: Placement) -> EnergyState:
-        predictions = self._predict_table(
-            placement, [spec.instance_key for spec in placement.instances]
-        )
-        return EnergyState(
-            placement, predictions, self.aggregate(predictions, placement)
-        )
+        residents = _residents_index(placement)
+        keys = [spec.instance_key for spec in placement.instances]
+        predictions = self._predict_table(placement, keys, residents)
+        energy = self.aggregate(predictions, placement)
+        return EnergyState(placement, predictions, energy, residents)
 
     def swap_state(
         self,
@@ -288,16 +304,26 @@ class PredictionEnergy(IncrementalEnergy):
         touched_nodes: Iterable[int],
     ) -> EnergyState:
         touched = set(touched_nodes)
-        changed = [
-            spec.instance_key
-            for spec in new_placement.instances
-            if touched.intersection(new_placement.nodes_of(spec.instance_key))
-        ]
-        predictions = dict(state.predictions)
-        predictions.update(self._predict_table(new_placement, changed))
-        return EnergyState(
-            new_placement, predictions, self.aggregate(predictions, new_placement)
+        residents = state.residents
+        if residents is None:
+            residents = _residents_index(new_placement)
+        else:
+            # Only the touched nodes traded units; ``swap_units`` keeps
+            # the assignment's key order, so the ranks stay valid.
+            pool = {u[1]: u for node in touched for u in residents[node]}
+            residents = dict(residents)
+            for node in touched:
+                residents[node] = sorted(
+                    unit for unit in pool.values()
+                    if node in new_placement.nodes_of(unit[1])
+                )
+        changed = dict.fromkeys(
+            unit[1] for node in touched for unit in residents[node]
         )
+        table = self._predict_table(new_placement, changed, residents)
+        predictions = {**state.predictions, **table}
+        energy = self.aggregate(predictions, new_placement)
+        return EnergyState(new_placement, predictions, energy, residents)
 
     def __getstate__(self) -> dict:
         # The memo is a per-process accelerator, not state: shipping it
