@@ -392,6 +392,8 @@ class InterferenceModel:
         self,
         workload_nodes: Sequence[int],
         co_runners_by_node: Mapping[int, Sequence[str]],
+        *,
+        domain: ContentionDomain = ContentionDomain.COMPUTE,
     ) -> List[float]:
         """Per-node pressures an application sees from its co-runners.
 
@@ -403,6 +405,10 @@ class InterferenceModel:
             For each node, the workload names of *other* applications
             resident there (one name per resident VM unit; the same
             name may repeat if two units share the node).
+        domain:
+            COMPUTE combines the co-runners' bubble scores; NETWORK
+            combines their network scores into per-node *link*
+            pressures.
 
         Notes
         -----
@@ -410,28 +416,16 @@ class InterferenceModel:
         doubling of misses) without the collision surcharge — the model
         cannot observe the surcharge, which is one of its honest error
         sources.  The combine is memoized per co-runner score tuple on
-        the version's :meth:`prediction_kernel` (bubble scores are
-        frozen profile fields, so the memo is exact).
+        the domain's kernel (:meth:`prediction_kernel` or
+        :meth:`network_kernel`; bubble scores are frozen profile
+        fields, so the memo is exact).
         """
-        return self.prediction_kernel().pressure_vector(
-            workload_nodes, co_runners_by_node
+        kernel = (
+            self.network_kernel()
+            if domain is ContentionDomain.NETWORK
+            else self.prediction_kernel()
         )
-
-    def network_pressure_vector(
-        self,
-        workload_nodes: Sequence[int],
-        co_runners_by_node: Mapping[int, Sequence[str]],
-    ) -> List[float]:
-        """Per-node *link* pressures seen from co-runners' network scores.
-
-        The NETWORK-domain analogue of :meth:`pressure_vector`,
-        combining the co-runners' network bubble scores per node with
-        the same surcharge-free public rule, memoized on the
-        :meth:`network_kernel`.
-        """
-        return self.network_kernel().pressure_vector(
-            workload_nodes, co_runners_by_node
-        )
+        return kernel.pressure_vector(workload_nodes, co_runners_by_node)
 
     def _network_factor(
         self,
@@ -448,8 +442,9 @@ class InterferenceModel:
         profile = self.profile(workload)
         if profile.network_matrix is None:
             return None
-        vector = self.network_pressure_vector(
-            workload_nodes, co_runners_by_node
+        vector = self.pressure_vector(
+            workload_nodes, co_runners_by_node,
+            domain=ContentionDomain.NETWORK,
         )
         return self._predict_heterogeneous(
             workload, vector, domain=ContentionDomain.NETWORK
@@ -641,7 +636,8 @@ class InterferenceModel:
             vectors = [self.pressure_vector(n, c) for _, n, c in items]
             if self.has_network:
                 net_vectors = [
-                    self.network_pressure_vector(n, c) for _, n, c in items
+                    self.pressure_vector(n, c, domain=ContentionDomain.NETWORK)
+                    for _, n, c in items
                 ]
         except ModelError:
             # An unknown co-runner: replay scalar in item order so the

@@ -118,18 +118,12 @@ class OnlineModel:
         self,
         workload_nodes: Sequence[int],
         co_runners_by_node: Mapping[int, Sequence[str]],
+        *,
+        domain: ContentionDomain = ContentionDomain.COMPUTE,
     ) -> List[float]:
         """Per-node pressures (delegated to the static model)."""
-        return self.base.pressure_vector(workload_nodes, co_runners_by_node)
-
-    def network_pressure_vector(
-        self,
-        workload_nodes: Sequence[int],
-        co_runners_by_node: Mapping[int, Sequence[str]],
-    ) -> List[float]:
-        """Per-node link pressures (delegated to the static model)."""
-        return self.base.network_pressure_vector(
-            workload_nodes, co_runners_by_node
+        return self.base.pressure_vector(
+            workload_nodes, co_runners_by_node, domain=domain
         )
 
     def predict_homogeneous(

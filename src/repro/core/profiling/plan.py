@@ -65,13 +65,11 @@ class MeasurementOracle:
     abbrev:
         Workload under profiling.
     domain:
-        Contention resource the settings describe.  COMPUTE (the
-        default) probes with cache/memory-bandwidth bubbles via
-        :meth:`~repro.sim.runner.ClusterRunner.measure`; NETWORK probes
-        with traffic-generator bubbles via
-        :meth:`~repro.sim.runner.ClusterRunner.measure_network`.  Every
-        profiler runs unchanged on either domain — the oracle is the
-        only routing point.
+        Contention resource the settings describe, passed on to
+        :meth:`~repro.sim.runner.ClusterRunner.measure`: COMPUTE (the
+        default) probes with cache/memory-bandwidth bubbles, NETWORK
+        with traffic-generator bubbles.  Every profiler runs unchanged
+        on either domain — the oracle is the only routing point.
     """
 
     def __init__(
@@ -87,9 +85,6 @@ class MeasurementOracle:
         self.span = span
         self.domain = ContentionDomain.parse(domain)
         self._network = self.domain is ContentionDomain.NETWORK
-        self._measure = (
-            runner.measure_network if self._network else runner.measure
-        )
         self._cache: Dict[Tuple[float, int], float] = {}
 
     def normalized(self, pressure: float, count: int) -> float:
@@ -120,8 +115,9 @@ class MeasurementOracle:
                 count=count,
                 **({"domain": "network"} if self._network else {}),
             ) as span:
-                value = self._measure(
-                    self.abbrev, pressure, count, span=self.span
+                value = self.runner.measure(
+                    self.abbrev, pressure, count, span=self.span,
+                    domain=self.domain,
                 )
                 span.set(normalized=value)
             if self.runner.faults_active and value > OUTLIER_BOUND:
@@ -148,8 +144,9 @@ class MeasurementOracle:
                 reprobe=True,
                 **({"domain": "network"} if self._network else {}),
             ) as span:
-                value = self._measure(
-                    self.abbrev, pressure, count, rep=rep, span=self.span
+                value = self.runner.measure(
+                    self.abbrev, pressure, count, rep=rep, span=self.span,
+                    domain=self.domain,
                 )
                 span.set(normalized=value)
             readings.append(value)

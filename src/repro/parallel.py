@@ -116,7 +116,15 @@ def fan_out(
         initializer=initializer,
         initargs=tuple(initargs),
     ) as pool:
-        futures = [pool.submit(fn, item) for item in work]
+        futures = []
+        for item in work:
+            try:
+                futures.append(pool.submit(fn, item))
+            except BrokenProcessPool:
+                # A worker died while the batch was still being queued;
+                # the unqueued items join the serial recovery below.
+                broken = True
+                break
         for index, future in enumerate(futures):
             try:
                 results[index] = future.result()

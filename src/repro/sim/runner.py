@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro._util import stable_seed
@@ -59,10 +59,6 @@ class MeasurementRequest:
         "measure",
         "measure_heterogeneous_time",
         "measure_heterogeneous",
-        "measure_network_time",
-        "measure_network",
-        "measure_network_heterogeneous_time",
-        "measure_network_heterogeneous",
         "corun_pair",
         "run_deployments",
     )
@@ -91,18 +87,6 @@ class MeasurementRequest:
     ):
         """Homogeneous-setting request (Algorithm 1/2's ``measure``)."""
         method = "measure" if normalized else "measure_time"
-        return cls(
-            method, (abbrev, float(pressure), int(interfering)),
-            (("rep", rep), ("span", span)),
-        )
-
-    @classmethod
-    def network_measure(
-        cls, abbrev: str, pressure: float, interfering: int, *,
-        rep: int = 0, span: Optional[int] = None, normalized: bool = True,
-    ):
-        """NETWORK-domain homogeneous-setting request."""
-        method = "measure_network" if normalized else "measure_network_time"
         return cls(
             method, (abbrev, float(pressure), int(interfering)),
             (("rep", rep), ("span", span)),
@@ -150,31 +134,8 @@ def _init_measurement_worker(blob: bytes) -> None:
     _WORKER_RUNNER = pickle.loads(blob)
 
 
-def _run_measurement_request(request: MeasurementRequest):
+def _run_measurement_request(payload):
     """Execute one request in a worker; report state deltas to the parent.
-
-    Returns ``(value, solo_entries, measurement_delta, cache_entries)``
-    where ``solo_entries`` / ``cache_entries`` are everything this
-    worker has learned so far (the parent deduplicates in batch order,
-    which reproduces the serial accounting exactly).
-    """
-    runner = _WORKER_RUNNER
-    assert runner is not None, "measurement worker not initialized"
-    count_before = runner.measurement_count
-    value = request.apply(runner)
-    cache_entries = (
-        runner.cache.fresh_entries() if runner.cache is not None else {}
-    )
-    return (
-        value,
-        dict(runner._solo_cache),
-        runner.measurement_count - count_before,
-        cache_entries,
-    )
-
-
-def _run_request_or_die(payload):
-    """Fan-out target for batches whose fault plan kills one worker.
 
     ``payload`` is ``(request, die, parent_pid)``.  In a pool worker
     with ``die`` set, the process exits hard — modelling a node crash
@@ -182,11 +143,36 @@ def _run_request_or_die(payload):
     parent re-runs the same payload in-process (its pid matches
     ``parent_pid``), so the doomed item computes normally and the batch
     result is identical to an undisturbed run.
+
+    Returns ``(value, fault, solo_entries, measurement_delta,
+    cache_entries, faulted_workloads)``, where ``fault`` is the
+    request's :class:`~repro.errors.MeasurementFault`, if any.  The
+    entries and workloads are everything this worker has learned so
+    far (the parent deduplicates in batch order, which reproduces the
+    serial accounting exactly).
     """
     request, die, parent_pid = payload
     if die and os.getpid() != parent_pid:
         os._exit(1)
-    return _run_measurement_request(request)
+    runner = _WORKER_RUNNER
+    assert runner is not None, "measurement worker not initialized"
+    count_before = runner.measurement_count
+    value = fault = None
+    try:
+        value = request.apply(runner)
+    except MeasurementFault as exc:
+        fault = exc
+    cache_entries = (
+        runner.cache.fresh_entries() if runner.cache is not None else {}
+    )
+    return (
+        value,
+        fault,
+        dict(runner._solo_cache),
+        runner.measurement_count - count_before,
+        cache_entries,
+        set(runner.faulted_workloads),
+    )
 
 
 class ClusterRunner:
@@ -338,8 +324,33 @@ class ClusterRunner:
             self.faulted_workloads.update(workloads)
             raise
 
-    def _cache_key(self, *labels: object) -> str:
-        return cache_key(self._fingerprint, *labels)
+    def _replay_or_simulate(
+        self, span, labels: Tuple, simulate: Callable[[], object], *,
+        runs: int = 1,
+    ):
+        """The recorded measurement under ``labels``, or a fresh one.
+
+        A store hit counts ``measure.store_hit`` and marks ``span``
+        replayed.  A miss counts ``measure.store_miss``, then calls
+        ``simulate`` (which builds the deployments, so only misses pay
+        for them), counts ``runs`` simulated runs and records the
+        result.  Without a store every call simulates.
+        """
+        store_key = cache_key(self._fingerprint, *labels)
+        if self.cache is not None:
+            recorded = self.cache.get(store_key)
+            if recorded is not None:
+                _obs.RECORDER.count("measure.store_hit")
+                span.set(replayed=True)
+                if isinstance(recorded, dict):
+                    return {key: float(item) for key, item in recorded.items()}
+                return float(recorded)
+            _obs.RECORDER.count("measure.store_miss")
+        value = simulate()
+        _obs.RECORDER.count("measure.simulated", runs)
+        if self.cache is not None:
+            self.cache.put(store_key, value)
+        return value
 
     @property
     def total_measurement_count(self) -> int:
@@ -408,11 +419,22 @@ class ClusterRunner:
             )
         return instances
 
-    def _ambient_link(self) -> Optional[Dict[int, float]]:
-        """Per-node uplink noise map; ``None`` when the link is flat."""
-        if self.network_ambient <= 0.0:
-            return None
-        return {n: self.network_ambient for n in range(self.num_nodes)}
+    def _finish_times(
+        self, instances: List[DeployedInstance], seed: int, *,
+        sustained: bool = False,
+    ) -> Dict[str, float]:
+        """Finish time per instance key of one co-run in this environment."""
+        link = None  # flat unless every uplink carries ambient noise
+        if self.network_ambient > 0.0:
+            link = {n: self.network_ambient for n in range(self.num_nodes)}
+        results = CoRunExecutor(
+            instances, seed=seed, noise=self.noise, num_nodes=self.num_nodes,
+            ambient_link=link, sustained=sustained,
+        ).run()
+        return {
+            instance.instance_key: results[instance.instance_key].finish_time
+            for instance in instances
+        }
 
     def interfering_nodes(self, count: int, *, span: Optional[int] = None) -> List[int]:
         """Which nodes host bubbles for a ``count``-node setting.
@@ -453,47 +475,35 @@ class ClusterRunner:
         if cached is not None:
             _obs.RECORDER.count("measure.solo_memo_hit")
             return cached
+        units = {i: i % self.num_nodes for i in range(num_units)}
+
+        def simulate_rep(rep: int) -> float:
+            instance = DeployedInstance(abbrev, self.workload(abbrev), units)
+            seed = stable_seed(self.base_seed, abbrev, "solo", num_units, rep)
+            return self._finish_times([instance], seed)[abbrev]
+
+        def simulate() -> float:
+            # The solo baseline is every normalization's denominator,
+            # so its runs can crash and be retried but are never
+            # value-perturbed (perturb=False).
+            times = [
+                self._read(
+                    ("solo", abbrev, num_units, rep),
+                    lambda rep=rep: simulate_rep(rep),
+                    workloads=(abbrev,),
+                    perturb=False,
+                )
+                for rep in range(self.SOLO_REPS)
+            ]
+            return sum(times) / len(times)
+
         with _obs.RECORDER.span(
             "measure.solo", workload=abbrev, units=num_units
         ) as span:
-            store_key = self._cache_key("solo", abbrev, num_units)
-            solo: Optional[float] = None
-            if self.cache is not None:
-                recorded = self.cache.get(store_key)
-                if recorded is not None:
-                    solo = float(recorded)
-                    _obs.RECORDER.count("measure.store_hit")
-                    span.set(replayed=True)
-            if solo is None:
-                if self.cache is not None:
-                    _obs.RECORDER.count("measure.store_miss")
-                units = {i: i % self.num_nodes for i in range(num_units)}
-
-                def simulate_rep(rep: int) -> float:
-                    instance = DeployedInstance(abbrev, self.workload(abbrev), units)
-                    seed = stable_seed(self.base_seed, abbrev, "solo", num_units, rep)
-                    return CoRunExecutor(
-                        [instance], seed=seed, noise=self.noise,
-                        num_nodes=self.num_nodes,
-                        ambient_link=self._ambient_link(),
-                    ).run()[abbrev].finish_time
-
-                # The solo baseline is every normalization's denominator,
-                # so its runs can crash and be retried but are never
-                # value-perturbed (perturb=False).
-                times = [
-                    self._read(
-                        ("solo", abbrev, num_units, rep),
-                        lambda rep=rep: simulate_rep(rep),
-                        workloads=(abbrev,),
-                        perturb=False,
-                    )
-                    for rep in range(self.SOLO_REPS)
-                ]
-                solo = sum(times) / len(times)
-                _obs.RECORDER.count("measure.simulated", self.SOLO_REPS)
-                if self.cache is not None:
-                    self.cache.put(store_key, solo)
+            solo = self._replay_or_simulate(
+                span, ("solo", abbrev, num_units), simulate,
+                runs=self.SOLO_REPS,
+            )
             span.set_sim(solo)
         self._solo_cache[key] = solo
         self.solo_measurement_count += self.SOLO_REPS
@@ -502,29 +512,32 @@ class ClusterRunner:
     def measure_time(
         self, abbrev: str, pressure: float, interfering: int, *, rep: int = 0,
         span: Optional[int] = None,
+        domain: ContentionDomain = ContentionDomain.COMPUTE,
     ) -> float:
         """Absolute time with ``interfering`` nodes at ``pressure``.
 
         This is the paper's ``measure(i, j)`` (Algorithm 1/2), counted
         toward profiling cost.  ``span`` selects the deployment size
-        the model is being profiled for.
+        the model is being profiled for.  ``domain`` selects the
+        bubble: cache thrashers for COMPUTE, traffic generators
+        saturating the interfering nodes' uplinks for NETWORK.
         """
         if pressure == 0.0 or interfering == 0:
             return self.solo_time(abbrev, num_units=span)
         nodes = self.interfering_nodes(interfering, span=span)
-        node_pressures = {n: pressure for n in nodes}
-        return self.measure_heterogeneous_time(
-            abbrev, node_pressures, rep=rep, span=span,
-            _label=("hom", pressure, interfering, span),
+        return self._measure_setting_time(
+            abbrev, {n: pressure for n in nodes}, rep=rep, span=span,
+            label=("hom", pressure, interfering, span), domain=domain,
         )
 
     def measure(
         self, abbrev: str, pressure: float, interfering: int, *, rep: int = 0,
         span: Optional[int] = None,
+        domain: ContentionDomain = ContentionDomain.COMPUTE,
     ) -> float:
         """Normalized time with ``interfering`` nodes at ``pressure``."""
         return self.measure_time(
-            abbrev, pressure, interfering, rep=rep, span=span
+            abbrev, pressure, interfering, rep=rep, span=span, domain=domain
         ) / self.solo_time(abbrev, num_units=span)
 
     def measure_heterogeneous_time(
@@ -534,7 +547,7 @@ class ClusterRunner:
         *,
         rep: int = 0,
         span: Optional[int] = None,
-        _label: Optional[Tuple] = None,
+        domain: ContentionDomain = ContentionDomain.COMPUTE,
     ) -> float:
         """Absolute time with an arbitrary per-node bubble assignment.
 
@@ -542,13 +555,25 @@ class ClusterRunner:
         fresh or replayed from the persistent cache.
         """
         node_pressures = dict(node_pressures)
-        label = _label or (
-            ("het", span) + tuple(sorted(node_pressures.items()))
-        )
+        label = ("het", span) + tuple(sorted(node_pressures.items()))
         return self._measure_setting_time(
             abbrev, node_pressures, rep=rep, span=span, label=label,
-            domain=ContentionDomain.COMPUTE,
+            domain=domain,
         )
+
+    def measure_heterogeneous(
+        self, abbrev: str, node_pressures: Mapping[int, float], *, rep: int = 0,
+        span: Optional[int] = None,
+        domain: ContentionDomain = ContentionDomain.COMPUTE,
+    ) -> float:
+        """Normalized time under a heterogeneous bubble assignment."""
+        node_pressures = dict(node_pressures)
+        if all(p <= 0.0 for p in node_pressures.values()):
+            return 1.0
+        time = self.measure_heterogeneous_time(
+            abbrev, node_pressures, rep=rep, span=span, domain=domain
+        )
+        return time / self.solo_time(abbrev, num_units=span)
 
     def _measure_setting_time(
         self,
@@ -562,10 +587,15 @@ class ClusterRunner:
     ) -> float:
         """Shared measurement core for both contention domains.
 
-        ``domain`` only selects which bubble variant is pinned to the
-        interfering nodes; labels, seeds, cache keys, and accounting
-        are the caller's and stay byte-identical for COMPUTE settings.
+        ``label`` names the setting's kind (``hom``/``het``) and
+        parameters.  A NETWORK setting's kind gains a ``net`` prefix,
+        which keeps it apart from COMPUTE settings in seeds, cache
+        keys, spans and accounting; ``domain`` also selects which
+        bubble variant is pinned to the interfering nodes.
         """
+        domain = ContentionDomain.parse(domain)
+        if domain is ContentionDomain.NETWORK:
+            label = ("net" + label[0],) + label[1:]
         self.measurement_count += 1
         attrs = {"workload": abbrev, "kind": label[0], "rep": rep}
         if label[0] in ("hom", "nethom"):
@@ -573,119 +603,26 @@ class ClusterRunner:
             attrs["interfering"] = int(label[2])
         else:
             attrs["nodes"] = len(node_pressures)
+        reading = ("measure", abbrev, rep) + label
         with _obs.RECORDER.span("measure.setting", **attrs) as obs_span:
-            store_key = self._cache_key("measure", abbrev, rep, *label)
-            if self.cache is not None:
-                recorded = self.cache.get(store_key)
-                if recorded is not None:
-                    _obs.RECORDER.count("measure.store_hit")
-                    obs_span.set(replayed=True).set_sim(float(recorded))
-                    return float(recorded)
-                _obs.RECORDER.count("measure.store_miss")
-            target = self.full_span_deployment(abbrev, span=span)
-            bubbles = self._bubble_instances(node_pressures, domain=domain)
-            seed = stable_seed(self.base_seed, abbrev, rep, *label)
 
             def simulate() -> float:
-                executor = CoRunExecutor(
-                    [target] + bubbles, seed=seed, noise=self.noise,
-                    num_nodes=self.num_nodes,
-                    ambient_link=self._ambient_link(),
+                instances = [self.full_span_deployment(abbrev, span=span)]
+                instances += self._bubble_instances(node_pressures, domain=domain)
+                seed = stable_seed(self.base_seed, abbrev, rep, *label)
+                # Probe readings take the fully perturbable path:
+                # stragglers and outliers land here, where robust
+                # profiling (median-of-k re-probes) can catch them.
+                return self._read(
+                    reading,
+                    lambda: self._finish_times(instances, seed)[abbrev],
+                    workloads=(abbrev,),
+                    perturb=True,
                 )
-                return executor.run()[abbrev].finish_time
 
-            # Probe readings take the fully perturbable path: stragglers
-            # and outliers land here, where robust profiling
-            # (median-of-k re-probes) can catch them.
-            time = self._read(
-                ("measure", abbrev, rep) + tuple(label),
-                simulate,
-                workloads=(abbrev,),
-                perturb=True,
-            )
-            _obs.RECORDER.count("measure.simulated")
+            time = self._replay_or_simulate(obs_span, reading, simulate)
             obs_span.set_sim(time)
-            if self.cache is not None:
-                self.cache.put(store_key, time)
-            return time
-
-    def measure_heterogeneous(
-        self, abbrev: str, node_pressures: Mapping[int, float], *, rep: int = 0,
-        span: Optional[int] = None,
-    ) -> float:
-        """Normalized time under a heterogeneous bubble assignment."""
-        node_pressures = dict(node_pressures)
-        if all(p <= 0.0 for p in node_pressures.values()):
-            return 1.0
-        time = self.measure_heterogeneous_time(
-            abbrev, node_pressures, rep=rep, span=span
-        )
-        return time / self.solo_time(abbrev, num_units=span)
-
-    # ------------------------------------------------------------------
-    # NETWORK-domain measurements
-    # ------------------------------------------------------------------
-    def measure_network_time(
-        self, abbrev: str, pressure: float, interfering: int, *, rep: int = 0,
-        span: Optional[int] = None,
-    ) -> float:
-        """Absolute time with network-noise bubbles on ``interfering`` nodes.
-
-        The NETWORK-domain analogue of :meth:`measure_time`: instead of
-        cache thrashers, traffic generators saturate the uplink of the
-        interfering nodes at ``pressure``.  Distinct labels
-        (``nethom``/``nethet``) keep these settings fully separate from
-        COMPUTE measurements in seeds, caches, and accounting.
-        """
-        if pressure == 0.0 or interfering == 0:
-            return self.solo_time(abbrev, num_units=span)
-        nodes = self.interfering_nodes(interfering, span=span)
-        node_pressures = {n: pressure for n in nodes}
-        return self.measure_network_heterogeneous_time(
-            abbrev, node_pressures, rep=rep, span=span,
-            _label=("nethom", pressure, interfering, span),
-        )
-
-    def measure_network(
-        self, abbrev: str, pressure: float, interfering: int, *, rep: int = 0,
-        span: Optional[int] = None,
-    ) -> float:
-        """Normalized time under a homogeneous network-noise setting."""
-        return self.measure_network_time(
-            abbrev, pressure, interfering, rep=rep, span=span
-        ) / self.solo_time(abbrev, num_units=span)
-
-    def measure_network_heterogeneous_time(
-        self,
-        abbrev: str,
-        node_pressures: Mapping[int, float],
-        *,
-        rep: int = 0,
-        span: Optional[int] = None,
-        _label: Optional[Tuple] = None,
-    ) -> float:
-        """Absolute time with arbitrary per-node network-noise levels."""
-        node_pressures = dict(node_pressures)
-        label = _label or (
-            ("nethet", span) + tuple(sorted(node_pressures.items()))
-        )
-        return self._measure_setting_time(
-            abbrev, node_pressures, rep=rep, span=span, label=label,
-            domain=ContentionDomain.NETWORK,
-        )
-
-    def measure_network_heterogeneous(
-        self, abbrev: str, node_pressures: Mapping[int, float], *, rep: int = 0,
-        span: Optional[int] = None,
-    ) -> float:
-        """Normalized time under heterogeneous network noise."""
-        node_pressures = dict(node_pressures)
-        if all(p <= 0.0 for p in node_pressures.values()):
-            return 1.0
-        time = self.measure_network_heterogeneous_time(
-            abbrev, node_pressures, rep=rep, span=span
-        )
-        return time / self.solo_time(abbrev, num_units=span)
+        return time
 
     # ------------------------------------------------------------------
     # Co-runs (validation and placement ground truth)
@@ -700,49 +637,27 @@ class ClusterRunner:
         co-run with themselves).
         """
         key_a, key_b = f"{abbrev_a}#0", f"{abbrev_b}#1"
+        label = ("corun", abbrev_a, abbrev_b, rep)
         with _obs.RECORDER.span(
             "measure.corun", a=abbrev_a, b=abbrev_b, rep=rep
         ) as obs_span:
-            store_key = self._cache_key("corun", abbrev_a, abbrev_b, rep)
-            finish_times: Optional[Dict[str, float]] = None
-            if self.cache is not None:
-                recorded = self.cache.get(store_key)
-                if recorded is not None:
-                    finish_times = {k: float(v) for k, v in recorded.items()}
-                    _obs.RECORDER.count("measure.store_hit")
-                    obs_span.set(replayed=True)
-            if finish_times is None:
-                if self.cache is not None:
-                    _obs.RECORDER.count("measure.store_miss")
-                inst_a = self.full_span_deployment(abbrev_a, instance_key=key_a)
-                inst_b = self.full_span_deployment(abbrev_b, instance_key=key_b)
-                seed = stable_seed(self.base_seed, "corun", abbrev_a, abbrev_b, rep)
 
-                def simulate() -> Dict[str, float]:
-                    results = CoRunExecutor(
-                        [inst_a, inst_b],
-                        seed=seed,
-                        noise=self.noise,
-                        num_nodes=self.num_nodes,
-                        ambient_link=self._ambient_link(),
-                        sustained=True,
-                    ).run()
-                    return {
-                        key_a: results[key_a].finish_time,
-                        key_b: results[key_b].finish_time,
-                    }
-
+            def simulate() -> Dict[str, float]:
+                instances = [
+                    self.full_span_deployment(abbrev_a, instance_key=key_a),
+                    self.full_span_deployment(abbrev_b, instance_key=key_b),
+                ]
+                seed = stable_seed(self.base_seed, *label)
                 # Ground truth: runs can crash and be retried, but a
                 # completed run's values are believed (perturb=False).
-                finish_times = self._read(
-                    ("corun", abbrev_a, abbrev_b, rep),
-                    simulate,
+                return self._read(
+                    label,
+                    lambda: self._finish_times(instances, seed, sustained=True),
                     workloads=(abbrev_a, abbrev_b),
                     perturb=False,
                 )
-                _obs.RECORDER.count("measure.simulated")
-                if self.cache is not None:
-                    self.cache.put(store_key, finish_times)
+
+            finish_times = self._replay_or_simulate(obs_span, label, simulate)
             obs_span.set_sim(max(finish_times.values()))
         return {
             key_a: finish_times[key_a] / self.solo_time(abbrev_a),
@@ -773,55 +688,30 @@ class ClusterRunner:
         deployments = [
             (key, abbrev, dict(units)) for key, abbrev, units in deployments
         ]
-        label = tuple(
-            (key, abbrev, tuple(sorted(units.items())))
+        label = ("deploy", rep) + tuple(
+            str((key, abbrev, tuple(sorted(units.items()))))
             for key, abbrev, units in deployments
         )
         with _obs.RECORDER.span(
             "measure.deploy", instances=len(deployments), rep=rep
         ) as obs_span:
-            store_key = self._cache_key("deploy", rep, *map(str, label))
-            finish_times: Optional[Dict[str, float]] = None
-            if self.cache is not None:
-                recorded = self.cache.get(store_key)
-                if recorded is not None:
-                    finish_times = {k: float(v) for k, v in recorded.items()}
-                    _obs.RECORDER.count("measure.store_hit")
-                    obs_span.set(replayed=True)
-            if finish_times is None:
-                if self.cache is not None:
-                    _obs.RECORDER.count("measure.store_miss")
+
+            def simulate() -> Dict[str, float]:
                 instances = [
                     DeployedInstance(key, self.workload(abbrev), units)
                     for key, abbrev, units in deployments
                 ]
-                seed = stable_seed(self.base_seed, "deploy", rep, *map(str, label))
-
-                def simulate() -> Dict[str, float]:
-                    results = CoRunExecutor(
-                        instances,
-                        seed=seed,
-                        noise=self.noise,
-                        num_nodes=self.num_nodes,
-                        ambient_link=self._ambient_link(),
-                        sustained=True,
-                    ).run()
-                    return {
-                        key: results[key].finish_time
-                        for key, _, _ in deployments
-                    }
-
+                seed = stable_seed(self.base_seed, *label)
                 # Ground truth for the service's QoS accounting: crash
                 # faults retry, but completed values are never perturbed.
-                finish_times = self._read(
-                    ("deploy", rep) + tuple(map(str, label)),
-                    simulate,
+                return self._read(
+                    label,
+                    lambda: self._finish_times(instances, seed, sustained=True),
                     workloads=tuple(abbrev for _, abbrev, _ in deployments),
                     perturb=False,
                 )
-                _obs.RECORDER.count("measure.simulated")
-                if self.cache is not None:
-                    self.cache.put(store_key, finish_times)
+
+            finish_times = self._replay_or_simulate(obs_span, label, simulate)
             if finish_times:
                 obs_span.set_sim(max(finish_times.values()))
         normalized: Dict[str, float] = {}
@@ -845,6 +735,10 @@ class ClusterRunner:
         setting, the batch is order-free and embarrassingly parallel:
         results (and the runner's measurement accounting) are
         bit-identical to issuing the requests one by one in order.
+        That includes a request whose reading exhausts its retry
+        budget: the accounting of every request before it, and its
+        own, is kept, and its :class:`~repro.errors.MeasurementFault`
+        is raised.
 
         Parameters
         ----------
@@ -864,55 +758,46 @@ class ClusterRunner:
         workers = resolve_workers(max_workers)
         _obs.RECORDER.count("fanout.batches")
         _obs.RECORDER.count("fanout.requests", len(requests))
-        if workers <= 1 or len(requests) < 2:
-            with _obs.RECORDER.span(
-                "measure.batch", requests=len(requests), workers=1
-            ):
-                return [request.apply(self) for request in requests]
-        try:
-            blob = pickle.dumps(self)
-        except Exception:
+        blob = None
+        if workers > 1 and len(requests) >= 2:
+            try:
+                blob = pickle.dumps(self)
+            except Exception:
+                pass
+        if blob is None:
             with _obs.RECORDER.span(
                 "measure.batch", requests=len(requests), workers=1
             ):
                 return [request.apply(self) for request in requests]
         _obs.RECORDER.count("fanout.parallel_requests", len(requests))
         self._fanout_batches += 1
-        batch_no = self._fanout_batches
+        batch = ("fanout", self._fanout_batches)
         with _obs.RECORDER.span(
             "measure.batch", requests=len(requests), workers=workers,
             parallel=True,
         ):
-            if self.faults_active and self.faults.pool_fails(("fanout", batch_no)):
-                # The plan dooms one worker this batch: ship each request
-                # with a die flag; the victim's worker exits hard, and
-                # fan_out's BrokenProcessPool recovery re-runs whatever
-                # was unfinished serially in the parent.
-                victim = self.faults.pool_victim(
-                    ("fanout", batch_no), len(requests)
-                )
+            victim = None
+            if self.faults_active and self.faults.pool_fails(batch):
+                # The plan dooms one worker this batch: the victim's
+                # worker exits hard, and fan_out's BrokenProcessPool
+                # recovery re-runs whatever was unfinished serially in
+                # the parent.
+                victim = self.faults.pool_victim(batch, len(requests))
                 _obs.RECORDER.count("fault.pool_kill")
-                parent_pid = os.getpid()
-                outcomes = fan_out(
-                    _run_request_or_die,
-                    [
-                        (request, index == victim, parent_pid)
-                        for index, request in enumerate(requests)
-                    ],
-                    max_workers=workers,
-                    initializer=_init_measurement_worker,
-                    initargs=(blob,),
-                )
-            else:
-                outcomes = fan_out(
-                    _run_measurement_request,
-                    requests,
-                    max_workers=workers,
-                    initializer=_init_measurement_worker,
-                    initargs=(blob,),
-                )
+            parent_pid = os.getpid()
+            outcomes = fan_out(
+                _run_measurement_request,
+                [
+                    (request, index == victim, parent_pid)
+                    for index, request in enumerate(requests)
+                ],
+                max_workers=workers,
+                initializer=_init_measurement_worker,
+                initargs=(blob,),
+            )
             values: List = []
-            for value, solo_entries, measurement_delta, cache_entries in outcomes:
+            for outcome in outcomes:
+                value, fault, solo_entries, delta, cache_entries, faulted = outcome
                 # Replay the serial accounting in batch order: each solo
                 # baseline is charged once, at the first request that
                 # needed it, exactly as the serial path would.
@@ -920,8 +805,13 @@ class ClusterRunner:
                     if key not in self._solo_cache:
                         self._solo_cache[key] = solo
                         self.solo_measurement_count += self.SOLO_REPS
-                self.measurement_count += measurement_delta
+                self.measurement_count += delta
                 if self.cache is not None:
                     self.cache.merge(cache_entries)
+                if fault is not None:
+                    # The serial loop stops here: later outcomes were
+                    # never issued, so none of their accounting counts.
+                    self.faulted_workloads.update(faulted)
+                    raise fault
                 values.append(value)
             return values

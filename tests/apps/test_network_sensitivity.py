@@ -9,7 +9,10 @@ capture, so they are pinned here against the simulated ground truth.
 """
 
 from repro.apps import NETWORK_WORKLOADS, get_workload
+from repro.cluster.contention import ContentionDomain
 from repro.sim.runner import ClusterRunner
+
+NETWORK = ContentionDomain.NETWORK
 
 
 def runner():
@@ -37,14 +40,14 @@ class TestParameterServerSensitivity:
     def test_network_dominant_at_matched_levels(self):
         env = runner()
         compute = env.measure("D.PS", 6.0, 4, span=4)
-        network = env.measure_network("D.PS", 6.0, 4, span=4)
+        network = env.measure("D.PS", 6.0, 4, span=4, domain=NETWORK)
         assert network > 1.05
         assert (network - 1.0) > 1.5 * (compute - 1.0)
 
     def test_network_slowdown_monotone(self):
         env = runner()
-        low = env.measure_network("D.PS", 2.0, 4, span=4)
-        high = env.measure_network("D.PS", 8.0, 4, span=4)
+        low = env.measure("D.PS", 2.0, 4, span=4, domain=NETWORK)
+        high = env.measure("D.PS", 8.0, 4, span=4, domain=NETWORK)
         assert 1.0 <= low < high
 
 
@@ -54,7 +57,7 @@ class TestGraphTraversalSensitivity:
     def test_sensitive_on_both_resources(self):
         env = runner()
         compute = env.measure("D.BFS", 6.0, 4, span=4)
-        network = env.measure_network("D.BFS", 6.0, 4, span=4)
+        network = env.measure("D.BFS", 6.0, 4, span=4, domain=NETWORK)
         assert compute > 1.05
         assert network > 1.05
         assert compute > network

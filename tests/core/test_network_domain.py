@@ -130,7 +130,9 @@ class TestCombinedPredictions:
         )
         factor = model.predict(
             "app",
-            model.network_pressure_vector(nodes, co_runners),
+            model.pressure_vector(
+                nodes, co_runners, domain=ContentionDomain.NETWORK
+            ),
             domain=ContentionDomain.NETWORK,
         )
         combined = model.predict_under_corunners("app", nodes, co_runners)
@@ -150,8 +152,8 @@ class TestCombinedPredictions:
 
     def test_network_pressure_vector_uses_network_scores(self):
         model = self.make_model()
-        vector = model.network_pressure_vector(
-            [0, 1], {0: ["src"], 1: ["plain"]}
+        vector = model.pressure_vector(
+            [0, 1], {0: ["src"], 1: ["plain"]}, domain=ContentionDomain.NETWORK
         )
         assert vector[0] == 8.0   # src's network score
         assert vector[1] == 0.0   # plain has no network score
@@ -301,9 +303,10 @@ class TestOnlineModelPassthrough:
         online = OnlineModel(base)
         nodes = [0, 1]
         co_runners = {0: ["src"]}
-        assert online.network_pressure_vector(
-            nodes, co_runners
-        ) == base.network_pressure_vector(nodes, co_runners)
+        network = ContentionDomain.NETWORK
+        assert online.pressure_vector(
+            nodes, co_runners, domain=network
+        ) == base.pressure_vector(nodes, co_runners, domain=network)
 
 
 class TestStableApiExports:

@@ -202,3 +202,31 @@ class TestPoolFaults:
         # Accounting is replayed exactly despite the recovery.
         assert lossy.measurement_count == serial.measurement_count
         assert lossy.solo_measurement_count == serial.solo_measurement_count
+
+    def test_worker_fault_keeps_the_serial_fault_accounting(self):
+        # The batch's first fault is its third request: the setting
+        # reads fine, then its solo baseline exhausts the retry budget.
+        plan = FaultPlan(FaultConfig(seed=1, crash_rate=0.5))
+        requests = [
+            MeasurementRequest.solo("app"),
+            MeasurementRequest.measure("app", 8.0, 2),
+            MeasurementRequest.measure("other", 4.0, 1),
+            MeasurementRequest.heterogeneous(
+                "other", {0: 8.0}, normalized=False
+            ),
+            MeasurementRequest.corun("app", "other"),
+        ]
+        outcomes = []
+        for workers in (None, 2):
+            runner = faulty_runner(plan, retry=RetryPolicy(max_attempts=2))
+            with pytest.raises(MeasurementFault) as fault:
+                runner.measure_many(requests, max_workers=workers)
+            outcomes.append((
+                str(fault.value),
+                runner.faulted_workloads,
+                runner.measurement_count,
+                runner.solo_measurement_count,
+            ))
+        serial, parallel = outcomes
+        assert serial[1:] == ({"other"}, 2, 3)
+        assert parallel == serial

@@ -102,7 +102,7 @@ class TestNetworkCampaign:
         predicted = model.predict(
             "vic", (6.0, 4.0), domain=ContentionDomain.NETWORK
         )
-        measured = runner.measure_network("vic", 6.0, 4)
+        measured = runner.measure("vic", 6.0, 4, domain=ContentionDomain.NETWORK)
         assert predicted == pytest.approx(measured, rel=0.05)
 
 
@@ -163,8 +163,8 @@ class TestOracleRouting:
         oracle = MeasurementOracle(
             runner, "vic", domain=ContentionDomain.NETWORK
         )
-        assert oracle.normalized(6.0, 2) == runner.measure_network(
-            "vic", 6.0, 2
+        assert oracle.normalized(6.0, 2) == runner.measure(
+            "vic", 6.0, 2, domain=ContentionDomain.NETWORK
         )
 
     def test_compute_oracle_unchanged(self, built):

@@ -15,6 +15,7 @@ the instance order.
 """
 
 import random
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import ClusterSpec
-from repro.cluster.contention import combine_pressures
+from repro.cluster.contention import ContentionDomain, combine_pressures
 from repro.core.curves import PropagationMatrix
 from repro.core.model import InterferenceModel, InterferenceProfile
 from repro.core.online import OnlineModel
@@ -225,9 +226,10 @@ def test_wave_vectors_equal_scalar_pressure_vectors(case):
     static = getattr(model, "base", model)
     domains = [(static.prediction_kernel(), static.pressure_vector)]
     if static.has_network:
-        domains.append(
-            (static.network_kernel(), static.network_pressure_vector)
-        )
+        domains.append((
+            static.network_kernel(),
+            partial(static.pressure_vector, domain=ContentionDomain.NETWORK),
+        ))
     for kernel, pressure_vector in domains:
         wave = kernel.admission_wave(base, job.instance_spec(), node_sets)
         table = _vector_table(wave)

@@ -147,30 +147,31 @@ def sync_runner(*, network_ambient: float = 0.0, **overrides) -> ClusterRunner:
 
 
 VICTIM = {"vic": {"net_sensitivity": LinearSensitivity(max_slowdown=3.0)}}
+NETWORK = ContentionDomain.NETWORK
 
 
 class TestExecutorLinkScaling:
     def test_link_noise_slows_collectives(self):
         runner = sync_runner(**VICTIM)
-        slowed = runner.measure_network("vic", 6.0, 2, span=2)
+        slowed = runner.measure("vic", 6.0, 2, span=2, domain=NETWORK)
         assert slowed > 1.0
-        assert runner.measure_network("vic", 6.0, 2, span=2) == slowed
+        assert runner.measure("vic", 6.0, 2, span=2, domain=NETWORK) == slowed
 
     def test_monotone_in_level(self):
         runner = sync_runner(**VICTIM)
-        low = runner.measure_network("vic", 2.0, 2, span=2)
-        high = runner.measure_network("vic", 7.0, 2, span=2)
+        low = runner.measure("vic", 2.0, 2, span=2, domain=NETWORK)
+        high = runner.measure("vic", 7.0, 2, span=2, domain=NETWORK)
         assert 1.0 < low < high
 
     def test_bottleneck_link_gates_the_exchange(self):
         # The executor reads the *max* link pressure over the spanned
         # nodes: raising an already-dominated link changes nothing.
         runner = sync_runner(**VICTIM)
-        mixed = runner.measure_network_heterogeneous_time(
-            "vic", {0: 3.0, 1: 5.0}
+        mixed = runner.measure_heterogeneous_time(
+            "vic", {0: 3.0, 1: 5.0}, domain=NETWORK
         )
-        flat = runner.measure_network_heterogeneous_time(
-            "vic", {0: 5.0, 1: 5.0}
+        flat = runner.measure_heterogeneous_time(
+            "vic", {0: 5.0, 1: 5.0}, domain=NETWORK
         )
         assert mixed == flat
 
@@ -179,7 +180,7 @@ class TestExecutorLinkScaling:
         # bubbles change nothing, and the bubbles themselves exert no
         # compute pressure.
         runner = sync_runner()
-        assert runner.measure_network("vic", 8.0, 2, span=2) == 1.0
+        assert runner.measure("vic", 8.0, 2, span=2, domain=NETWORK) == 1.0
 
 
 class TestNetworkAmbient:

@@ -108,15 +108,22 @@ STEPS: List[Tuple[str, Callable[[ClusterRunner], object]]] = [
         NETWORK_APP, {2: 6.0, 1: 2.0}, rep=2, span=3)),
     ("het_no_pressure", lambda r: r.measure_heterogeneous(
         COMPUTE_APP, {0: 0.0, 1: 0.0})),
-    ("nethom", lambda r: r.measure_network(NETWORK_APP, 6.0, 2)),
-    ("nethom_time", lambda r: r.measure_network_time(NETWORK_APP, 3.0, 3, rep=1)),
-    ("nethom_span", lambda r: r.measure_network(COMPUTE_APP, 8.0, 1, span=2)),
-    ("nethom_no_pressure", lambda r: r.measure_network(NETWORK_APP, 0.0, 2)),
-    ("nethom_no_nodes", lambda r: r.measure_network_time(NETWORK_APP, 4.0, 0, span=3)),
-    ("nethet", lambda r: r.measure_network_heterogeneous(NETWORK_APP, {0: 4.0, 2: 8.0})),
-    ("nethet_time", lambda r: r.measure_network_heterogeneous_time(
-        COMPUTE_APP, {1: 6.0}, rep=1, span=2)),
-    ("nethet_no_pressure", lambda r: r.measure_network_heterogeneous(NETWORK_APP, {3: 0.0})),
+    ("nethom", lambda r: r.measure(
+        NETWORK_APP, 6.0, 2, domain=ContentionDomain.NETWORK)),
+    ("nethom_time", lambda r: r.measure_time(
+        NETWORK_APP, 3.0, 3, rep=1, domain=ContentionDomain.NETWORK)),
+    ("nethom_span", lambda r: r.measure(
+        COMPUTE_APP, 8.0, 1, span=2, domain=ContentionDomain.NETWORK)),
+    ("nethom_no_pressure", lambda r: r.measure(
+        NETWORK_APP, 0.0, 2, domain=ContentionDomain.NETWORK)),
+    ("nethom_no_nodes", lambda r: r.measure_time(
+        NETWORK_APP, 4.0, 0, span=3, domain=ContentionDomain.NETWORK)),
+    ("nethet", lambda r: r.measure_heterogeneous(
+        NETWORK_APP, {0: 4.0, 2: 8.0}, domain=ContentionDomain.NETWORK)),
+    ("nethet_time", lambda r: r.measure_heterogeneous_time(
+        COMPUTE_APP, {1: 6.0}, rep=1, span=2, domain=ContentionDomain.NETWORK)),
+    ("nethet_no_pressure", lambda r: r.measure_heterogeneous(
+        NETWORK_APP, {3: 0.0}, domain=ContentionDomain.NETWORK)),
     ("corun", lambda r: r.corun_pair(COMPUTE_APP, NETWORK_APP)),
     ("corun_self", lambda r: r.corun_pair(NETWORK_APP, NETWORK_APP, rep=1)),
     ("deploy", lambda r: r.run_deployments([

@@ -1,6 +1,8 @@
 """Tests for the process fan-out primitive."""
 
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -138,3 +140,24 @@ class TestBrokenPoolRecovery:
             initargs=(9,),
         )
         assert results == [9] * 6
+
+    def test_pool_broken_while_queueing_recovers(self, monkeypatch):
+        # A worker that dies before the whole batch is queued makes
+        # submit itself raise; the unqueued items are recovered too.
+        from repro.obs import recording
+
+        submit = ProcessPoolExecutor.submit
+        queued = []
+
+        def submit_until_broken(pool, fn, *args):
+            if len(queued) == 2:
+                raise BrokenProcessPool("worker died")
+            queued.append(args)
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_until_broken)
+        with recording() as rec:
+            results = fan_out(square, range(6), max_workers=2)
+        assert results == [value * value for value in range(6)]
+        assert rec.counters.get("fault.pool_failure") == 1
+        assert rec.counters.get("retry.pool_serial_items") == 4
