@@ -809,8 +809,8 @@ class ClusterRunner:
                 if self.cache is not None:
                     self.cache.merge(cache_entries)
                 if fault is not None:
-                    # The serial loop stops here: later outcomes were
-                    # never issued, so none of their accounting counts.
+                    # The serial loop stops here: later requests never
+                    # ran, so none of their accounting counts.
                     self.faulted_workloads.update(faulted)
                     raise fault
                 values.append(value)
