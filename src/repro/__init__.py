@@ -6,8 +6,9 @@ Clusters* (ASPLOS 2016), built on a simulated consolidated cluster.
 
 The package layers:
 
-* :mod:`repro.cluster` — hosts, VMs, and the shared-resource
-  contention abstraction (bubble pressure).
+* :mod:`repro.cluster` — the cluster shape (hosts, cores, the
+  pairwise co-location limit) and the shared-resource contention
+  abstraction (bubble pressure).
 * :mod:`repro.apps` — behavioural models of the Table 1 workloads,
   whose synchronization structure yields the paper's propagation
   classes.
@@ -35,7 +36,7 @@ one-to-one.  Quick start::
     # predicted slowdown of lammps with 3 nodes at bubble pressure 5:
     model.predict("M.lmps", (5.0, 3))
 
-Symbols outside the curated surface (``Cluster``, ``make_bubble``,
+Symbols outside the curated surface (``make_bubble``,
 ``MAX_PRESSURE``, ...) are imported from their defining module.
 """
 

@@ -39,6 +39,7 @@ from repro.cli import catalog, daemoncmd, modeling, serve, tracecmd
 from repro.cli._parents import (
     FAULTS_HELP,
     TRACE_HELP,
+    day_parent,
     faults_parent,
     network_parent,
     output_parent,
@@ -74,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         "output": output_parent(),
         "network": network_parent(),
         "provider": provider_parent(),
+        "day": day_parent(),
     }
     for module in (catalog, daemoncmd, modeling, serve, tracecmd):
         module.register(sub, parents)

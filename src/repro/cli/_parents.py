@@ -1,8 +1,9 @@
 """Shared parent parsers for the ``repro`` subcommands.
 
 Every subcommand composes its parser from these parents so that the
-common flags (``--seed``, ``--output``, ``--trace``) spell, type, and
-document identically everywhere.
+common flags (``--seed``, ``--output``, ``--trace``, the traffic-day
+flags of ``serve`` and ``daemon``) spell, type, and document
+identically everywhere.
 
 ``--trace`` defaults to :data:`argparse.SUPPRESS` in the parent: the
 top-level parser owns the ``trace`` namespace slot (with a ``None``
@@ -163,6 +164,47 @@ def provider_parent() -> argparse.ArgumentParser:
             "elastic pool ceiling the runner is built at (default: "
             "initial nodes + 4)"
         ),
+    )
+    return parent
+
+
+#: Default application mix a ``serve``/``daemon`` traffic day draws from.
+DEFAULT_SERVE_MIX = ("M.lmps", "M.milc", "H.KM", "S.WC")
+
+
+def day_parent() -> argparse.ArgumentParser:
+    """Parent adding the traffic-day flags ``serve`` and ``daemon`` share.
+
+    The day's length, job mix and arrival process, the service's
+    profiling and rescheduling knobs, and its outputs: the event log
+    and the ``--expect``/``--update-expect`` outcome check.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--epochs", type=int, default=12)
+    parent.add_argument(
+        "--workloads", nargs="+",
+        help=f"catalog mix jobs draw from (default: {' '.join(DEFAULT_SERVE_MIX)})",
+    )
+    parent.add_argument("--arrival-rate", type=float, default=1.2,
+                        help="mean job arrivals per epoch (Poisson)")
+    parent.add_argument("--qos-fraction", type=float, default=0.5,
+                        help="probability a job carries a QoS bound")
+    parent.add_argument("--policy-samples", type=int, default=10)
+    parent.add_argument("--reschedule-every", type=int, default=1)
+    parent.add_argument("--migration-cost", type=float, default=0.02)
+    parent.add_argument(
+        "--event-log",
+        help=(
+            "write the day's JSONL event log here (the daemon copies its "
+            "durable log on exit)"
+        ),
+    )
+    parent.add_argument(
+        "--expect",
+        help="expectation JSON to check; exits 1 on a QoS-violation regression",
+    )
+    parent.add_argument(
+        "--update-expect", help="write the expectation JSON for this run"
     )
     return parent
 

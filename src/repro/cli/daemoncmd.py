@@ -22,37 +22,18 @@ from __future__ import annotations
 import argparse
 from typing import Mapping
 
-from repro.apps.catalog import BATCH_WORKLOADS, NETWORK_WORKLOADS
-from repro.cli._parents import wants_network
-from repro.cli.serve import (
-    DEFAULT_SERVE_MIX,
-    _check_expectation,
-    provider_setup,
-)
-from repro.core.builder import (
-    build_batch_profiles,
-    build_model,
-    build_network_profiles,
-)
+from repro.cli.serve import finish_day, profile_day, provider_setup
+from repro.cluster.cluster import ClusterSpec
 from repro.daemon import ConsolidationDaemon, JobSpool, ServiceBlueprint
-from repro.analysis.reporting import (
-    render_event_counts,
-    render_service_snapshot,
-)
 from repro.obs import console
-from repro.service import ServiceConfig, StreamConfig, WorkloadStream
+from repro.service import ServiceConfig
 from repro.sim.runner import ClusterRunner
 
 
 def _build_daemon(args: argparse.Namespace) -> ConsolidationDaemon:
     """Profile the mix and assemble the daemon (all from the seed)."""
-    workloads = tuple(args.workloads or DEFAULT_SERVE_MIX)
-    distributed = [w for w in workloads if w not in BATCH_WORKLOADS]
-    batch = [w for w in workloads if w in BATCH_WORKLOADS]
     plan = getattr(args, "fault_plan", None)
     ambient = getattr(args, "network_noise", 0.0)
-    from repro.cluster.cluster import ClusterSpec
-
     provider_factory, provider_nodes = provider_setup(
         args, ClusterSpec().num_nodes
     )
@@ -63,36 +44,7 @@ def _build_daemon(args: argparse.Namespace) -> ConsolidationDaemon:
     profiling_runner = ClusterRunner(
         runner_spec, base_seed=args.seed, faults=plan, network_ambient=ambient
     )
-    console.info(
-        f"Profiling {len(workloads)} workload(s) for the serving model..."
-    )
-    report = build_model(
-        profiling_runner,
-        distributed,
-        policy_samples=args.policy_samples,
-        seed=args.seed,
-        span=4,
-    )
-    if batch:
-        build_batch_profiles(profiling_runner, report.model, batch, span=4)
-    if wants_network(args):
-        network_capable = [w for w in workloads if w in NETWORK_WORKLOADS]
-        if network_capable:
-            console.info(
-                f"Profiling the network domain for "
-                f"{len(network_capable)} workload(s)..."
-            )
-            build_network_profiles(
-                profiling_runner, report.model, network_capable, span=4
-            )
-    stream = WorkloadStream(
-        StreamConfig(
-            workloads=workloads,
-            arrival_rate=args.arrival_rate,
-            qos_fraction=args.qos_fraction,
-        ),
-        seed=args.seed,
-    )
+    model, stream = profile_day(args, profiling_runner)
     # Workloads the profiling phase degraded predict conservatively in
     # every execution, exactly as the flat service's shared runner
     # would (the initial checkpoint carries the set forward).
@@ -108,7 +60,7 @@ def _build_daemon(args: argparse.Namespace) -> ConsolidationDaemon:
 
     blueprint = ServiceBlueprint(
         runner_factory,
-        report.model,
+        model,
         config=ServiceConfig(
             reschedule_every=args.reschedule_every,
             migration_cost=args.migration_cost,
@@ -155,34 +107,10 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
         f"{stats['stale_commits']} fenced stale commit(s)"
     )
 
-    final = daemon.snapshots[-1]
-    console.emit(render_service_snapshot(final))
-    console.emit()
-    console.emit(render_event_counts(daemon.log.counts()))
-    console.info(f"\ndurable event log: {daemon.spool.events_path}")
-    if args.event_log:
-        daemon.log.write(args.event_log)
-        console.info(f"event log copied to {args.event_log}")
-    actual = {
-        "counters": daemon.log.counts(),
-        "final": final.to_dict(),
-    }
-    if args.update_expect:
-        from repro._util import atomic_write_text
-        import json
-
-        atomic_write_text(
-            args.update_expect,
-            json.dumps(actual, sort_keys=True, indent=2) + "\n",
-        )
-        console.info(f"expectation written to {args.update_expect}")
-    if args.expect:
-        import json
-
-        with open(args.expect, "r", encoding="utf-8") as handle:
-            expected = json.load(handle)
-        return _check_expectation(expected, actual)
-    return 0
+    return finish_day(
+        args, daemon.log, daemon.snapshots,
+        durable_log=daemon.spool.events_path,
+    )
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -257,29 +185,17 @@ def register(
         ),
         parents=[
             parents["trace"], parents["faults"], parents["seed"],
-            parents["network"], parents["provider"],
+            parents["network"], parents["provider"], parents["day"],
         ],
     )
     p_daemon.add_argument(
         "--spool", required=True, metavar="DIR",
         help="spool directory (queue, event log, checkpoint, lock)",
     )
-    p_daemon.add_argument("--epochs", type=int, default=12)
     p_daemon.add_argument(
         "--workers", type=int, default=2,
         help="executor pool size (committed bytes are worker-count-independent)",
     )
-    p_daemon.add_argument(
-        "--workloads", nargs="+",
-        help=f"catalog mix jobs draw from (default: {' '.join(DEFAULT_SERVE_MIX)})",
-    )
-    p_daemon.add_argument("--arrival-rate", type=float, default=1.2,
-                          help="mean job arrivals per epoch (Poisson)")
-    p_daemon.add_argument("--qos-fraction", type=float, default=0.5,
-                          help="probability a job carries a QoS bound")
-    p_daemon.add_argument("--policy-samples", type=int, default=10)
-    p_daemon.add_argument("--reschedule-every", type=int, default=1)
-    p_daemon.add_argument("--migration-cost", type=float, default=0.02)
     p_daemon.add_argument(
         "--lease-ticks", type=int, default=4,
         help="logical ticks a lease lives without renewal",
@@ -287,16 +203,6 @@ def register(
     p_daemon.add_argument(
         "--exec-ticks", type=int, default=2,
         help="logical ticks a healthy epoch execution takes",
-    )
-    p_daemon.add_argument(
-        "--event-log", help="copy the durable event log here on exit"
-    )
-    p_daemon.add_argument(
-        "--expect",
-        help="expectation JSON to check; exits 1 on a QoS-violation regression",
-    )
-    p_daemon.add_argument(
-        "--update-expect", help="write the expectation JSON for this run"
     )
     p_daemon.set_defaults(fn=_cmd_daemon)
 

@@ -16,18 +16,19 @@ import argparse
 import json
 import os
 from dataclasses import replace
-from typing import Mapping
+from typing import Mapping, Optional
 
 from repro._util import atomic_write_text
 from repro.analysis.reporting import render_event_counts, render_service_snapshot
 from repro.apps.catalog import BATCH_WORKLOADS, NETWORK_WORKLOADS
-from repro.cli._parents import wants_network
+from repro.cli._parents import DEFAULT_SERVE_MIX, wants_network
 from repro.cluster.cluster import ClusterSpec
 from repro.core.builder import (
     build_batch_profiles,
     build_model,
     build_network_profiles,
 )
+from repro.errors import ConfigurationError
 from repro.obs import console
 from repro.service import (
     ConsolidationService,
@@ -38,9 +39,6 @@ from repro.service import (
     WorkloadStream,
 )
 from repro.sim.runner import ClusterRunner
-
-#: Default application mix a ``repro serve`` traffic day draws from.
-DEFAULT_SERVE_MIX = ("M.lmps", "M.milc", "H.KM", "S.WC")
 
 
 def provider_setup(args: argparse.Namespace, default_nodes: int):
@@ -53,8 +51,6 @@ def provider_setup(args: argparse.Namespace, default_nodes: int):
     ``repro daemon`` so the pool spells identically in both; the daemon
     hands the factory to its :class:`~repro.daemon.ServiceBlueprint`.
     """
-    from repro.errors import ConfigurationError
-
     name = getattr(args, "provider", None)
     churn_path = getattr(args, "churn", None)
     if churn_path and name != "elastic":
@@ -98,14 +94,6 @@ def provider_setup(args: argparse.Namespace, default_nodes: int):
     return factory, probe.max_nodes
 
 
-def _serve_expectation(service: ConsolidationService) -> dict:
-    """The deterministic outcome summary ``--expect`` compares against."""
-    return {
-        "counters": service.log.counts(),
-        "final": service.snapshots[-1].to_dict(),
-    }
-
-
 def _check_expectation(expected: dict, actual: dict) -> int:
     """Compare a served day against a checked-in expectation.
 
@@ -133,6 +121,107 @@ def _check_expectation(expected: dict, actual: dict) -> int:
         f"expectation check passed: {actual_violations} QoS violation(s) "
         f"(bound {expected_violations})"
     )
+    return 0
+
+
+def profile_day(args: argparse.Namespace, runner: ClusterRunner):
+    """Profile the day's mix on ``runner``; return ``(model, stream)``.
+
+    Shared by ``repro serve`` and ``repro daemon``, so both build the
+    same model and arrival stream from the same flags.  A day shorter
+    than one epoch is rejected before any profiling.
+    """
+    if args.epochs < 1:
+        raise ConfigurationError("--epochs must be at least 1")
+    workloads = tuple(args.workloads or DEFAULT_SERVE_MIX)
+    distributed = [w for w in workloads if w not in BATCH_WORKLOADS]
+    batch = [w for w in workloads if w in BATCH_WORKLOADS]
+    console.info(
+        f"Profiling {len(workloads)} workload(s) for the serving model..."
+    )
+    report = build_model(
+        runner,
+        distributed,
+        policy_samples=args.policy_samples,
+        seed=args.seed,
+        span=4,
+    )
+    if batch:
+        build_batch_profiles(runner, report.model, batch, span=4)
+    if wants_network(args):
+        network_capable = [w for w in workloads if w in NETWORK_WORKLOADS]
+        if network_capable:
+            console.info(
+                f"Profiling the network domain for "
+                f"{len(network_capable)} workload(s)..."
+            )
+            build_network_profiles(
+                runner, report.model, network_capable, span=4
+            )
+    stream = WorkloadStream(
+        StreamConfig(
+            workloads=workloads,
+            arrival_rate=args.arrival_rate,
+            qos_fraction=args.qos_fraction,
+        ),
+        seed=args.seed,
+    )
+    return report.model, stream
+
+
+def finish_day(
+    args: argparse.Namespace,
+    log: EventLog,
+    snapshots,
+    *,
+    durable_log: Optional[os.PathLike] = None,
+) -> int:
+    """Report a finished day, write its outputs and check ``--expect``.
+
+    Prints the final snapshot and the event counts, writes
+    ``--event-log`` (a copy of ``durable_log``, the daemon's spool
+    log, when given), ``--snapshot`` (``serve`` only) and
+    ``--update-expect``, and returns the exit code of the
+    ``--expect`` check (0 without one).
+    """
+    final = snapshots[-1]
+    console.emit(render_service_snapshot(final))
+    console.emit()
+    console.emit(render_event_counts(log.counts()))
+    if durable_log is not None:
+        console.info(f"\ndurable event log: {durable_log}")
+    if args.event_log:
+        log.write(args.event_log)
+        console.info(
+            f"\nevent log written to {args.event_log}"
+            if durable_log is None
+            else f"event log copied to {args.event_log}"
+        )
+    actual = {"counters": log.counts(), "final": final.to_dict()}
+    if getattr(args, "snapshot", None):
+        atomic_write_text(
+            args.snapshot,
+            json.dumps(
+                {
+                    "final": actual["final"],
+                    "counters": actual["counters"],
+                    "per_epoch": [s.to_dict() for s in snapshots],
+                },
+                sort_keys=True,
+                indent=2,
+            ) + "\n",
+        )
+        console.info(f"metrics snapshot written to {args.snapshot}")
+    if args.update_expect:
+        atomic_write_text(
+            args.update_expect,
+            json.dumps(actual, sort_keys=True, indent=2) + "\n",
+        )
+        console.info(f"expectation written to {args.update_expect}")
+    if args.expect:
+        with open(args.expect, "r", encoding="utf-8") as handle:
+            expected = json.load(handle)
+        return _check_expectation(expected, actual)
     return 0
 
 
@@ -185,9 +274,6 @@ def _build_sharded(args: argparse.Namespace, profiling_runner, model, stream):
 
 def _build_service(args: argparse.Namespace):
     """Construct the (deterministic) service a serve invocation runs."""
-    workloads = tuple(args.workloads or DEFAULT_SERVE_MIX)
-    distributed = [w for w in workloads if w not in BATCH_WORKLOADS]
-    batch = [w for w in workloads if w in BATCH_WORKLOADS]
     sharded = args.cells > 1
     provider_factory = None
     runner_spec = None
@@ -203,41 +289,12 @@ def _build_service(args: argparse.Namespace):
         faults=getattr(args, "fault_plan", None),
         network_ambient=getattr(args, "network_noise", 0.0),
     )
-    console.info(
-        f"Profiling {len(workloads)} workload(s) for the serving model..."
-    )
-    report = build_model(
-        runner,
-        distributed,
-        policy_samples=args.policy_samples,
-        seed=args.seed,
-        span=4,
-    )
-    if batch:
-        build_batch_profiles(runner, report.model, batch, span=4)
-    if wants_network(args):
-        network_capable = [w for w in workloads if w in NETWORK_WORKLOADS]
-        if network_capable:
-            console.info(
-                f"Profiling the network domain for "
-                f"{len(network_capable)} workload(s)..."
-            )
-            build_network_profiles(
-                runner, report.model, network_capable, span=4
-            )
-    stream = WorkloadStream(
-        StreamConfig(
-            workloads=workloads,
-            arrival_rate=args.arrival_rate,
-            qos_fraction=args.qos_fraction,
-        ),
-        seed=args.seed,
-    )
+    model, stream = profile_day(args, runner)
     if sharded:
-        return _build_sharded(args, runner, report.model, stream)
+        return _build_sharded(args, runner, model, stream)
     return ConsolidationService(
         runner,
-        report.model,
+        model,
         stream,
         config=ServiceConfig(
             reschedule_every=args.reschedule_every,
@@ -293,39 +350,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     service.log.detach()
 
-    final = service.snapshots[-1]
-    console.emit(render_service_snapshot(final))
-    console.emit()
-    console.emit(render_event_counts(service.log.counts()))
-    if args.event_log:
-        service.log.write(args.event_log)
-        console.info(f"\nevent log written to {args.event_log}")
-    actual = _serve_expectation(service)
-    if args.snapshot:
-        atomic_write_text(
-            args.snapshot,
-            json.dumps(
-                {
-                    "final": actual["final"],
-                    "counters": actual["counters"],
-                    "per_epoch": [s.to_dict() for s in service.snapshots],
-                },
-                sort_keys=True,
-                indent=2,
-            ) + "\n",
-        )
-        console.info(f"metrics snapshot written to {args.snapshot}")
-    if args.update_expect:
-        atomic_write_text(
-            args.update_expect,
-            json.dumps(actual, sort_keys=True, indent=2) + "\n",
-        )
-        console.info(f"expectation written to {args.update_expect}")
-    if args.expect:
-        with open(args.expect, "r", encoding="utf-8") as handle:
-            expected = json.load(handle)
-        return _check_expectation(expected, actual)
-    return 0
+    return finish_day(args, service.log, service.snapshots)
 
 
 def register(
@@ -338,21 +363,9 @@ def register(
         help="run the online consolidation service over a seeded traffic day",
         parents=[
             parents["trace"], parents["faults"], parents["seed"],
-            parents["network"], parents["provider"],
+            parents["network"], parents["provider"], parents["day"],
         ],
     )
-    p_serve.add_argument("--epochs", type=int, default=12)
-    p_serve.add_argument(
-        "--workloads", nargs="+",
-        help=f"catalog mix jobs draw from (default: {' '.join(DEFAULT_SERVE_MIX)})",
-    )
-    p_serve.add_argument("--arrival-rate", type=float, default=1.2,
-                         help="mean job arrivals per epoch (Poisson)")
-    p_serve.add_argument("--qos-fraction", type=float, default=0.5,
-                         help="probability a job carries a QoS bound")
-    p_serve.add_argument("--policy-samples", type=int, default=10)
-    p_serve.add_argument("--reschedule-every", type=int, default=1)
-    p_serve.add_argument("--migration-cost", type=float, default=0.02)
     p_serve.add_argument(
         "--cells",
         type=int,
@@ -373,7 +386,6 @@ def register(
         default=0,
         help="fan per-cell epochs out over N worker processes (0 = serial)",
     )
-    p_serve.add_argument("--event-log", help="write the JSONL event log here")
     p_serve.add_argument("--snapshot", help="write the metrics snapshot JSON here")
     p_serve.add_argument(
         "--checkpoint",
@@ -391,12 +403,5 @@ def register(
             "--event-log); the finished day is byte-identical to an "
             "uninterrupted run"
         ),
-    )
-    p_serve.add_argument(
-        "--expect",
-        help="expectation JSON to check; exits 1 on a QoS-violation regression",
-    )
-    p_serve.add_argument(
-        "--update-expect", help="write the expectation JSON for this run"
     )
     p_serve.set_defaults(fn=_cmd_serve)

@@ -1,12 +1,15 @@
-"""Consolidated-cluster substrate: hosts, VMs, and contention.
+"""Consolidated-cluster substrate: cluster shape and contention.
 
 This subpackage models the physical layer of the paper's testbed
-(Section 3.1): an 8-node cluster of 16-core hosts running dual-vCPU
-VMs, with shared LLC / memory-bandwidth contention abstracted to the
-bubble-pressure scale.
+(Section 3.1): the shape of an 8-node cluster of 16-core hosts
+(:class:`ClusterSpec`, whose host rules
+:class:`~repro.placement.assignment.Placement` enforces), re-indexed
+views over a subset of its nodes, shared LLC / memory-bandwidth
+contention abstracted to the bubble-pressure scale, and the switch
+topology of the network domain.
 """
 
-from repro.cluster.cluster import Cluster, ClusterSpec, ClusterView
+from repro.cluster.cluster import ClusterSpec, ClusterView
 from repro.cluster.contention import (
     ContentionDomain,
     DOMAIN_COLLISION_SURCHARGE,
@@ -16,17 +19,9 @@ from repro.cluster.contention import (
     SensitivityFunction,
     combine_pressures,
 )
-from repro.cluster.node import PhysicalNode
-from repro.cluster.resources import (
-    MemorySubsystem,
-    miss_rate_to_pressure,
-    pressure_to_miss_rate,
-)
 from repro.cluster.topology import SwitchTopology
-from repro.cluster.vm import VirtualMachine, VMUnit
 
 __all__ = [
-    "Cluster",
     "ClusterSpec",
     "ClusterView",
     "ContentionDomain",
@@ -34,13 +29,7 @@ __all__ = [
     "ExponentialSensitivity",
     "FlatSensitivity",
     "LinearSensitivity",
-    "MemorySubsystem",
-    "PhysicalNode",
     "SensitivityFunction",
     "SwitchTopology",
-    "VMUnit",
-    "VirtualMachine",
     "combine_pressures",
-    "miss_rate_to_pressure",
-    "pressure_to_miss_rate",
 ]

@@ -1,17 +1,18 @@
-"""Cluster of physical hosts.
+"""Cluster shape: the hosts every placement is checked against.
 
-The :class:`Cluster` owns the node inventory and enforces the paper's
-deployment constraints: no vCPU over-commit and at most two distinct
-workloads per host (pairwise interaction, Sections 3.1 and 4.4).
+:class:`ClusterSpec` describes the paper's testbed (Section 3.1):
+eight 16-core hosts, each hosting at most two distinct workloads.
+:class:`~repro.placement.assignment.Placement` enforces the host
+rules: two 4-VM dual-vCPU units per host (``unit_slots_per_node``) and
+the spec's pairwise workload limit.  :class:`ClusterView` re-indexes a
+subset of a spec's nodes for the elastic pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict
 
-from repro._util import make_rng, stable_seed
-from repro.cluster.node import PhysicalNode
 from repro.errors import ConfigurationError
 from repro.units import DEFAULT_CORES_PER_HOST, DEFAULT_NUM_HOSTS
 
@@ -49,135 +50,6 @@ class ClusterSpec:
     def total_cores(self) -> int:
         """Aggregate physical cores across the cluster."""
         return self.num_nodes * self.cores_per_node
-
-
-class Cluster:
-    """A set of physical hosts with placement bookkeeping.
-
-    Parameters
-    ----------
-    spec:
-        Static cluster description; defaults to the paper's 8-node,
-        16-core testbed.
-    """
-
-    def __init__(self, spec: ClusterSpec | None = None) -> None:
-        self.spec = spec or ClusterSpec()
-        self._nodes: List[PhysicalNode] = [
-            PhysicalNode(
-                node_id=i,
-                cores=self.spec.cores_per_node,
-                memory_gb=self.spec.memory_gb_per_node,
-            )
-            for i in range(self.spec.num_nodes)
-        ]
-
-    @classmethod
-    def synthetic(
-        cls,
-        num_nodes: int,
-        *,
-        seed: int = 0,
-        cores_choices: tuple = (16, 24, 32),
-        memory_choices: tuple = (64, 128),
-        max_workloads_per_node: int = 2,
-    ) -> "Cluster":
-        """A seeded, deterministic heterogeneous cluster of ``num_nodes``.
-
-        Each node draws its core count and memory uniformly from the
-        given choices using a generator keyed by
-        ``stable_seed("synthetic-cluster", num_nodes, seed)``, so the
-        same arguments always build the same inventory — what the
-        scale-layer tests and benches need instead of hand-rolled node
-        lists.  The :class:`ClusterSpec` records the *floor* of the
-        core choices (placement and simulation size unit slots off the
-        spec's homogeneous value; per-node heterogeneity lives on the
-        :class:`~repro.cluster.node.PhysicalNode` inventory).
-        """
-        if num_nodes <= 0:
-            raise ConfigurationError("num_nodes must be positive")
-        if not cores_choices or not memory_choices:
-            raise ConfigurationError(
-                "cores_choices and memory_choices must be non-empty"
-            )
-        spec = ClusterSpec(
-            num_nodes=num_nodes,
-            cores_per_node=min(int(c) for c in cores_choices),
-            memory_gb_per_node=min(int(m) for m in memory_choices),
-            max_workloads_per_node=max_workloads_per_node,
-        )
-        cluster = cls(spec)
-        rng = make_rng(stable_seed("synthetic-cluster", num_nodes, seed))
-        cluster._nodes = [
-            PhysicalNode(
-                node_id=i,
-                cores=int(cores_choices[int(rng.integers(len(cores_choices)))]),
-                memory_gb=int(
-                    memory_choices[int(rng.integers(len(memory_choices)))]
-                ),
-            )
-            for i in range(num_nodes)
-        ]
-        return cluster
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __iter__(self) -> Iterator[PhysicalNode]:
-        return iter(self._nodes)
-
-    @property
-    def nodes(self) -> List[PhysicalNode]:
-        """The node inventory (live objects, index == node_id)."""
-        return self._nodes
-
-    def node(self, node_id: int) -> PhysicalNode:
-        """Return the node with ``node_id``.
-
-        Raises
-        ------
-        ConfigurationError
-            If the id is out of range.
-        """
-        if not 0 <= node_id < len(self._nodes):
-            raise ConfigurationError(
-                f"node_id {node_id} out of range for {len(self._nodes)}-node cluster"
-            )
-        return self._nodes[node_id]
-
-    def assign(self, instance_key: str, node_id: int, vcpus: int) -> None:
-        """Reserve vCPUs for an instance on a node, enforcing limits."""
-        self.node(node_id).assign(
-            instance_key, vcpus, max_workloads=self.spec.max_workloads_per_node
-        )
-
-    def release(self, instance_key: str) -> None:
-        """Release the instance's reservations on every node."""
-        for node in self._nodes:
-            node.release(instance_key)
-
-    def clear(self) -> None:
-        """Release every reservation on every node."""
-        for node in self._nodes:
-            node.clear()
-
-    def occupancy(self) -> Dict[int, List[str]]:
-        """Map of node id to the instance keys resident there."""
-        return {node.node_id: node.resident_workloads for node in self._nodes}
-
-    def nodes_hosting(self, instance_key: str) -> List[int]:
-        """Sorted node ids where ``instance_key`` holds vCPUs."""
-        return [
-            node.node_id for node in self._nodes if node.vcpus_of(instance_key) > 0
-        ]
-
-    def co_runners_at(self, node_id: int, instance_key: str) -> List[str]:
-        """Other instances sharing the given node with ``instance_key``."""
-        return [
-            key
-            for key in self.node(node_id).resident_workloads
-            if key != instance_key
-        ]
 
 
 @dataclass(frozen=True)
@@ -222,15 +94,6 @@ class ClusterView:
             memory_gb_per_node=self.base_spec.memory_gb_per_node,
             max_workloads_per_node=self.base_spec.max_workloads_per_node,
         )
-
-    @property
-    def is_identity(self) -> bool:
-        """Whether the view covers the whole base cluster unchanged."""
-        return len(self.physical_nodes) == self.base_spec.num_nodes
-
-    def to_physical(self, virtual_node: int) -> int:
-        """The physical id behind a virtual one."""
-        return self.physical_nodes[virtual_node]
 
     def lift_assignment(self, assignment: Dict[str, tuple]) -> Dict[str, tuple]:
         """Translate a virtual-id assignment to physical node ids."""

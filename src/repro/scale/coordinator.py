@@ -69,26 +69,6 @@ class GlobalCoordinator:
         self.config = config or CoordinatorConfig()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def worst_margin(cell) -> Optional[float]:
-        """The cell's worst predicted mission-critical margin.
-
-        ``None`` when the cell hosts no mission-critical tenant (an
-        empty or best-effort-only cell cannot collapse).
-        """
-        service = cell.service
-        placement = service.placement
-        if placement is None:
-            return None
-        critical = [job for job in service.tenants if job.mission_critical]
-        if not critical:
-            return None
-        predictions = predict_placement(service.model, placement)
-        return min(
-            job.qos_target - predictions[job.job_id] for job in critical
-        )
-
-    # ------------------------------------------------------------------
     def rebalance(
         self,
         cells: Sequence,
@@ -103,7 +83,7 @@ class GlobalCoordinator:
         ``log`` as a ``cell_migrate`` event.
         """
         moves: List[Dict[str, object]] = []
-        margins = {cell.cell_id: self.worst_margin(cell) for cell in cells}
+        margins = {cell.cell_id: cell.service.qos_margin() for cell in cells}
         collapsed = sorted(
             (
                 cell

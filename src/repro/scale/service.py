@@ -302,7 +302,7 @@ class ShardedConsolidationService:
             workloads |= set(cell.service.model.workloads)
         rows = []
         for cell, snap in zip(self.cells, cell_snaps):
-            margin = self.coordinator.worst_margin(cell)
+            margin = cell.service.qos_margin()
             rows.append({
                 "cell": cell.cell_id,
                 "nodes": cell.shard.num_nodes,
@@ -395,7 +395,6 @@ def build_sharded_service(
         an ``OnlineModel`` is rejected — shared corrections would
         entangle the cells).
     cluster:
-        :class:`~repro.cluster.cluster.Cluster` or
         :class:`~repro.cluster.cluster.ClusterSpec` to shard.
     n_cells:
         Cell count.  Every count runs the same routed, coordinated

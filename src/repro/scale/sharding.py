@@ -17,10 +17,10 @@ determinism tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from repro._util import make_rng, stable_seed
-from repro.cluster.cluster import Cluster, ClusterSpec
+from repro.cluster.cluster import ClusterSpec
 from repro.errors import ConfigurationError
 
 
@@ -53,7 +53,7 @@ class CellSpec:
 
 
 def shard_cluster(
-    cluster: Union[Cluster, ClusterSpec],
+    cluster: ClusterSpec,
     n_cells: int,
     *,
     seed: int = 0,
@@ -63,7 +63,7 @@ def shard_cluster(
     Parameters
     ----------
     cluster:
-        The cluster (or its spec) to partition.
+        The cluster to partition.
     n_cells:
         Number of cells; must not exceed the node count.
     seed:
@@ -78,18 +78,17 @@ def shard_cluster(
         most one node.  The 1-cell shard is the identity view
         (``node_ids == (0, ..., num_nodes - 1)``).
     """
-    spec = cluster.spec if isinstance(cluster, Cluster) else cluster
     if n_cells <= 0:
         raise ConfigurationError("n_cells must be positive")
-    if n_cells > spec.num_nodes:
+    if n_cells > cluster.num_nodes:
         raise ConfigurationError(
-            f"cannot shard {spec.num_nodes} node(s) into {n_cells} cells"
+            f"cannot shard {cluster.num_nodes} node(s) into {n_cells} cells"
         )
-    order = list(range(spec.num_nodes))
+    order = list(range(cluster.num_nodes))
     if n_cells > 1:
-        rng = make_rng(stable_seed("shard", spec.num_nodes, n_cells, seed))
+        rng = make_rng(stable_seed("shard", cluster.num_nodes, n_cells, seed))
         rng.shuffle(order)
-    base, extra = divmod(spec.num_nodes, n_cells)
+    base, extra = divmod(cluster.num_nodes, n_cells)
     cells: List[CellSpec] = []
     start = 0
     for cell_id in range(n_cells):
@@ -100,7 +99,7 @@ def shard_cluster(
             CellSpec(
                 cell_id=cell_id,
                 node_ids=node_ids,
-                spec=replace(spec, num_nodes=len(node_ids)),
+                spec=replace(cluster, num_nodes=len(node_ids)),
             )
         )
     return cells

@@ -281,6 +281,23 @@ class ConsolidationService:
         occupied = sum(job.num_units for job in self._tenants.values())
         return occupied / slots if slots else 0.0
 
+    def qos_margin(self) -> Optional[float]:
+        """Worst predicted mission-critical margin (bound − prediction).
+
+        ``None`` when no mission-critical tenant is resident: the
+        autoscaler then scales on queue depth alone, and the sharded
+        service's coordinator treats the cell as unable to collapse.
+        """
+        critical = [
+            job for job in self._tenants.values() if job.mission_critical
+        ]
+        if not critical or self._placement is None:
+            return None
+        predictions = predict_placement(self.model, self._placement)
+        return min(
+            job.qos_target - predictions[job.job_id] for job in critical
+        )
+
     # ------------------------------------------------------------------
     # Cancellation
     # ------------------------------------------------------------------
@@ -350,21 +367,6 @@ class ConsolidationService:
                 )
         return occupied
 
-    def _qos_margin(self) -> Optional[float]:
-        """Worst predicted QoS headroom (bound minus prediction).
-
-        ``None`` when no mission-critical tenant is resident — the
-        autoscaler then scales on queue depth alone.
-        """
-        constraints = self._constraints()
-        if not constraints or self._placement is None:
-            return None
-        predictions = predict_placement(self.model, self._placement)
-        return min(
-            c.max_normalized_time - predictions[c.instance_key]
-            for c in constraints
-        )
-
     def _capacity(self, epoch: int) -> None:
         """Apply the provider's pool changes for this boundary.
 
@@ -383,7 +385,7 @@ class ConsolidationService:
         events = self.provider.step(
             epoch,
             queue_depth=len(self._queue),
-            qos_margin=self._qos_margin(),
+            qos_margin=self.qos_margin(),
             idle_nodes=idle,
         )
         for event in events:

@@ -144,9 +144,10 @@ def _run_measurement_request(payload):
     ``parent_pid``), so the doomed item computes normally and the batch
     result is identical to an undisturbed run.
 
-    Returns ``(value, fault, solo_entries, measurement_delta,
-    cache_entries, faulted_workloads)``, where ``fault`` is the
-    request's :class:`~repro.errors.MeasurementFault`, if any.  The
+    Returns ``(value, error, solo_entries, measurement_delta,
+    cache_entries, faulted_workloads)``, where ``error`` is the
+    exception the request raised, if any (a
+    :class:`~repro.errors.MeasurementFault` or any other error).  The
     entries and workloads are everything this worker has learned so
     far (the parent deduplicates in batch order, which reproduces the
     serial accounting exactly).
@@ -157,17 +158,17 @@ def _run_measurement_request(payload):
     runner = _WORKER_RUNNER
     assert runner is not None, "measurement worker not initialized"
     count_before = runner.measurement_count
-    value = fault = None
+    value = error = None
     try:
         value = request.apply(runner)
-    except MeasurementFault as exc:
-        fault = exc
+    except Exception as exc:
+        error = exc
     cache_entries = (
         runner.cache.fresh_entries() if runner.cache is not None else {}
     )
     return (
         value,
-        fault,
+        error,
         dict(runner._solo_cache),
         runner.measurement_count - count_before,
         cache_entries,
@@ -735,10 +736,11 @@ class ClusterRunner:
         setting, the batch is order-free and embarrassingly parallel:
         results (and the runner's measurement accounting) are
         bit-identical to issuing the requests one by one in order.
-        That includes a request whose reading exhausts its retry
-        budget: the accounting of every request before it, and its
-        own, is kept, and its :class:`~repro.errors.MeasurementFault`
-        is raised.
+        That includes a request that raises (a
+        :class:`~repro.errors.MeasurementFault` when its reading
+        exhausts its retry budget, or any other error): the accounting
+        of every request before it, and its own, is kept, and its
+        exception is raised.
 
         Parameters
         ----------
@@ -797,7 +799,7 @@ class ClusterRunner:
             )
             values: List = []
             for outcome in outcomes:
-                value, fault, solo_entries, delta, cache_entries, faulted = outcome
+                value, error, solo_entries, delta, cache_entries, faulted = outcome
                 # Replay the serial accounting in batch order: each solo
                 # baseline is charged once, at the first request that
                 # needed it, exactly as the serial path would.
@@ -808,10 +810,10 @@ class ClusterRunner:
                 self.measurement_count += delta
                 if self.cache is not None:
                     self.cache.merge(cache_entries)
-                if fault is not None:
+                if error is not None:
                     # The serial loop stops here: later requests never
                     # ran, so none of their accounting counts.
                     self.faulted_workloads.update(faulted)
-                    raise fault
+                    raise error
                 values.append(value)
             return values

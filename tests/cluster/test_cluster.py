@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster.cluster import Cluster, ClusterSpec
-from repro.errors import ConfigurationError, PlacementError
+from repro.cluster.cluster import ClusterSpec
+from repro.errors import ConfigurationError
 
 
 class TestClusterSpec:
@@ -21,58 +21,3 @@ class TestClusterSpec:
     def test_invalid_cores(self):
         with pytest.raises(ConfigurationError):
             ClusterSpec(cores_per_node=-1)
-
-
-class TestCluster:
-    def test_len_and_iteration(self):
-        cluster = Cluster(ClusterSpec(num_nodes=3))
-        assert len(cluster) == 3
-        assert [n.node_id for n in cluster] == [0, 1, 2]
-
-    def test_node_lookup(self):
-        cluster = Cluster()
-        assert cluster.node(5).node_id == 5
-
-    def test_node_out_of_range(self):
-        cluster = Cluster(ClusterSpec(num_nodes=2))
-        with pytest.raises(ConfigurationError):
-            cluster.node(2)
-
-    def test_assign_and_occupancy(self):
-        cluster = Cluster(ClusterSpec(num_nodes=2))
-        cluster.assign("a", 0, 8)
-        cluster.assign("b", 0, 8)
-        cluster.assign("a", 1, 8)
-        assert cluster.occupancy() == {0: ["a", "b"], 1: ["a"]}
-
-    def test_assign_respects_pairwise_limit(self):
-        cluster = Cluster(ClusterSpec(num_nodes=1, max_workloads_per_node=2))
-        cluster.assign("a", 0, 4)
-        cluster.assign("b", 0, 4)
-        with pytest.raises(PlacementError):
-            cluster.assign("c", 0, 4)
-
-    def test_nodes_hosting(self):
-        cluster = Cluster(ClusterSpec(num_nodes=3))
-        cluster.assign("a", 0, 8)
-        cluster.assign("a", 2, 8)
-        assert cluster.nodes_hosting("a") == [0, 2]
-
-    def test_co_runners_at(self):
-        cluster = Cluster(ClusterSpec(num_nodes=1))
-        cluster.assign("a", 0, 8)
-        cluster.assign("b", 0, 8)
-        assert cluster.co_runners_at(0, "a") == ["b"]
-
-    def test_release(self):
-        cluster = Cluster(ClusterSpec(num_nodes=2))
-        cluster.assign("a", 0, 8)
-        cluster.assign("a", 1, 8)
-        cluster.release("a")
-        assert cluster.nodes_hosting("a") == []
-
-    def test_clear(self):
-        cluster = Cluster(ClusterSpec(num_nodes=2))
-        cluster.assign("a", 0, 8)
-        cluster.clear()
-        assert cluster.occupancy() == {0: [], 1: []}

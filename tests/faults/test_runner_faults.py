@@ -9,7 +9,7 @@ from repro.core.profiling.plan import (
     OUTLIER_BOUND,
     REPROBE_K,
 )
-from repro.errors import MeasurementFault
+from repro.errors import ConfigurationError, MeasurementFault
 from repro.faults import FaultConfig, FaultPlan, RetryPolicy
 from repro.obs import recording
 from repro.sim.runner import ClusterRunner, MeasurementRequest
@@ -229,4 +229,26 @@ class TestPoolFaults:
             ))
         serial, parallel = outcomes
         assert serial[1:] == ({"other"}, 2, 3)
+        assert parallel == serial
+
+    def test_worker_error_keeps_the_serial_accounting(self):
+        # The third request's span exceeds the 4-node cluster: serial
+        # issue has charged the first two requests when it raises.
+        requests = [
+            MeasurementRequest.measure("app", 8.0, 2),
+            MeasurementRequest.solo("other"),
+            MeasurementRequest.measure("app", 8.0, 2, span=9),
+        ]
+        outcomes = []
+        for workers in (None, 2):
+            runner = quiet_runner()
+            with pytest.raises(ConfigurationError) as error:
+                runner.measure_many(requests, max_workers=workers)
+            outcomes.append((
+                str(error.value),
+                runner.measurement_count,
+                runner.solo_measurement_count,
+            ))
+        serial, parallel = outcomes
+        assert serial[1:] == (1, 6)
         assert parallel == serial

@@ -69,7 +69,7 @@ def test_no_migration_while_margins_hold(synthetic_model):
 
 def test_collapse_triggers_one_gated_migration(synthetic_model):
     cells = _crowded_cells(synthetic_model)
-    assert GlobalCoordinator.worst_margin(cells[0]) == pytest.approx(0.35)
+    assert cells[0].service.qos_margin() == pytest.approx(0.35)
     log = EventLog()
     coordinator = GlobalCoordinator(CoordinatorConfig(margin_threshold=0.5))
     moves = coordinator.rebalance(cells, 0, log, HeadroomRouter())
@@ -89,9 +89,9 @@ def test_collapse_triggers_one_gated_migration(synthetic_model):
 
 def test_empty_and_best_effort_cells_cannot_collapse(synthetic_model):
     cells = sharded_service(synthetic_model, 3, num_nodes=12).cells
-    assert GlobalCoordinator.worst_margin(cells[0]) is None
+    assert cells[0].service.qos_margin() is None
     _load(cells[0], _job("be-only"))
-    assert GlobalCoordinator.worst_margin(cells[0]) is None
+    assert cells[0].service.qos_margin() is None
 
 
 def test_migration_cap_bounds_coordinator_churn(synthetic_model):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.cluster import Cluster, ClusterSpec
+from repro.cluster.cluster import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.scale import shard_cluster
 
@@ -41,12 +41,6 @@ def test_single_cell_is_the_identity_view():
     assert shard.cell_id == 0
     assert shard.node_ids == tuple(range(10))
     assert shard.spec.num_nodes == 10
-
-
-def test_accepts_a_cluster_instance():
-    cluster = Cluster(ClusterSpec(num_nodes=12))
-    shards = shard_cluster(cluster, 3, seed=0)
-    assert len(shards) == 3
 
 
 def test_invalid_cell_counts_rejected():

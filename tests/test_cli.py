@@ -209,6 +209,23 @@ class TestServeCellsAndResume:
         assert message in capsys.readouterr().err
 
 
+class TestDayFlags:
+    """``serve`` and ``daemon`` share their traffic-day flags."""
+
+    @pytest.mark.parametrize("verb", ["serve", "daemon"])
+    def test_rejects_a_day_shorter_than_one_epoch(
+        self, verb, tmp_path, capsys
+    ):
+        argv = [verb, "--epochs", "0", "--seed", "9"]
+        if verb == "daemon":
+            argv += ["--spool", str(tmp_path / "spool")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: --epochs must be at least 1" in err
+        # Rejected before the mix is profiled.
+        assert "Profiling" not in err
+
+
 class TestNetworkFlags:
     """``--network-noise`` / ``--domains`` on profile, serve and daemon."""
 
