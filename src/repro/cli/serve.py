@@ -129,11 +129,20 @@ def profile_day(args: argparse.Namespace, runner: ClusterRunner):
 
     Shared by ``repro serve`` and ``repro daemon``, so both build the
     same model and arrival stream from the same flags.  A day shorter
-    than one epoch is rejected before any profiling.
+    than one epoch, or a traffic shape :class:`StreamConfig` rejects,
+    fails before any profiling.
     """
     if args.epochs < 1:
         raise ConfigurationError("--epochs must be at least 1")
     workloads = tuple(args.workloads or DEFAULT_SERVE_MIX)
+    stream = WorkloadStream(
+        StreamConfig(
+            workloads=workloads,
+            arrival_rate=args.arrival_rate,
+            qos_fraction=args.qos_fraction,
+        ),
+        seed=args.seed,
+    )
     distributed = [w for w in workloads if w not in BATCH_WORKLOADS]
     batch = [w for w in workloads if w in BATCH_WORKLOADS]
     console.info(
@@ -158,14 +167,6 @@ def profile_day(args: argparse.Namespace, runner: ClusterRunner):
             build_network_profiles(
                 runner, report.model, network_capable, span=4
             )
-    stream = WorkloadStream(
-        StreamConfig(
-            workloads=workloads,
-            arrival_rate=args.arrival_rate,
-            qos_fraction=args.qos_fraction,
-        ),
-        seed=args.seed,
-    )
     return report.model, stream
 
 

@@ -213,16 +213,23 @@ class TestDayFlags:
     """``serve`` and ``daemon`` share their traffic-day flags."""
 
     @pytest.mark.parametrize("verb", ["serve", "daemon"])
-    def test_rejects_a_day_shorter_than_one_epoch(
-        self, verb, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epochs", "0"], "--epochs must be at least 1"),
+            (["--arrival-rate", "-1"], "arrival_rate must be non-negative"),
+        ],
+        ids=["epochs", "arrival-rate"],
+    )
+    def test_rejects_bad_day_flags_before_profiling(
+        self, verb, flags, message, tmp_path, capsys
     ):
-        argv = [verb, "--epochs", "0", "--seed", "9"]
+        argv = [verb, "--seed", "9"] + flags
         if verb == "daemon":
             argv += ["--spool", str(tmp_path / "spool")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "error: --epochs must be at least 1" in err
-        # Rejected before the mix is profiled.
+        assert f"error: {message}" in err
         assert "Profiling" not in err
 
 
