@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -134,6 +135,14 @@ def _init_measurement_worker(blob: bytes) -> None:
     _WORKER_RUNNER = pickle.loads(blob)
 
 
+class _WorkerTraceback(Exception):
+    """A fan-out worker's formatted traceback, chained as the cause of
+    the error the parent re-raises, so the worker's frames still show."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 def _run_measurement_request(payload):
     """Execute one request in a worker; report state deltas to the parent.
 
@@ -145,9 +154,9 @@ def _run_measurement_request(payload):
     result is identical to an undisturbed run.
 
     Returns ``(value, error, solo_entries, measurement_delta,
-    cache_entries, faulted_workloads)``, where ``error`` is the
-    exception the request raised, if any (a
-    :class:`~repro.errors.MeasurementFault` or any other error).  The
+    cache_entries, faulted_workloads)``, where ``error`` is ``(exception,
+    formatted traceback)`` for whatever the request raised, if anything
+    (a :class:`~repro.errors.MeasurementFault` or any other error).  The
     entries and workloads are everything this worker has learned so
     far (the parent deduplicates in batch order, which reproduces the
     serial accounting exactly).
@@ -162,7 +171,7 @@ def _run_measurement_request(payload):
     try:
         value = request.apply(runner)
     except Exception as exc:
-        error = exc
+        error = (exc, traceback.format_exc())
     cache_entries = (
         runner.cache.fresh_entries() if runner.cache is not None else {}
     )
@@ -814,6 +823,7 @@ class ClusterRunner:
                     # The serial loop stops here: later requests never
                     # ran, so none of their accounting counts.
                     self.faulted_workloads.update(faulted)
-                    raise error
+                    exc, worker_traceback = error
+                    raise exc from _WorkerTraceback(worker_traceback)
                 values.append(value)
             return values

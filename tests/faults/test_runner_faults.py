@@ -252,3 +252,5 @@ class TestPoolFaults:
         serial, parallel = outcomes
         assert serial[1:] == (1, 6)
         assert parallel == serial
+        # The worker's traceback is chained under the re-raised error.
+        assert "Traceback" in str(error.value.__cause__)
