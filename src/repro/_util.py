@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -74,28 +74,3 @@ def mean(values: Iterable[float]) -> float:
     if not items:
         raise ValueError("mean() of empty sequence")
     return float(sum(items)) / len(items)
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean.
-
-    Raises
-    ------
-    ValueError
-        If lengths differ, the sequences are empty, or weights sum to 0.
-    """
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    if not values:
-        raise ValueError("weighted_mean() of empty sequence")
-    total_weight = float(sum(weights))
-    if total_weight <= 0.0:
-        raise ValueError("weights must sum to a positive value")
-    return float(sum(v * w for v, w in zip(values, weights))) / total_weight
-
-
-def percent_error(predicted: float, actual: float) -> float:
-    """Absolute percentage error of ``predicted`` against ``actual``."""
-    if actual == 0.0:
-        raise ValueError("actual value must be non-zero for percent error")
-    return abs(predicted - actual) / abs(actual) * 100.0

@@ -1,22 +1,12 @@
 """Error metrics, sampling statistics, and plain-text reporting."""
 
 from repro.analysis.charts import ascii_chart, propagation_chart
-from repro.analysis.errors import (
-    ErrorSummary,
-    absolute_percent_error,
-    percent_errors,
-)
-from repro.analysis.reporting import (
-    format_bar_chart,
-    format_series,
-    format_table,
-    normalized_times_table,
-)
+from repro.analysis.errors import ErrorSummary, absolute_percent_error
+from repro.analysis.reporting import format_series, format_table
 from repro.analysis.stats import (
     Z_SCORES,
     finite_population_correction,
     margin_of_error,
-    required_sample_size,
 )
 
 __all__ = [
@@ -26,11 +16,7 @@ __all__ = [
     "Z_SCORES",
     "absolute_percent_error",
     "finite_population_correction",
-    "format_bar_chart",
     "format_series",
     "format_table",
     "margin_of_error",
-    "normalized_times_table",
-    "percent_errors",
-    "required_sample_size",
 ]

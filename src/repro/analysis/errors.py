@@ -9,7 +9,7 @@ bars).  This module centralizes those computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -27,19 +27,6 @@ def absolute_percent_error(predicted: float, actual: float) -> float:
     if actual <= 0:
         raise ConfigurationError("actual value must be positive")
     return abs(predicted - actual) / actual * 100.0
-
-
-def percent_errors(
-    predicted: Sequence[float], actual: Sequence[float]
-) -> np.ndarray:
-    """Element-wise absolute percentage errors."""
-    predicted_arr = np.asarray(predicted, dtype=float)
-    actual_arr = np.asarray(actual, dtype=float)
-    if predicted_arr.shape != actual_arr.shape:
-        raise ConfigurationError("predicted and actual must align")
-    if np.any(actual_arr <= 0):
-        raise ConfigurationError("actual values must be positive")
-    return np.abs(predicted_arr - actual_arr) / actual_arr * 100.0
 
 
 @dataclass(frozen=True)
@@ -71,11 +58,3 @@ class ErrorSummary:
             maximum=float(arr.max()),
             count=int(arr.size),
         )
-
-    def iqr_bar(self) -> Tuple[float, float]:
-        """(25th, 75th) percentile pair — Figure 8's error bars."""
-        return (self.p25, self.p75)
-
-    def range_bar(self) -> Tuple[float, float]:
-        """(min, max) pair — Figure 4's error bars."""
-        return (self.minimum, self.maximum)

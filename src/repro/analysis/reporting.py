@@ -8,7 +8,7 @@ dependency.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -72,33 +72,6 @@ def format_series(
             row.append(values[idx])
         rows.append(row)
     return format_table(headers, rows, float_format=float_format)
-
-
-def format_bar_chart(
-    values: Mapping[str, float],
-    *,
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Render a horizontal ASCII bar chart (for examples' output)."""
-    if not values:
-        raise ConfigurationError("no values to chart")
-    peak = max(values.values())
-    label_width = max(len(k) for k in values)
-    lines = []
-    for key, value in values.items():
-        bar = "#" * (int(round(width * value / peak)) if peak > 0 else 0)
-        lines.append(f"{key.ljust(label_width)}  {value:8.3f}{unit} {bar}")
-    return "\n".join(lines)
-
-
-def normalized_times_table(times: Dict[str, float]) -> str:
-    """Small helper: instance -> normalized time, sorted by key."""
-    return format_table(
-        ["instance", "normalized time"],
-        [(key, times[key]) for key in sorted(times)],
-        float_format="{:.3f}",
-    )
 
 
 def render_service_snapshot(snapshot) -> str:

@@ -57,26 +57,3 @@ def margin_of_error(
     z = Z_SCORES[confidence]
     correction = finite_population_correction(int(arr.size), population_size)
     return float(z * arr.std(ddof=1) / math.sqrt(arr.size) * correction)
-
-
-def required_sample_size(
-    std_dev: float,
-    *,
-    target_margin: float,
-    population_size: int,
-    confidence: float = 0.99,
-) -> int:
-    """Smallest sample size achieving ``target_margin``.
-
-    Inverts :func:`margin_of_error` (with the finite-population
-    correction folded in iteratively).
-    """
-    if std_dev < 0 or target_margin <= 0:
-        raise ConfigurationError("std_dev must be >= 0 and target_margin > 0")
-    if std_dev == 0:
-        return 2
-    z = Z_SCORES[confidence]
-    n0 = (z * std_dev / target_margin) ** 2
-    # Finite-population adjustment: n = n0 / (1 + (n0 - 1) / N).
-    n = n0 / (1.0 + (n0 - 1.0) / population_size)
-    return max(2, math.ceil(n))

@@ -6,7 +6,6 @@ from repro.apps.base import (
     Workload,
     WorkloadFamily,
     WorkloadSpec,
-    total_program_work,
 )
 from repro.apps.batch import BatchWorkload
 from repro.apps.bubble import BubbleWorkload, bubble_sensitivity
@@ -52,5 +51,4 @@ __all__ = [
     "get_workload",
     "make_bubble",
     "table1_rows",
-    "total_program_work",
 ]

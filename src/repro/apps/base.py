@@ -102,11 +102,6 @@ class Stage:
         if self.sync_cost < 0:
             raise ConfigurationError(f"stage {self.name!r}: sync_cost must be >= 0")
 
-    @property
-    def total_work(self) -> float:
-        """Aggregate base compute time of the stage's tasks."""
-        return self.n_tasks * self.task_time
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -258,8 +253,3 @@ class Workload:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.spec.abbrev!r})"
-
-
-def total_program_work(program: List[Stage]) -> float:
-    """Aggregate base compute time across a program's stages."""
-    return sum(stage.total_work for stage in program)

@@ -24,18 +24,40 @@ from typing import Mapping
 
 from repro.cli.serve import finish_day, profile_day, provider_setup
 from repro.cluster.cluster import ClusterSpec
-from repro.daemon import ConsolidationDaemon, JobSpool, ServiceBlueprint
+from repro.daemon import (
+    ConsolidationDaemon,
+    ExecutorPool,
+    JobSpool,
+    ServiceBlueprint,
+    SlotManager,
+)
 from repro.obs import console
 from repro.service import ServiceConfig
 from repro.sim.runner import ClusterRunner
 
 
 def _build_daemon(args: argparse.Namespace) -> ConsolidationDaemon:
-    """Profile the mix and assemble the daemon (all from the seed)."""
+    """Profile the mix and assemble the daemon (all from the seed).
+
+    The service config, one provider and the executor pool are built
+    before profiling, so a flag any of them rejects fails before any
+    profiling run (and before the spool directory exists).
+    """
     plan = getattr(args, "fault_plan", None)
     ambient = getattr(args, "network_noise", 0.0)
+    config = ServiceConfig(
+        reschedule_every=args.reschedule_every,
+        migration_cost=args.migration_cost,
+    )
     provider_factory, provider_nodes = provider_setup(
         args, ClusterSpec().num_nodes
+    )
+    if provider_factory is not None:
+        provider_factory()
+    ExecutorPool(
+        args.workers,
+        SlotManager(lease_ticks=args.lease_ticks),
+        exec_ticks=args.exec_ticks,
     )
     runner_spec = (
         None if provider_nodes is None
@@ -61,10 +83,7 @@ def _build_daemon(args: argparse.Namespace) -> ConsolidationDaemon:
     blueprint = ServiceBlueprint(
         runner_factory,
         model,
-        config=ServiceConfig(
-            reschedule_every=args.reschedule_every,
-            migration_cost=args.migration_cost,
-        ),
+        config=config,
         seed=args.seed,
         provider_factory=provider_factory,
     )
@@ -80,9 +99,6 @@ def _build_daemon(args: argparse.Namespace) -> ConsolidationDaemon:
 
 
 def _cmd_daemon(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        console.info("error: --workers must be at least 1")
-        return 1
     daemon = _build_daemon(args)
     already = daemon.epochs_run
     fresh = daemon.run(args.epochs)

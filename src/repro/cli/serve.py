@@ -226,16 +226,18 @@ def finish_day(
     return 0
 
 
-def _build_sharded(args: argparse.Namespace, profiling_runner, model, stream):
+def _build_sharded(
+    args: argparse.Namespace, profiling_runner, model, stream, config
+):
     """Stand up the sharded (``--cells N``, N >= 2) service.
 
-    Cells run the scale-layer config (shorter annealing schedule,
-    capped admission candidates) on derived per-cell seeds.  Each
-    cell's pool is :func:`provider_setup` at its shard's node count —
-    the flat service's pool over the shard — and its runner is built
-    at the node count that returns.
+    Cells run ``config``, the scale-layer config (shorter annealing
+    schedule, capped admission candidates), on derived per-cell seeds.
+    Each cell's pool is :func:`provider_setup` at its shard's node
+    count — the flat service's pool over the shard — and its runner is
+    built at the node count that returns.
     """
-    from repro.scale import build_sharded_service, scale_service_config
+    from repro.scale import build_sharded_service
 
     fault_plan = getattr(args, "fault_plan", None)
 
@@ -261,10 +263,7 @@ def _build_sharded(args: argparse.Namespace, profiling_runner, model, stream):
         args.cells,
         stream,
         seed=args.seed,
-        config=scale_service_config(
-            reschedule_every=args.reschedule_every,
-            migration_cost=args.migration_cost,
-        ),
+        config=config,
         checkpoint_path=args.checkpoint,
         cell_workers=args.cell_workers,
         runner_factory=runner_factory,
@@ -274,16 +273,32 @@ def _build_sharded(args: argparse.Namespace, profiling_runner, model, stream):
 
 
 def _build_service(args: argparse.Namespace):
-    """Construct the (deterministic) service a serve invocation runs."""
+    """Construct the (deterministic) service a serve invocation runs.
+
+    The service config and one provider are built before profiling, so
+    a flag either of them rejects fails before any profiling run.
+    """
     sharded = args.cells > 1
-    provider_factory = None
-    runner_spec = None
-    if not sharded:
-        provider_factory, provider_nodes = provider_setup(
-            args, ClusterSpec().num_nodes
+    if sharded:
+        from repro.scale import scale_service_config
+
+        config = scale_service_config(
+            reschedule_every=args.reschedule_every,
+            migration_cost=args.migration_cost,
         )
-        if provider_nodes is not None:
-            runner_spec = ClusterSpec(num_nodes=provider_nodes)
+    else:
+        config = ServiceConfig(
+            reschedule_every=args.reschedule_every,
+            migration_cost=args.migration_cost,
+        )
+    provider_factory, provider_nodes = provider_setup(
+        args, ClusterSpec().num_nodes
+    )
+    # Cells build their own providers; this one still checks the flags.
+    provider = provider_factory() if provider_factory is not None else None
+    runner_spec = None
+    if not sharded and provider_nodes is not None:
+        runner_spec = ClusterSpec(num_nodes=provider_nodes)
     runner = ClusterRunner(
         runner_spec,
         base_seed=args.seed,
@@ -292,20 +307,15 @@ def _build_service(args: argparse.Namespace):
     )
     model, stream = profile_day(args, runner)
     if sharded:
-        return _build_sharded(args, runner, model, stream)
+        return _build_sharded(args, runner, model, stream, config)
     return ConsolidationService(
         runner,
         model,
         stream,
-        config=ServiceConfig(
-            reschedule_every=args.reschedule_every,
-            migration_cost=args.migration_cost,
-        ),
+        config=config,
         seed=args.seed,
         checkpoint_path=args.checkpoint,
-        provider=(
-            provider_factory() if provider_factory is not None else None
-        ),
+        provider=provider,
     )
 
 

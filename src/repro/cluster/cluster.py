@@ -46,11 +46,6 @@ class ClusterSpec:
         if self.max_workloads_per_node <= 0:
             raise ConfigurationError("max_workloads_per_node must be positive")
 
-    @property
-    def total_cores(self) -> int:
-        """Aggregate physical cores across the cluster."""
-        return self.num_nodes * self.cores_per_node
-
 
 @dataclass(frozen=True)
 class ClusterView:

@@ -56,10 +56,6 @@ class SwitchTopology:
         if self.congestion_factor < 0:
             raise ValueError("congestion_factor must be non-negative")
 
-    def point_to_point(self) -> float:
-        """Cost of a single message between two hosts."""
-        return self.base_latency
-
     def link_pressure(self, contributions: Iterable[float]) -> float:
         """Accumulated pressure on one link from the flows crossing it.
 

@@ -9,11 +9,7 @@ from repro.core.builder import (
     default_counts,
     default_pressures,
 )
-from repro.core.curves import (
-    HomogeneousSetting,
-    PropagationMatrix,
-    exhaustive_matrix_from,
-)
+from repro.core.curves import HomogeneousSetting, PropagationMatrix
 from repro.core.kernel import PredictionKernel, PredictionRequest
 from repro.core.model import InterferenceModel, InterferenceProfile
 from repro.core.multiway import (
@@ -65,7 +61,6 @@ __all__ = [
     "combined_score",
     "default_counts",
     "default_pressures",
-    "exhaustive_matrix_from",
     "get_policy",
     "load_model",
     "relaxed_cluster_spec",

@@ -333,21 +333,3 @@ def _interp_rows(
             value[flat] = left[flat]
         out[:, rest] = np.where(xp[j] == x_rest, left, value)
     return out
-
-
-def exhaustive_matrix_from(
-    measure, pressures: Sequence[float], counts: Sequence[float]
-) -> PropagationMatrix:
-    """Build a fully-measured matrix by calling ``measure(p, k)`` per cell.
-
-    ``measure`` must return *normalized* execution times.  This is the
-    naive full-profiling baseline the cost-reduction algorithms of
-    Section 4.1 are compared against.
-    """
-    matrix = PropagationMatrix.empty(pressures, counts)
-    for i, pressure in enumerate(pressures):
-        for j, count in enumerate(counts):
-            if j == 0:
-                continue
-            matrix.set(i, j, measure(float(pressure), int(count)))
-    return matrix

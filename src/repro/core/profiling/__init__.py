@@ -14,7 +14,6 @@ from repro.core.profiling.evaluation import (
     ALGORITHM_ORDER,
     ProfilerComparison,
     ProfilerScore,
-    compare_profilers,
     exhaustive_truth,
     run_profilers,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "ProfilingSession",
     "binary_brute",
     "binary_optimized",
-    "compare_profilers",
     "exhaustive_truth",
     "heterogeneous_space_size",
     "interpolate_all",

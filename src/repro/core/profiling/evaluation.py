@@ -9,7 +9,7 @@ series of Figures 6 and 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.core.profiling.plan import (
     total_settings_of,
 )
 from repro.core.profiling.random_sampling import random_sampling
-from repro.sim.runner import ClusterRunner
 
 #: The four algorithms of Table 3, in paper order.
 ALGORITHM_ORDER: Tuple[str, ...] = (
@@ -112,32 +111,3 @@ def run_profilers(
         ),
     }
     return outcomes
-
-
-def compare_profilers(
-    runner: ClusterRunner,
-    workloads: Sequence[str],
-    pressures: Sequence[float],
-    counts: Sequence[float],
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    seed: object = 11,
-    oracle_factory: Callable[[ClusterRunner, str], MeasurementOracle] = MeasurementOracle,
-) -> ProfilerComparison:
-    """Score all algorithms on all workloads against exhaustive truth."""
-    scores: List[ProfilerScore] = []
-    for abbrev in workloads:
-        oracle = oracle_factory(runner, abbrev)
-        truth = exhaustive_truth(oracle, pressures, counts)
-        for name, outcome in run_profilers(
-            oracle, pressures, counts, threshold=threshold, seed=seed
-        ).items():
-            scores.append(
-                ProfilerScore(
-                    algorithm=name,
-                    workload=abbrev,
-                    cost_percent=outcome.cost_percent,
-                    error_percent=outcome.error_against(truth),
-                )
-            )
-    return ProfilerComparison(tuple(scores))

@@ -87,16 +87,18 @@ class ConsolidationDaemon:
     ) -> None:
         if max_ticks_per_epoch <= 0:
             raise DaemonError("max_ticks_per_epoch must be positive")
-        self.spool = spool if isinstance(spool, JobSpool) else JobSpool(spool)
-        self.blueprint = blueprint
-        self.stream = stream
-        self.faults = faults
-        self.max_ticks_per_epoch = max_ticks_per_epoch
+        # The pool checks its arguments before the spool makes any
+        # directory, so a rejected daemon leaves nothing behind.
         self.clock = LogicalClock()
         self.slots = SlotManager(lease_ticks=lease_ticks, clock=self.clock)
         self.pool = ExecutorPool(
             workers, self.slots, faults=faults, exec_ticks=exec_ticks
         )
+        self.spool = spool if isinstance(spool, JobSpool) else JobSpool(spool)
+        self.blueprint = blueprint
+        self.stream = stream
+        self.faults = faults
+        self.max_ticks_per_epoch = max_ticks_per_epoch
         self._lock = SpoolLock(self.spool.lock_path)
         self.log: EventLog = EventLog()
         self.snapshots: List[MetricsSnapshot] = []

@@ -250,11 +250,6 @@ class ExecutorPool:
         """Workers waiting for work."""
         return len(self._idle)
 
-    @property
-    def busy_count(self) -> int:
-        """Workers holding a claim (including wedged ones)."""
-        return len(self._running)
-
     # ------------------------------------------------------------------
     def dispatch(self, task: EpochTask) -> Optional[Lease]:
         """Have the lowest-id idle worker claim ``task``.

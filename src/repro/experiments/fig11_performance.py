@@ -79,17 +79,6 @@ class Fig11Result:
                 bands[m.mix.name] = "low"
         return bands
 
-    def average_improvement(self, difficulty: str, strategy: str = "best") -> float:
-        """Mean improvement % over worst for a difficulty band."""
-        values = [
-            (m.speedups[strategy] - 1.0) * 100.0
-            for m in self.mixes
-            if m.mix.difficulty == difficulty
-        ]
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
-
     def render(self) -> str:
         """Figure 11 as text."""
         return format_table(

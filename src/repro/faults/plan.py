@@ -21,7 +21,7 @@ Plans serialize to plain JSON so every CLI verb can take
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Tuple, Union
 
@@ -263,10 +263,6 @@ class FaultPlan:
             outlier_rate=min(0.08 * scale, 1.0),
             pool_failure_rate=min(0.20 * scale, 1.0),
         ))
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same rates under a different root seed."""
-        return FaultPlan(replace(self.config, seed=seed))
 
     def to_dict(self) -> dict:
         """JSON-serializable representation."""

@@ -54,10 +54,6 @@ class RetryPolicy:
             raise FaultError("retry_index is 1-based")
         return self.backoff_base * self.backoff_factor ** (retry_index - 1)
 
-    def total_backoff(self, retries: int) -> float:
-        """Simulated time spent backing off across ``retries`` retries."""
-        return sum(self.backoff(i) for i in range(1, retries + 1))
-
     def times_out(self, reading: float) -> bool:
         """Whether a reading exceeds the per-reading timeout."""
         return self.reading_timeout is not None and reading > self.reading_timeout

@@ -5,7 +5,7 @@ from repro.placement.annealing import (
     SearchResult,
     SimulatedAnnealingPlacer,
 )
-from repro.placement.assignment import InstanceSpec, Placement
+from repro.placement.assignment import InstanceSpec, Placement, units_moved
 from repro.placement.objectives import (
     EnergyState,
     IncrementalEnergy,
@@ -13,12 +13,9 @@ from repro.placement.objectives import (
     QoSConstraint,
     WeightedTimeEnergy,
     predict_placement,
-    qos_energy,
-    qos_status,
     weighted_average_speedup,
     weighted_total_time,
 )
-from repro.placement.dynamic import DynamicRescheduler, EpochRecord, units_moved
 from repro.placement.qos import QoSAwarePlacer, QoSPlacementResult
 from repro.placement.search import (
     GreedyPlacer,
@@ -30,9 +27,7 @@ from repro.placement.throughput import ThroughputPlacementResult, ThroughputPlac
 
 __all__ = [
     "AnnealingSchedule",
-    "DynamicRescheduler",
     "EnergyState",
-    "EpochRecord",
     "GreedyPlacer",
     "IncrementalEnergy",
     "InstanceSpec",
@@ -49,8 +44,6 @@ __all__ = [
     "average_random_total_time",
     "exhaustive_best",
     "predict_placement",
-    "qos_energy",
-    "qos_status",
     "random_placements",
     "units_moved",
     "weighted_average_speedup",

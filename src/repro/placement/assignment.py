@@ -314,3 +314,17 @@ class Placement:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Placement({self._assignment})"
+
+
+def units_moved(before: Placement, after: Placement) -> int:
+    """Number of VM units whose node changes between two placements."""
+    moved = 0
+    for spec in before.instances:
+        old = before.nodes_of(spec.instance_key)
+        new = after.nodes_of(spec.instance_key)
+        if len(old) != len(new):
+            raise PlacementError(
+                f"{spec.instance_key}: unit count changed across placements"
+            )
+        moved += sum(1 for a, b in zip(old, new) if a != b)
+    return moved

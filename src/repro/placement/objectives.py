@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import PlacementError
 from repro.placement.assignment import Placement
@@ -112,33 +112,6 @@ class QoSConstraint:
     def violation(self, predictions: Mapping[str, float]) -> float:
         """How far beyond the bound the prediction is (0 if satisfied)."""
         return max(0.0, predictions[self.instance_key] - self.max_normalized_time)
-
-
-def qos_energy(
-    predictions: Mapping[str, float],
-    placement: Placement,
-    constraints: Sequence[QoSConstraint],
-    *,
-    penalty: float = 1000.0,
-) -> float:
-    """Lexicographic QoS-then-throughput energy for annealing.
-
-    Constraint violations dominate (scaled by ``penalty``) so the
-    search first finds feasibility, then minimizes total weighted
-    runtime among feasible placements — the acceptance order of
-    Section 5.2.
-    """
-    energy = weighted_total_time(predictions, placement)
-    for constraint in constraints:
-        energy += penalty * constraint.violation(predictions)
-    return energy
-
-
-def qos_status(
-    times: Mapping[str, float], constraints: Sequence[QoSConstraint]
-) -> List[bool]:
-    """Per-constraint satisfaction flags for measured times."""
-    return [c.satisfied_by(times) for c in constraints]
 
 
 # ----------------------------------------------------------------------

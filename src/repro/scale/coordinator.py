@@ -7,9 +7,11 @@ tenant is predicted outside its bound (or within
 that can absorb it.  Cross-cell migration is expensive (the tenancy's
 state crosses a cell boundary), so it is gated the same way
 :class:`~repro.service.loop.ConsolidationService` gates intra-cell
-rescheduling: a move repairing a predicted QoS violation is always
-taken, anything else must buy back ``migration_cost`` per moved unit
-in predicted total time across both cells.
+rescheduling, with the source cell's own
+:attr:`~repro.service.loop.ServiceConfig.migration_cost`: a move
+repairing a predicted QoS violation is always taken, anything else
+must buy back ``migration_cost`` per moved unit in predicted total
+time across both cells.
 
 Everything here is deterministic: collapsed cells are visited in
 (worst margin, cell id) order, the victim is the worst-margin tenant
@@ -43,21 +45,18 @@ class CoordinatorConfig:
         (``bound - predicted``) falls below this.  The default 0.0
         means "a tenant is predicted to violate its bound"; small
         positive values intervene early.
-    migration_cost:
-        Predicted-total-time units one moved VM unit must buy back —
-        the same gate (and default) as
-        :attr:`~repro.service.loop.ServiceConfig.migration_cost`.
     max_migrations_per_epoch:
         Cross-cell moves allowed per epoch, bounding coordinator churn.
+
+    A move's cost is the source cell's
+    :attr:`~repro.service.loop.ServiceConfig.migration_cost` per moved
+    VM unit, the gate that cell's own rescheduling uses.
     """
 
     margin_threshold: float = 0.0
-    migration_cost: float = 0.02
     max_migrations_per_epoch: int = 2
 
     def __post_init__(self) -> None:
-        if self.migration_cost < 0:
-            raise ServiceError("migration_cost must be non-negative")
         if self.max_migrations_per_epoch < 0:
             raise ServiceError("max_migrations_per_epoch must be non-negative")
 
@@ -178,7 +177,7 @@ class GlobalCoordinator:
                 decision.predictions, decision.placement
             )
             gain = (total_before - total_after) + (target_before - target_after)
-            cost = self.config.migration_cost * victim.num_units
+            cost = service.config.migration_cost * victim.num_units
             if not (repairs_qos or gain > cost):
                 continue
             job, ends_at = service.transfer_out(victim.job_id)

@@ -34,7 +34,7 @@ from repro.core.online import OnlineModel
 from repro.errors import ServiceError
 from repro.obs import recorder as _obs
 from repro.parallel import fan_out
-from repro.scale.coordinator import CoordinatorConfig, GlobalCoordinator
+from repro.scale.coordinator import GlobalCoordinator
 from repro.scale.router import HeadroomRouter, free_slot_count
 from repro.scale.sharding import CellSpec, shard_cluster
 from repro.service.checkpoint import ServiceCheckpoint
@@ -376,7 +376,6 @@ def build_sharded_service(
     config: Optional[ServiceConfig] = None,
     router: Optional[HeadroomRouter] = None,
     coordinator: Optional[GlobalCoordinator] = None,
-    coordinator_config: Optional[CoordinatorConfig] = None,
     checkpoint_path: Optional[str] = None,
     cell_workers: int = 0,
     runner_factory=None,
@@ -406,6 +405,10 @@ def build_sharded_service(
     seed:
         Root seed.  Cells derive ``stable_seed(seed, "cell", cell_id)``
         so their searches and measurements are independent streams.
+    config:
+        Every cell's :class:`~repro.service.loop.ServiceConfig`.  Its
+        ``migration_cost`` gates the coordinator's cross-cell moves as
+        well as each cell's own rescheduling.
     runner_factory:
         ``f(shard, cell_seed) -> ClusterRunner`` building each cell's
         measurement environment; defaults to a
@@ -451,8 +454,6 @@ def build_sharded_service(
             ),
         )
         cells.append(Cell(shard.cell_id, shard, service, routed))
-    if coordinator is None and coordinator_config is not None:
-        coordinator = GlobalCoordinator(coordinator_config)
     return ShardedConsolidationService(
         cells,
         stream,

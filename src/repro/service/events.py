@@ -151,19 +151,9 @@ class EventLog:
         """Sequence number the first held event carries (0 = full log)."""
         return self._start_seq
 
-    @property
-    def source_path(self) -> Optional[str]:
-        """The file this log was recovered from (``None`` otherwise)."""
-        return self._source_path
-
     # ------------------------------------------------------------------
     # Incremental persistence
     # ------------------------------------------------------------------
-    @property
-    def attached_path(self) -> Optional[str]:
-        """Where this log persists incrementally (``None`` if detached)."""
-        return self._path
-
     def attach(self, path: str) -> None:
         """Persist this log (current contents and all future appends) to ``path``.
 

@@ -9,8 +9,7 @@ long-running controller.  Each epoch it:
    only if a placement of its units onto free slots keeps every
    mission-critical tenant (and itself) inside its QoS bound,
 3. **reschedules** the resident mix: a fresh placement search over the
-   refined :class:`~repro.core.online.OnlineModel`, migration-gated the
-   same way as :class:`~repro.placement.dynamic.DynamicRescheduler` —
+   refined :class:`~repro.core.online.OnlineModel`, migration-gated —
    moves must buy back ``migration_cost`` per moved unit, except that a
    migration repairing a predicted QoS violation is always taken,
 4. **measures** the placement on the ground-truth runner, folds the
@@ -35,8 +34,7 @@ from repro.core.online import OnlineModel
 from repro.errors import MeasurementFault, PlacementError, ServiceError
 from repro.obs import recorder as _obs
 from repro.placement.annealing import AnnealingSchedule
-from repro.placement.assignment import Placement
-from repro.placement.dynamic import units_moved
+from repro.placement.assignment import Placement, units_moved
 from repro.placement.objectives import (
     QoSConstraint,
     predict_placement,
@@ -68,8 +66,9 @@ class ServiceConfig:
     reschedule_every:
         Epochs between placement searches (0 disables rescheduling).
     migration_cost:
-        Predicted-total-time units one migrated VM unit must buy back
-        (same gate as :class:`~repro.placement.dynamic.DynamicRescheduler`).
+        Predicted-total-time units one migrated VM unit must buy back.
+        A sharded day's coordinator gates cross-cell moves on the
+        source cell's value too.
     schedule:
         Annealing schedule for the per-epoch searches.  Rescheduling
         assumes the paper's two-unit-slot hosts (the placers' random

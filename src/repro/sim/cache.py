@@ -143,12 +143,6 @@ class MeasurementCache:
         self._fresh.clear()
 
     # ------------------------------------------------------------------
-    def memory_clone(self) -> "MeasurementCache":
-        """In-memory copy with the same entries (for fan-out workers)."""
-        clone = MeasurementCache(None)
-        clone._entries = dict(self._entries)
-        return clone
-
     def __getstate__(self) -> Tuple[Dict[str, CacheValue]]:
         # Pickling ships entries only: a worker must never write the
         # parent's file, and its fresh entries restart from empty so the

@@ -178,15 +178,3 @@ class PressureField:
                 continue
             sources.extend(per_node.get(node_id, ()))
         return combine_pressures(sources)
-
-    def link_generated_on(self, node_id: int, *, exclude: str | None = None) -> float:
-        """Total link pressure on a node's uplink (diagnostics/reporting)."""
-        sources: List[float] = []
-        ambient = self._ambient_link.get(node_id, 0.0)
-        if ambient > 0.0:
-            sources.append(ambient)
-        for key, per_node in self._link_contributions.items():
-            if key == exclude or not self._active[key]:
-                continue
-            sources.extend(per_node.get(node_id, ()))
-        return combine_pressures(sources, domain=ContentionDomain.NETWORK)

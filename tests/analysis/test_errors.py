@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis.errors import (
-    ErrorSummary,
-    absolute_percent_error,
-    percent_errors,
-)
+from repro.analysis.errors import ErrorSummary, absolute_percent_error
 from repro.errors import ConfigurationError
 
 
@@ -22,21 +18,6 @@ class TestAbsolutePercentError:
             absolute_percent_error(1.0, 0.0)
 
 
-class TestPercentErrors:
-    def test_elementwise(self):
-        errors = percent_errors([1.1, 2.0], [1.0, 2.0])
-        assert errors[0] == pytest.approx(10.0)
-        assert errors[1] == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            percent_errors([1.0], [1.0, 2.0])
-
-    def test_non_positive_actual(self):
-        with pytest.raises(ConfigurationError):
-            percent_errors([1.0], [0.0])
-
-
 class TestErrorSummary:
     def test_statistics(self):
         summary = ErrorSummary.of([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -47,11 +28,6 @@ class TestErrorSummary:
         assert summary.p25 == 2.0
         assert summary.p75 == 4.0
         assert summary.count == 5
-
-    def test_bars(self):
-        summary = ErrorSummary.of([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert summary.iqr_bar() == (2.0, 4.0)
-        assert summary.range_bar() == (1.0, 5.0)
 
     def test_single_sample(self):
         summary = ErrorSummary.of([3.0])

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.reporting import (
-    format_bar_chart,
-    format_series,
-    format_table,
-    normalized_times_table,
-)
+from repro.analysis.reporting import format_series, format_table
 from repro.errors import ConfigurationError
 
 
@@ -37,20 +32,3 @@ class TestFormatSeries:
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             format_series("k", [0, 1], {"s": [1.0]})
-
-
-class TestBarChart:
-    def test_bars_scale(self):
-        text = format_bar_chart({"a": 1.0, "b": 2.0}, width=10)
-        lines = text.splitlines()
-        assert lines[1].count("#") == 10
-        assert lines[0].count("#") == 5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            format_bar_chart({})
-
-
-def test_normalized_times_table_sorted():
-    text = normalized_times_table({"b": 1.2, "a": 1.1})
-    assert text.index("a") < text.index("b")

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    finite_population_correction,
-    margin_of_error,
-    required_sample_size,
-)
+from repro.analysis.stats import finite_population_correction, margin_of_error
 from repro.errors import ConfigurationError
 
 
@@ -49,21 +45,3 @@ class TestMarginOfError:
     def test_needs_two_samples(self):
         with pytest.raises(ConfigurationError):
             margin_of_error([1.0], population_size=100)
-
-
-class TestRequiredSampleSize:
-    def test_roundtrip_with_margin(self):
-        n = required_sample_size(
-            5.0, target_margin=1.7, population_size=12870, confidence=0.99
-        )
-        # The paper's 60 samples should be in the right neighbourhood.
-        assert 40 <= n <= 80
-
-    def test_zero_std(self):
-        assert required_sample_size(0.0, target_margin=1.0, population_size=100) == 2
-
-    def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            required_sample_size(-1.0, target_margin=1.0, population_size=100)
-        with pytest.raises(ConfigurationError):
-            required_sample_size(1.0, target_margin=0.0, population_size=100)

@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.apps.base import Stage, WorkloadSpec, total_program_work
+from repro.apps.base import Stage, WorkloadSpec
 from repro.errors import ConfigurationError
 from tests._synthetic import bsp_workload, synthetic_spec
 
 
 class TestStage:
-    def test_total_work(self):
-        stage = Stage(name="s", n_tasks=8, task_time=0.5)
-        assert stage.total_work == 4.0
-
     def test_invalid_tasks(self):
         with pytest.raises(ConfigurationError):
             Stage(name="s", n_tasks=0, task_time=1.0)
@@ -72,15 +68,3 @@ class TestWorkload:
     def test_no_discount_for_mpi(self):
         workload = bsp_workload("m", master_factor=1.0, score=2.0)
         assert workload.generated_pressure_for(0) == 2.0
-
-
-class TestTotalProgramWork:
-    def test_sums_stages(self):
-        workload = bsp_workload(iterations=4, base_time=10.0)
-        program = workload.build_program(num_slots=8)
-        # Weak scaling: per-slot work == base_time, so total work is
-        # base_time * slots.
-        assert total_program_work(program) == pytest.approx(80.0)
-
-    def test_empty_program(self):
-        assert total_program_work([]) == 0.0

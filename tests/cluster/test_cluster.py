@@ -12,7 +12,6 @@ class TestClusterSpec:
         assert spec.num_nodes == 8
         assert spec.cores_per_node == 16
         assert spec.max_workloads_per_node == 2
-        assert spec.total_cores == 128
 
     def test_invalid_nodes(self):
         with pytest.raises(ConfigurationError):

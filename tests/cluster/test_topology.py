@@ -6,10 +6,6 @@ from repro.cluster.topology import SwitchTopology
 
 
 class TestSwitchTopology:
-    def test_point_to_point(self):
-        topo = SwitchTopology(base_latency=0.001, per_node_cost=0.0001)
-        assert topo.point_to_point() == 0.001
-
     def test_collective_scales_with_nodes(self):
         topo = SwitchTopology(base_latency=0.001, per_node_cost=0.0001)
         assert topo.collective_cost(8) == pytest.approx(0.0018)

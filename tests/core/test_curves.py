@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.curves import (
-    HomogeneousSetting,
-    PropagationMatrix,
-    exhaustive_matrix_from,
-)
+from repro.core.curves import HomogeneousSetting, PropagationMatrix
 from repro.errors import ModelError
 
 
@@ -126,17 +122,3 @@ class TestHomogeneousSetting:
             HomogeneousSetting(-1.0, 1.0)
         with pytest.raises(ValueError):
             HomogeneousSetting(1.0, -1.0)
-
-
-class TestExhaustive:
-    def test_measures_every_cell(self):
-        calls = []
-
-        def measure(p, k):
-            calls.append((p, k))
-            return 1.0 + p * k / 16.0
-
-        matrix = exhaustive_matrix_from(measure, [1.0, 2.0], [0.0, 1.0, 2.0])
-        assert matrix.is_complete()
-        assert len(calls) == 4  # 2 pressures x 2 non-zero counts
-        assert matrix.get(1, 2) == pytest.approx(1.25)

@@ -112,6 +112,16 @@ class TestResume:
         assert day_bytes(again) == flat_day
 
 
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "kwargs", [{"workers": 0}, {"lease_ticks": 1}, {"exec_ticks": 0}]
+    )
+    def test_rejected_pool_creates_no_spool(self, tmp_path, model, kwargs):
+        with pytest.raises(DaemonError):
+            make_daemon(tmp_path / "spool", model, **kwargs)
+        assert not (tmp_path / "spool").exists()
+
+
 class TestSingleInstance:
     def test_second_daemon_on_the_spool_fails_fast(self, tmp_path, model):
         spool = tmp_path / "spool"

@@ -14,11 +14,6 @@ class TestRetryPolicy:
         assert policy.backoff(2) == pytest.approx(0.10)
         assert policy.backoff(3) == pytest.approx(0.20)
 
-    def test_total_backoff_sums_retries(self):
-        policy = RetryPolicy(backoff_base=0.05, backoff_factor=2.0)
-        assert policy.total_backoff(3) == pytest.approx(0.05 + 0.10 + 0.20)
-        assert policy.total_backoff(0) == 0.0
-
     def test_backoff_index_is_one_based(self):
         with pytest.raises(FaultError):
             RetryPolicy().backoff(0)

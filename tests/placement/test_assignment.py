@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import ClusterSpec
 from repro.errors import PlacementError
-from repro.placement.assignment import InstanceSpec, Placement
+from repro.placement.assignment import InstanceSpec, Placement, units_moved
 
 SPEC = ClusterSpec(num_nodes=8)
 
@@ -180,3 +180,20 @@ class TestEquality:
         a = Placement(SPEC, four_apps(), paired_assignment())
         b = a.swap_units("app0#0", 0, "app1#1", 0)
         assert a != b
+
+
+class TestUnitsMoved:
+    def test_identity_is_zero(self):
+        spec = ClusterSpec(num_nodes=4)
+        instances = [InstanceSpec("a", "a", num_units=2),
+                     InstanceSpec("b", "b", num_units=2)]
+        placement = Placement(spec, instances, {"a": [0, 1], "b": [2, 3]})
+        assert units_moved(placement, placement) == 0
+
+    def test_counts_changed_units(self):
+        spec = ClusterSpec(num_nodes=4)
+        instances = [InstanceSpec("a", "a", num_units=2),
+                     InstanceSpec("b", "b", num_units=2)]
+        before = Placement(spec, instances, {"a": [0, 1], "b": [2, 3]})
+        after = Placement(spec, instances, {"a": [2, 1], "b": [0, 3]})
+        assert units_moved(before, after) == 2

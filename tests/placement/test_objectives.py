@@ -7,8 +7,6 @@ from repro.errors import PlacementError
 from repro.placement.assignment import InstanceSpec, Placement
 from repro.placement.objectives import (
     QoSConstraint,
-    qos_energy,
-    qos_status,
     weighted_average_speedup,
     weighted_total_time,
 )
@@ -74,22 +72,3 @@ class TestQoSConstraint:
 
     def test_default_is_80_percent(self):
         assert QoSConstraint("a").max_normalized_time == 1.25
-
-
-class TestQoSEnergy:
-    def test_feasible_is_total_time(self):
-        predictions = {"a": 1.1, "b": 1.2}
-        energy = qos_energy(predictions, placement(), [QoSConstraint("a", 1.25)])
-        assert energy == pytest.approx(2.3)
-
-    def test_violation_dominates(self):
-        predictions = {"a": 1.5, "b": 1.0}
-        energy = qos_energy(
-            predictions, placement(), [QoSConstraint("a", 1.25)], penalty=1000
-        )
-        assert energy > 100
-
-
-def test_qos_status():
-    constraints = [QoSConstraint("a", 1.25), QoSConstraint("b", 1.25)]
-    assert qos_status({"a": 1.1, "b": 1.4}, constraints) == [True, False]

@@ -33,15 +33,16 @@ def _load(cell, job: Job) -> None:
     service.admit_transfer(job, ends_at=99, decision=decision)
 
 
-def _crowded_cells(synthetic_model):
+def _crowded_cells(synthetic_model, **config):
     """Three cells; cell 0 full, hosting one squeezed MC tenant.
 
     The tenant's predicted margin in the crowded cell is 0.35; an empty
     sibling would give it far more, so a coordinator watching with
     ``margin_threshold=0.5`` sees a collapse while the default (0.0 —
-    a predicted violation) does not.
+    a predicted violation) does not.  ``config`` overrides the cells'
+    :class:`ServiceConfig` fields.
     """
-    cells = sharded_service(synthetic_model, 3, num_nodes=12).cells
+    cells = sharded_service(synthetic_model, 3, num_nodes=12, **config).cells
     for i in range(3):
         _load(cells[0], _job(f"be-{i}"))
     _load(cells[0], _job("mc", workload="appB", qos=1.6))
@@ -87,6 +88,17 @@ def test_collapse_triggers_one_gated_migration(synthetic_model):
     assert again == []
 
 
+def test_cells_migration_cost_gates_cross_cell_moves(synthetic_model):
+    # The squeezed tenant is inside its bound, so the move repairs no
+    # violation and must buy back the cells' own migration cost.
+    cells = _crowded_cells(synthetic_model, migration_cost=1e6)
+    coordinator = GlobalCoordinator(CoordinatorConfig(margin_threshold=0.5))
+    log = EventLog()
+    assert coordinator.rebalance(cells, 0, log, HeadroomRouter()) == []
+    assert len(log) == 0
+    assert _tenant_cell(cells, "mc") == 0
+
+
 def test_empty_and_best_effort_cells_cannot_collapse(synthetic_model):
     cells = sharded_service(synthetic_model, 3, num_nodes=12).cells
     assert cells[0].service.qos_margin() is None
@@ -117,7 +129,5 @@ def test_no_migration_without_an_absorbing_cell(synthetic_model):
 
 
 def test_config_validation():
-    with pytest.raises(ServiceError):
-        CoordinatorConfig(migration_cost=-0.1)
     with pytest.raises(ServiceError):
         CoordinatorConfig(max_migrations_per_epoch=-1)

@@ -209,28 +209,45 @@ class TestServeCellsAndResume:
         assert message in capsys.readouterr().err
 
 
+_SPOT = ["--provider", "elastic", "--spot-fraction", "2"]
+_BAD_DAY_FLAGS = [
+    pytest.param(verb, flags, message, id=f"{name}-{verb}")
+    for name, flags, message in [
+        ("epochs", ["--epochs", "0"], "--epochs must be at least 1"),
+        ("arrival-rate", ["--arrival-rate", "-1"],
+         "arrival_rate must be non-negative"),
+        ("migration-cost", ["--migration-cost", "-1"],
+         "migration_cost must be non-negative"),
+        ("spot-fraction", _SPOT, "spot_fraction must be in [0, 1]"),
+    ]
+    for verb in ("serve", "daemon")
+] + [
+    pytest.param("serve", ["--cells", "2"] + _SPOT,
+                 "spot_fraction must be in [0, 1]",
+                 id="cells-spot-fraction-serve"),
+    pytest.param("daemon", ["--lease-ticks", "0"],
+                 "lease_ticks must be at least 2", id="lease-ticks-daemon"),
+    pytest.param("daemon", ["--exec-ticks", "0"],
+                 "exec_ticks must be positive", id="exec-ticks-daemon"),
+]
+
+
 class TestDayFlags:
     """``serve`` and ``daemon`` share their traffic-day flags."""
 
-    @pytest.mark.parametrize("verb", ["serve", "daemon"])
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--epochs", "0"], "--epochs must be at least 1"),
-            (["--arrival-rate", "-1"], "arrival_rate must be non-negative"),
-        ],
-        ids=["epochs", "arrival-rate"],
-    )
+    @pytest.mark.parametrize("verb, flags, message", _BAD_DAY_FLAGS)
     def test_rejects_bad_day_flags_before_profiling(
         self, verb, flags, message, tmp_path, capsys
     ):
+        spool = tmp_path / "spool"
         argv = [verb, "--seed", "9"] + flags
         if verb == "daemon":
-            argv += ["--spool", str(tmp_path / "spool")]
+            argv += ["--spool", str(spool)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Profiling" not in err
+        assert not spool.exists()
 
 
 class TestNetworkFlags:

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro._util import (
-    child_rng,
-    make_rng,
-    mean,
-    percent_error,
-    stable_seed,
-    weighted_mean,
-)
+from repro._util import child_rng, make_rng, mean, stable_seed
 
 
 class TestMakeRng:
@@ -64,38 +57,3 @@ class TestMean:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             mean([])
-
-
-class TestWeightedMean:
-    def test_equal_weights(self):
-        assert weighted_mean([2.0, 4.0], [1.0, 1.0]) == 3.0
-
-    def test_unequal_weights(self):
-        assert weighted_mean([2.0, 4.0], [3.0, 1.0]) == 2.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="same length"):
-            weighted_mean([1.0], [1.0, 2.0])
-
-    def test_zero_weights(self):
-        with pytest.raises(ValueError, match="positive"):
-            weighted_mean([1.0], [0.0])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            weighted_mean([], [])
-
-
-class TestPercentError:
-    def test_exact(self):
-        assert percent_error(1.0, 1.0) == 0.0
-
-    def test_over(self):
-        assert percent_error(1.2, 1.0) == pytest.approx(20.0)
-
-    def test_under(self):
-        assert percent_error(0.8, 1.0) == pytest.approx(20.0)
-
-    def test_zero_actual(self):
-        with pytest.raises(ValueError):
-            percent_error(1.0, 0.0)
