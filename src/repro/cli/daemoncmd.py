@@ -52,6 +52,7 @@ def _build_daemon(args: argparse.Namespace) -> ConsolidationDaemon:
     provider_factory, provider_nodes = provider_setup(
         args, ClusterSpec().num_nodes
     )
+    # Built only for their checks: the daemon builds its own.
     if provider_factory is not None:
         provider_factory()
     ExecutorPool(

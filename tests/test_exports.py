@@ -90,15 +90,13 @@ def test_every_exported_name_resolves():
 
 
 def _all_constants(tree):
-    """Ids of the string constants inside ``__all__`` assignments."""
+    """Ids of the string constants inside ``__all__ = [...]``."""
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = getattr(node, "targets", None) or [node.target]
-            if any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in targets
-            ):
-                found.update(id(c) for c in ast.walk(node.value))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            found.update(id(c) for c in ast.walk(node.value))
     return found
 
 
