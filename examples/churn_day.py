@@ -2,7 +2,8 @@
 """An elastic day: autoscaling plus two-phase spot preemption.
 
 Runs the seeded traffic day on a pool leased from an
-`ElasticProvider` instead of a fixed cluster.  Durable nodes (the low
+`ElasticProvider` instead of the fixed `StaticProvider` pool every
+service runs on by default.  Durable nodes (the low
 ids) are the only home mission-critical tenants are ever admitted to;
 the spot remainder is cheap but preemptible.  Mid-day the pool
 resizes — the pure autoscaler grows it on queue backlog or thin
@@ -18,7 +19,7 @@ The same day is available from the command line:
     python -m repro serve --seed 2016 --epochs 12 \
         --provider elastic --churn benchmarks/baselines/churn_plan.json
 
-and `--provider static` replays the fixed-pool day byte for byte.
+while the default `--provider static` serves the fixed-pool day.
 
 Run:
     python examples/churn_day.py

@@ -21,8 +21,9 @@ The package layers:
   placement case studies.
 * :mod:`repro.service` — the online consolidation service.
 * :mod:`repro.obs` — structured tracing and metrics.
-* :mod:`repro.providers` — capacity providers, including the ``ec2``
-  32-VM scale-out validation environment.
+* :mod:`repro.providers` — the capacity providers every service runs
+  on (the fixed static pool and the elastic spot pool), plus the
+  32-VM EC2 validation environment of Section 6.
 * :mod:`repro.experiments` — one module per paper table/figure.
 
 The supported import surface is :mod:`repro.api`, re-exported here

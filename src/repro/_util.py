@@ -26,6 +26,22 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp_path, path)
 
 
+def round_floats(value: object) -> object:
+    """Round floats (recursively) so serialization is byte-stable.
+
+    Dict keys become strings and tuples become lists, as in JSON.
+    Shared by the event log and the trace exporters, whose bytes are
+    pinned.
+    """
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return {str(k): round_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round_floats(v) for v in value]
+    return value
+
+
 def make_rng(seed: object) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``seed``.
 

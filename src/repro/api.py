@@ -39,14 +39,14 @@ stable across releases:
   whose :func:`execute_epoch` is a pure function of
   ``(checkpoint, arrivals)`` (see the "Daemon layer" section of
   ``docs/architecture.md``).
-* **Providers** — the elastic capacity layer: the
+* **Providers** — the capacity layer every service runs on: the
   :class:`CapacityProvider` contract over durable/spot
   :class:`ProviderInstance` pools, the fixed :class:`StaticProvider`
-  (byte-identical to no provider), the :class:`ElasticProvider` with
-  :class:`AutoscalerConfig`-driven resizing and two-phase spot
-  preemption, :class:`CapacityEvent` records, and the
-  :func:`make_provider` / :func:`register_provider` registry (see the
-  "Elastic capacity & preemption" section of ``docs/robustness.md``).
+  (a service's pool unless it is handed another), and the
+  :class:`ElasticProvider` with :class:`AutoscalerConfig`-driven
+  resizing, two-phase spot preemption and :class:`CapacityEvent`
+  records (see the "Elastic capacity & preemption" section of
+  ``docs/robustness.md``).
 * **Robustness** — deterministic fault injection
   (:class:`FaultPlan` / :class:`FaultConfig`), the :class:`RetryPolicy`
   governing the retrying measurement path, and :class:`MeasurementFault`
@@ -134,9 +134,6 @@ from repro.providers import (
     ElasticProvider,
     ProviderInstance,
     StaticProvider,
-    make_provider,
-    provider_names,
-    register_provider,
 )
 from repro.scale import (
     CoordinatorConfig,
@@ -226,9 +223,6 @@ __all__ = [
     "ElasticProvider",
     "ProviderInstance",
     "StaticProvider",
-    "make_provider",
-    "provider_names",
-    "register_provider",
     # robustness
     "FaultConfig",
     "FaultPlan",

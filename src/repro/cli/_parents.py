@@ -102,10 +102,9 @@ def wants_network(args: argparse.Namespace) -> bool:
 
 
 PROVIDER_HELP = (
-    "capacity provider backing the node pool: 'static' (fixed, "
-    "byte-identical to no provider), 'elastic' (durable + spot "
-    "instances with queue/QoS-margin autoscaling), or any other "
-    "registered backend (e.g. 'ec2'); default: no provider"
+    "capacity provider backing the node pool: 'static' (the default: "
+    "a fixed, fully durable pool of the cluster's nodes) or 'elastic' "
+    "(durable + spot instances with queue/QoS-margin autoscaling)"
 )
 
 CHURN_HELP = (
@@ -119,14 +118,14 @@ def provider_parent() -> argparse.ArgumentParser:
     """Parent adding the capacity-provider flags.
 
     Shared by ``serve`` and ``daemon`` so the elastic pool spells
-    identically everywhere.  Defaults keep the fixed pool: no provider,
-    no churn.
+    identically everywhere.  Defaults keep the fixed pool: the static
+    provider, no churn.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--provider",
-        metavar="NAME",
-        default=None,
+        choices=("static", "elastic"),
+        default="static",
         help=PROVIDER_HELP,
     )
     parent.add_argument(

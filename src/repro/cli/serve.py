@@ -44,54 +44,36 @@ from repro.sim.runner import ClusterRunner
 def provider_setup(args: argparse.Namespace, default_nodes: int):
     """Resolve ``--provider``/``--churn`` into ``(factory, runner_nodes)``.
 
-    ``factory`` is a zero-argument callable building a *fresh* provider
-    (``None`` when no ``--provider`` was given — the fixed pool), and
-    ``runner_nodes`` is the node count the runner must be built at
-    (``None`` to keep the default spec).  Shared by ``repro serve`` and
-    ``repro daemon`` so the pool spells identically in both; the daemon
-    hands the factory to its :class:`~repro.daemon.ServiceBlueprint`.
+    For ``--provider elastic``, ``factory`` is a zero-argument callable
+    building a *fresh* elastic provider and ``runner_nodes`` is its
+    ceiling, the node count the runner must be built at.  The static
+    pool (the default) gives ``(None, None)``: the service builds its
+    fixed pool over the runner's nodes itself.  Shared by ``repro
+    serve`` and ``repro daemon`` so the pool spells identically in
+    both; the daemon hands the factory to its
+    :class:`~repro.daemon.ServiceBlueprint`.
     """
-    name = getattr(args, "provider", None)
-    churn_path = getattr(args, "churn", None)
-    if churn_path and name != "elastic":
-        raise ConfigurationError("--churn requires --provider elastic")
-    if name is None:
+    if args.provider != "elastic":
+        if args.churn:
+            raise ConfigurationError("--churn requires --provider elastic")
         return None, None
-    from repro.providers import (
-        AutoscalerConfig,
-        ElasticProvider,
-        StaticProvider,
-        make_provider,
-    )
+    from repro.faults import FaultPlan
+    from repro.providers import AutoscalerConfig, ElasticProvider
 
-    if name == "static":
-        def factory():
-            return StaticProvider(default_nodes)
-        return factory, None
-    if name == "elastic":
-        from repro.faults import FaultPlan
-
-        initial = args.initial_nodes or default_nodes
-        ceiling = args.max_nodes or initial + 4
-        churn = FaultPlan.load(churn_path) if churn_path else None
-        spot_fraction = args.spot_fraction
-
-        def factory():
-            return ElasticProvider(
-                ceiling,
-                initial_nodes=initial,
-                spot_fraction=spot_fraction,
-                churn=churn,
-                autoscaler=AutoscalerConfig(),
-            )
-        return factory, ceiling
-    # Any other registered backend (e.g. "ec2") builds with its own
-    # defaults; the runner is sized to its ceiling.
-    probe = make_provider(name)
+    initial = args.initial_nodes or default_nodes
+    ceiling = args.max_nodes or initial + 4
+    churn = FaultPlan.load(args.churn) if args.churn else None
+    spot_fraction = args.spot_fraction
 
     def factory():
-        return make_provider(name)
-    return factory, probe.max_nodes
+        return ElasticProvider(
+            ceiling,
+            initial_nodes=initial,
+            spot_fraction=spot_fraction,
+            churn=churn,
+            autoscaler=AutoscalerConfig(),
+        )
+    return factory, ceiling
 
 
 def _check_expectation(expected: dict, actual: dict) -> int:
@@ -129,12 +111,17 @@ def profile_day(args: argparse.Namespace, runner: ClusterRunner):
 
     Shared by ``repro serve`` and ``repro daemon``, so both build the
     same model and arrival stream from the same flags.  A day shorter
-    than one epoch, or a traffic shape :class:`StreamConfig` rejects,
+    than one epoch, no policy samples, a workload name ``runner``
+    cannot resolve, or a traffic shape :class:`StreamConfig` rejects,
     fails before any profiling.
     """
     if args.epochs < 1:
         raise ConfigurationError("--epochs must be at least 1")
+    if args.policy_samples < 1:
+        raise ConfigurationError("--policy-samples must be at least 1")
     workloads = tuple(args.workloads or DEFAULT_SERVE_MIX)
+    for name in workloads:
+        runner.workload(name)
     stream = WorkloadStream(
         StreamConfig(
             workloads=workloads,
@@ -227,9 +214,9 @@ def finish_day(
 
 
 def _build_sharded(
-    args: argparse.Namespace, profiling_runner, model, stream, config
+    args: argparse.Namespace, cluster, profiling_runner, model, stream, config
 ):
-    """Stand up the sharded (``--cells N``, N >= 2) service.
+    """Stand up the sharded (``--cells N``, N >= 2) service over ``cluster``.
 
     Cells run ``config``, the scale-layer config (shorter annealing
     schedule, capped admission candidates), on derived per-cell seeds.
@@ -259,7 +246,7 @@ def _build_sharded(
 
     return build_sharded_service(
         model,
-        ClusterSpec(num_nodes=args.nodes or profiling_runner.spec.num_nodes),
+        cluster,
         args.cells,
         stream,
         seed=args.seed,
@@ -275,17 +262,21 @@ def _build_sharded(
 def _build_service(args: argparse.Namespace):
     """Construct the (deterministic) service a serve invocation runs.
 
-    The service config and one provider are built before profiling, so
-    a flag either of them rejects fails before any profiling run.
+    The service config, one provider and (with ``--cells``) the shard
+    shape are built before profiling, so a flag any of them rejects
+    fails before any profiling run.
     """
     sharded = args.cells > 1
     if sharded:
-        from repro.scale import scale_service_config
+        from repro.scale import scale_service_config, shard_cluster
 
         config = scale_service_config(
             reschedule_every=args.reschedule_every,
             migration_cost=args.migration_cost,
         )
+        cluster = ClusterSpec(num_nodes=args.nodes or ClusterSpec().num_nodes)
+        # Sharded only for its checks: build_sharded_service shards again.
+        shard_cluster(cluster, args.cells, seed=args.seed)
     else:
         config = ServiceConfig(
             reschedule_every=args.reschedule_every,
@@ -307,7 +298,7 @@ def _build_service(args: argparse.Namespace):
     )
     model, stream = profile_day(args, runner)
     if sharded:
-        return _build_sharded(args, runner, model, stream, config)
+        return _build_sharded(args, cluster, runner, model, stream, config)
     return ConsolidationService(
         runner,
         model,
@@ -325,6 +316,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 1
     if args.cells < 1:
         console.info("error: --cells must be at least 1")
+        return 1
+    if args.cell_workers < 0:
+        console.info("error: --cell-workers must be non-negative")
         return 1
     if args.cells == 1 and (args.nodes or args.cell_workers):
         console.info(

@@ -24,7 +24,6 @@ from repro.core.profiling.plan import (
     MeasurementOracle,
     ProfilingOutcome,
     ProfilingSession,
-    total_settings_of,
 )
 from repro.core.profiling.random_sampling import random_sampling
 

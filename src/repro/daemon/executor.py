@@ -23,7 +23,7 @@ the full claim/renew/reap/requeue/fence protocol a thread pool would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.online import OnlineModel
@@ -92,6 +92,8 @@ class ServiceBlueprint:
         inventory restored from the checkpoint's ``provider_state``, so
         pool resizes and in-flight preemption warnings survive the
         daemon's claim/crash/re-execute cycle byte-identically.
+        ``None`` (the default) runs every execution on the fixed pool
+        the service builds over its runner's nodes.
     """
 
     def __init__(

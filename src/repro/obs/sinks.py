@@ -15,25 +15,13 @@ human performance work in Perfetto); such traces are not diffable.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro._util import round_floats
 from repro.obs.recorder import Span, TraceRecorder
 
 #: Trace payload schema version (bump on incompatible layout changes).
 TRACE_VERSION = 1
-
-
-def _clean(value: object) -> object:
-    """Round floats (recursively) so serialization is byte-stable."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return round(value, 6)
-    if isinstance(value, dict):
-        return {str(k): _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    return value
 
 
 def _span_row(span: Span, *, deterministic: bool) -> Dict[str, object]:
@@ -43,7 +31,7 @@ def _span_row(span: Span, *, deterministic: bool) -> Dict[str, object]:
         "name": span.name,
         "seq0": span.seq_start,
         "seq1": span.seq_end,
-        "attrs": _clean(span.attrs),
+        "attrs": round_floats(span.attrs),
     }
     if span.sim_elapsed is not None:
         row["sim"] = round(span.sim_elapsed, 6)
@@ -76,11 +64,11 @@ def to_payload(
             for span in recorder.spans
         ],
         "counters": {
-            name: _clean(value)
+            name: round_floats(value)
             for name, value in sorted(recorder.counters.items())
         },
         "gauges": {
-            name: _clean(value)
+            name: round_floats(value)
             for name, value in sorted(recorder.gauges.items())
         },
         "histograms": {
@@ -132,7 +120,7 @@ def to_chrome_trace(
     """
     events = []
     for span in recorder.spans:
-        args: Dict[str, object] = dict(_clean(span.attrs))
+        args: Dict[str, object] = dict(round_floats(span.attrs))
         if span.sim_elapsed is not None:
             args["sim"] = round(span.sim_elapsed, 6)
         if deterministic:

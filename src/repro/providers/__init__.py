@@ -1,9 +1,10 @@
-"""Capacity providers: elastic pools, spot preemption, autoscaling.
+"""Capacity providers: the fixed and elastic pools a service runs on.
 
-See :mod:`repro.providers.base` for the model.  Importing this package
-populates the provider registry (``static``, ``elastic``, ``ec2``), so
-``make_provider(name, ...)`` works without importing the backends
-individually.
+See :mod:`repro.providers.base` for the model.  A service runs on a
+:class:`StaticProvider` (the fixed pool) unless it is handed an
+:class:`ElasticProvider` (autoscaling, spot preemption).
+:mod:`repro.providers.ec2` is the 32-VM environment the Section 6
+experiments measure on, not a provider.
 """
 
 from repro.providers.autoscaler import AutoscalerConfig
@@ -15,9 +16,6 @@ from repro.providers.base import (
     CapacityEvent,
     CapacityProvider,
     ProviderInstance,
-    make_provider,
-    provider_names,
-    register_provider,
 )
 from repro.providers.ec2 import (
     EC2_COUNTS,
@@ -25,7 +23,6 @@ from repro.providers.ec2 import (
     EC2_NUM_INSTANCES,
     EC2_POLICY_SAMPLES,
     EC2_WORKLOADS,
-    EC2Provider,
     ec2_cluster_spec,
     ec2_counts,
     make_ec2_runner,
@@ -39,7 +36,6 @@ __all__ = [
     "CapacityProvider",
     "DRAINING",
     "DURABLE",
-    "EC2Provider",
     "EC2_COUNTS",
     "EC2_INSTANCE_VCPUS",
     "EC2_NUM_INSTANCES",
@@ -53,7 +49,4 @@ __all__ = [
     "ec2_cluster_spec",
     "ec2_counts",
     "make_ec2_runner",
-    "make_provider",
-    "provider_names",
-    "register_provider",
 ]

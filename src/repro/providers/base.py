@@ -1,14 +1,17 @@
-"""Capacity providers: the elastic node pool under the service.
+"""Capacity providers: the node pool under the service.
 
 The paper's consolidation story assumes a fixed pool of hosts; a
 production fleet does not get that luxury — capacity arrives, leaves,
 and is *reclaimed* mid-day.  A :class:`CapacityProvider` owns the
 synthetic "instance" inventory the consolidation service schedules
 onto: which node ids are live, which are durable versus spot, which
-are draining toward a preemption reclaim.  The service's runner is
-built at the provider's ``max_nodes`` ceiling, so every node id the
-provider can ever mint has a physical identity; the provider decides
-which subset is *schedulable* at each epoch boundary.
+are draining toward a preemption reclaim.  Every service runs on one:
+a fixed :class:`~repro.providers.static.StaticProvider` over its
+runner's nodes unless it is handed an elastic pool.  The service's
+runner is built at the provider's ``max_nodes`` ceiling, so every
+node id the provider can ever mint has a physical identity; the
+provider decides which subset is *schedulable* at each epoch
+boundary.
 
 Determinism contract: every capacity decision is a pure function of
 the provider's serialized state, the epoch number, and a seeded
@@ -32,7 +35,7 @@ Node classes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -124,16 +127,15 @@ class CapacityEvent:
 
 
 class CapacityProvider:
-    """Base class: a fixed-or-elastic pool of provider instances.
+    """Base class: the pool of provider instances a service schedules onto.
 
     Subclasses own the inventory (``self._instances``, keyed by node
-    id) and may override :meth:`autoscale` and :meth:`poll` — the two
-    halves of :meth:`step`, which the service calls once per epoch
-    *before* anything else happens, so the epoch's admission and
-    rescheduling see a consistent capacity picture.
+    id).  The base pool never changes shape; only
+    :class:`~repro.providers.elastic.ElasticProvider` grows, shrinks
+    and loses instances, through its per-epoch ``step``.
     """
 
-    #: Registry name (set by subclasses).
+    #: Checkpoint name (set by subclasses).
     name = "base"
 
     def __init__(self, max_nodes: int) -> None:
@@ -155,12 +157,11 @@ class CapacityProvider:
     def elastic(self) -> bool:
         """Whether this pool can ever change shape.
 
-        The service keys its additive output on this: a non-elastic
-        (static) provider adds **no** events, snapshot fields, spans,
-        or counters, so a ``--provider static`` day is byte-identical
-        to a day run with no provider at all.
+        The service keys its additive output on this: a fixed pool
+        adds **no** capacity phase, events, snapshot fields, spans,
+        counters or checkpoint state.
         """
-        return True
+        return False
 
     def instances(self) -> List[ProviderInstance]:
         """The live inventory, sorted by node id."""
@@ -194,101 +195,6 @@ class CapacityProvider:
         return instance is not None and instance.state == DRAINING
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def grow(
-        self, count: int, epoch: int, *, node_class: str = SPOT
-    ) -> List[CapacityEvent]:
-        """Launch ``count`` fresh instances (bounded by ``max_nodes``).
-
-        New instances take the lowest free node ids, so growth is
-        deterministic.  Returns the ``node_join`` event (empty list
-        when the pool is already at its ceiling).
-        """
-        if count <= 0:
-            return []
-        if node_class not in NODE_CLASSES:
-            raise ConfigurationError(f"unknown node class {node_class!r}")
-        free = [
-            n for n in range(self._max_nodes) if n not in self._instances
-        ]
-        taken = free[:count]
-        if not taken:
-            return []
-        for node_id in taken:
-            self._instances[node_id] = ProviderInstance(
-                node_id=node_id,
-                node_class=node_class,
-                launched_epoch=epoch,
-            )
-        return [CapacityEvent(
-            kind="node_join",
-            epoch=epoch,
-            nodes=tuple(taken),
-            node_class=node_class,
-            details=(("pool_size", len(self._instances)),),
-        )]
-
-    def shrink(self, nodes: List[int], epoch: int) -> List[CapacityEvent]:
-        """Release the given (idle) instances back to the provider.
-
-        The caller — the autoscaler path — is responsible for only
-        releasing nodes with no resident units.  Returns the
-        ``node_leave`` event.
-        """
-        released = sorted(n for n in nodes if n in self._instances)
-        if not released:
-            return []
-        for node_id in released:
-            del self._instances[node_id]
-        return [CapacityEvent(
-            kind="node_leave",
-            epoch=epoch,
-            nodes=tuple(released),
-            reason="autoscale",
-            details=(("pool_size", len(self._instances)),),
-        )]
-
-    def autoscale(
-        self,
-        epoch: int,
-        *,
-        queue_depth: int,
-        qos_margin: Optional[float],
-        idle_nodes: List[int],
-    ) -> List[CapacityEvent]:
-        """Scaling decision for this boundary (default: none)."""
-        return []
-
-    def poll(self, epoch: int) -> List[CapacityEvent]:
-        """Preemption lifecycle for this boundary (default: none)."""
-        return []
-
-    def step(
-        self,
-        epoch: int,
-        *,
-        queue_depth: int = 0,
-        qos_margin: Optional[float] = None,
-        idle_nodes: Optional[List[int]] = None,
-    ) -> List[CapacityEvent]:
-        """One epoch boundary's worth of capacity changes, in order.
-
-        Autoscaling first (driven by the *previous* boundary's queue
-        depth and predicted mission-critical QoS margin), then the
-        seeded preemption lifecycle.  The returned events are already
-        ordered the way the service logs them.
-        """
-        events = self.autoscale(
-            epoch,
-            queue_depth=queue_depth,
-            qos_margin=qos_margin,
-            idle_nodes=list(idle_nodes or []),
-        )
-        events.extend(self.poll(epoch))
-        return events
-
-    # ------------------------------------------------------------------
     # Serialization (the checkpoint contract)
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -303,8 +209,8 @@ class CapacityProvider:
         """Install a :meth:`state_dict` capture into this provider.
 
         The provider must have been constructed with the same
-        configuration as the captured one (same registry name and
-        ceiling) — the checkpoint carries state, not construction.
+        configuration as the captured one (same name and ceiling) —
+        the checkpoint carries state, not construction.
         """
         try:
             name = str(state["provider"])
@@ -324,33 +230,3 @@ class CapacityProvider:
             )
         instances = [ProviderInstance.from_dict(entry) for entry in entries]
         self._instances = {inst.node_id: inst for inst in instances}
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_REGISTRY: Dict[str, Callable[..., CapacityProvider]] = {}
-
-
-def register_provider(name: str):
-    """Class decorator adding a provider to the registry."""
-    def decorate(factory):
-        _REGISTRY[name] = factory
-        return factory
-    return decorate
-
-
-def provider_names() -> List[str]:
-    """Registered provider names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def make_provider(name: str, **kwargs) -> CapacityProvider:
-    """Instantiate a registered provider by name."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown provider {name!r}; known: {', '.join(provider_names())}"
-        ) from None
-    return factory(**kwargs)

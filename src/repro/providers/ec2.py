@@ -1,4 +1,4 @@
-"""Amazon EC2 validation environment (Section 6), as a provider.
+"""Amazon EC2 validation environment (Section 6).
 
 The paper re-validates the modeling method on 32 ``c4.2xlarge``
 instances: each VM runs the application on 4 vCPUs and reserves the
@@ -12,11 +12,9 @@ distinguish EC2 from the private testbed and are reproduced here:
 * **scale** — 32 "nodes" (VMs) instead of 8, with the sparse
   interfering-VM counts of Figure 12: 0, 1, 2, 4, 8, 16, 24, 32.
 
-The module also registers the pool as the ``ec2`` capacity provider
-(a fixed, fully durable 32-instance
-:class:`~repro.providers.static.StaticProvider` — the paper's
-validation never resizes), so ``make_provider("ec2")`` stands up the
-same environment the Section 6 experiments measure against.
+This is a measurement environment, not a capacity provider: the
+Section 6 experiments profile and validate on :func:`make_ec2_runner`,
+and no consolidation service is served on it.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.cluster.cluster import ClusterSpec
-from repro.providers.base import register_provider
-from repro.providers.static import StaticProvider
 from repro.sim.noise import EC2_NOISE
 from repro.sim.runner import ClusterRunner
 
@@ -66,13 +62,3 @@ def make_ec2_runner(*, base_seed: int = 26016) -> ClusterRunner:
 def ec2_counts() -> List[float]:
     """Figure 12's count axis as floats (matrix column values)."""
     return [float(count) for count in EC2_COUNTS]
-
-
-@register_provider("ec2")
-class EC2Provider(StaticProvider):
-    """The Section 6 validation pool as a (fixed) capacity provider."""
-
-    name = "ec2"
-
-    def __init__(self) -> None:
-        super().__init__(EC2_NUM_INSTANCES)

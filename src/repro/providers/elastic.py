@@ -33,15 +33,14 @@ from repro.providers.base import (
     DRAINING,
     DURABLE,
     LIVE,
+    NODE_CLASSES,
     SPOT,
     CapacityEvent,
     CapacityProvider,
     ProviderInstance,
-    register_provider,
 )
 
 
-@register_provider("elastic")
 class ElasticProvider(CapacityProvider):
     """A growable pool of durable + spot instances under seeded churn.
 
@@ -98,7 +97,93 @@ class ElasticProvider(CapacityProvider):
             for node_id in range(initial)
         }
 
+    @property
+    def elastic(self) -> bool:
+        return True
+
     # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def step(
+        self,
+        epoch: int,
+        *,
+        queue_depth: int = 0,
+        qos_margin: Optional[float] = None,
+        idle_nodes: Optional[List[int]] = None,
+    ) -> List[CapacityEvent]:
+        """One epoch boundary's worth of capacity changes, in order.
+
+        The service calls this once per epoch *before* anything else
+        happens, so the epoch's admission and rescheduling see a
+        consistent capacity picture.  Autoscaling first (driven by the
+        *previous* boundary's queue depth and predicted
+        mission-critical QoS margin), then the seeded preemption
+        lifecycle.  The returned events are already ordered the way
+        the service logs them.
+        """
+        events = self.autoscale(
+            epoch,
+            queue_depth=queue_depth,
+            qos_margin=qos_margin,
+            idle_nodes=list(idle_nodes or []),
+        )
+        events.extend(self.poll(epoch))
+        return events
+
+    def grow(
+        self, count: int, epoch: int, *, node_class: str = SPOT
+    ) -> List[CapacityEvent]:
+        """Launch ``count`` fresh instances (bounded by ``max_nodes``).
+
+        New instances take the lowest free node ids, so growth is
+        deterministic.  Returns the ``node_join`` event (empty list
+        when the pool is already at its ceiling).
+        """
+        if count <= 0:
+            return []
+        if node_class not in NODE_CLASSES:
+            raise ConfigurationError(f"unknown node class {node_class!r}")
+        free = [
+            n for n in range(self._max_nodes) if n not in self._instances
+        ]
+        taken = free[:count]
+        if not taken:
+            return []
+        for node_id in taken:
+            self._instances[node_id] = ProviderInstance(
+                node_id=node_id,
+                node_class=node_class,
+                launched_epoch=epoch,
+            )
+        return [CapacityEvent(
+            kind="node_join",
+            epoch=epoch,
+            nodes=tuple(taken),
+            node_class=node_class,
+            details=(("pool_size", len(self._instances)),),
+        )]
+
+    def shrink(self, nodes: List[int], epoch: int) -> List[CapacityEvent]:
+        """Release the given (idle) instances back to the provider.
+
+        The caller — the autoscaler path — is responsible for only
+        releasing nodes with no resident units.  Returns the
+        ``node_leave`` event.
+        """
+        released = sorted(n for n in nodes if n in self._instances)
+        if not released:
+            return []
+        for node_id in released:
+            del self._instances[node_id]
+        return [CapacityEvent(
+            kind="node_leave",
+            epoch=epoch,
+            nodes=tuple(released),
+            reason="autoscale",
+            details=(("pool_size", len(self._instances)),),
+        )]
+
     def autoscale(
         self,
         epoch: int,
@@ -107,6 +192,7 @@ class ElasticProvider(CapacityProvider):
         qos_margin: Optional[float],
         idle_nodes: List[int],
     ) -> List[CapacityEvent]:
+        """This boundary's scaling decision (none without an autoscaler)."""
         if self.autoscaler is None:
             return []
         idle_spot = [

@@ -1,32 +1,21 @@
-"""The fixed-capacity provider (today's behaviour, made explicit).
+"""The fixed-capacity provider: the paper's fixed pool of hosts.
 
-``StaticProvider`` is the identity element of the provider layer: the
-whole pool is durable, live from epoch 0, and never changes.  A
-service run with ``--provider static`` therefore makes exactly the
-same decisions — and produces byte-identical event logs, snapshots,
-and traces — as one run with no provider at all, which is the
-acceptance gate the churn work rides behind.
+``StaticProvider`` is the pool a service runs on unless it is handed
+an elastic one: the whole pool is durable, live from epoch 0, and
+never changes.  It is not elastic, so the service gives it no
+capacity phase and records nothing about it — no events, snapshot
+block, spans, counters or checkpoint state.
 """
 
 from __future__ import annotations
 
-from repro.providers.base import (
-    DURABLE,
-    CapacityProvider,
-    ProviderInstance,
-    register_provider,
-)
+from repro.providers.base import DURABLE, CapacityProvider, ProviderInstance
 
 
-@register_provider("static")
 class StaticProvider(CapacityProvider):
     """A fixed, fully durable pool of ``num_nodes`` instances."""
 
     name = "static"
-
-    @property
-    def elastic(self) -> bool:
-        return False
 
     def __init__(self, num_nodes: int) -> None:
         super().__init__(num_nodes)
@@ -34,14 +23,3 @@ class StaticProvider(CapacityProvider):
             node_id: ProviderInstance(node_id=node_id, node_class=DURABLE)
             for node_id in range(num_nodes)
         }
-
-    # A static pool ignores growth requests rather than erroring: the
-    # autoscaler path is simply absent, and poll never drains anything,
-    # so step() is always empty and the service's capacity phase is a
-    # no-op (no events, no log entries, no trace spans beyond the
-    # phase marker).
-    def grow(self, count, epoch, *, node_class=DURABLE):
-        return []
-
-    def shrink(self, nodes, epoch):
-        return []

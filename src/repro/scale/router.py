@@ -61,7 +61,7 @@ def free_slot_count(cell) -> int:
     elastic provider advertises the headroom it can actually grant —
     draining and reclaimed nodes drop out of its routing weight the
     epoch they stop accepting work.  Fixed-pool cells count their full
-    spec, exactly as before.
+    spec.
     """
     service = cell.service
     slots = (

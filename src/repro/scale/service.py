@@ -114,6 +114,7 @@ class ShardedConsolidationService:
         Worker processes the per-cell epochs fan out over (0 or 1 =
         serial, the deterministic-trace default; results are identical
         either way, but worker-side spans are lost to the trace).
+        Negative counts are rejected.
     """
 
     def __init__(
@@ -131,6 +132,8 @@ class ShardedConsolidationService:
             raise ServiceError("need at least one cell")
         if [cell.cell_id for cell in cells] != list(range(len(cells))):
             raise ServiceError("cells must be dense and ordered by cell_id")
+        if cell_workers < 0:
+            raise ServiceError("cell_workers must be non-negative")
         self.cells = list(cells)
         self.stream = stream
         self.router = router or HeadroomRouter()
@@ -421,10 +424,10 @@ def build_sharded_service(
         Optional ``f(shard, cell_seed) -> CapacityProvider | None``
         attaching a capacity provider per cell.  An elastic cell's
         runner must be built at the provider's ``max_nodes`` ceiling
-        (pair this with a matching ``runner_factory``); cells whose
-        factory returns ``None`` stay fixed-pool.  ``None`` (the
-        default) leaves every cell provider-less, byte-identical to
-        releases before the provider layer.
+        (pair this with a matching ``runner_factory``).  A cell whose
+        factory returns ``None``, and every cell when the factory is
+        ``None`` (the default), runs on the fixed pool its service
+        builds over its runner's nodes.
     """
     if isinstance(model, OnlineModel):
         raise ServiceError(

@@ -40,6 +40,7 @@ from repro.placement.objectives import (
     predict_placement_scalar,
     weighted_total_time,
 )
+from repro.providers.static import StaticProvider
 from repro.service.jobs import Job
 
 #: Admission decision reasons.
@@ -148,14 +149,15 @@ class AdmissionController:
         so a workload the profiler could not measure reliably is never
         the reason a QoS bound is optimistically waved through.
     capacity:
-        Optional :class:`~repro.providers.base.CapacityProvider`.  When
-        set, admission is *capacity-aware*: only the provider's
-        schedulable (live, non-draining) nodes count as free, and
-        mission-critical jobs are additionally restricted to durable
-        nodes — a tenant with a QoS bound can never land on spot
-        capacity that might be preempted out from under it.  ``None``
-        (the default, and any non-elastic provider's effective
-        behaviour) reproduces the fixed-pool decisions bit for bit.
+        The :class:`~repro.providers.base.CapacityProvider` whose pool
+        admission fills; ``None`` (the default) builds a fixed
+        :class:`~repro.providers.static.StaticProvider` over
+        ``cluster_spec``.  Only the provider's schedulable (live,
+        non-draining) nodes count as free, and mission-critical jobs
+        are additionally restricted to durable nodes — a tenant with a
+        QoS bound can never land on spot capacity that might be
+        preempted out from under it.  A fixed pool is all durable and
+        always schedulable, so neither rule ever narrows it.
     """
 
     def __init__(
@@ -177,7 +179,10 @@ class AdmissionController:
         self.degraded_workloads = (
             degraded_workloads if degraded_workloads is not None else set()
         )
-        self.capacity = capacity
+        self.capacity = (
+            capacity if capacity is not None
+            else StaticProvider(cluster_spec.num_nodes)
+        )
 
     def _predict(self, candidate: Placement) -> Dict[str, float]:
         """Per-instance predictions, conservatively for degraded workloads.
@@ -220,11 +225,10 @@ class AdmissionController:
             if placement is not None
             else self.unit_slots_per_node
         )
-        if self.capacity is not None:
-            pool = self.capacity.schedulable_nodes()
-        else:
-            pool = range(self.cluster_spec.num_nodes)
-        return [node for node in pool if load.get(node, 0) < slots]
+        return [
+            node for node in self.capacity.schedulable_nodes()
+            if load.get(node, 0) < slots
+        ]
 
     def candidate_node_sets(
         self,
@@ -334,7 +338,7 @@ class AdmissionController:
         free = self.free_nodes(placement)
         if len(free) < job.num_units:
             return AdmissionDecision(job, False, NO_CAPACITY)
-        if self.capacity is not None and job.mission_critical:
+        if job.mission_critical:
             durable = set(self.capacity.durable_nodes())
             free = [node for node in free if node in durable]
             if len(free) < job.num_units:
@@ -376,10 +380,10 @@ class AdmissionController:
         prediction and the commit (a preemption reclaim racing the
         admit phase).  The service checks here before binding the job;
         a stale decision is requeued rather than raising deep inside
-        the epoch body.  Always ``True`` without a capacity hook — the
-        fixed pool cannot vanish.
+        the epoch body.  Always ``True`` on a fixed pool, which cannot
+        vanish.
         """
-        if self.capacity is None or not decision.admitted:
+        if not decision.admitted:
             return True
         nodes = set(
             decision.placement.nodes_of(decision.job.job_id)

@@ -88,9 +88,9 @@ class CellState:
     model_state: Dict[str, Dict[str, object]]
     faulted_workloads: Tuple[str, ...]
     pending_cancels: Tuple[str, ...] = ()
-    #: Serialized provider inventory (``None`` for fixed-pool
-    #: services).  The key is omitted from :meth:`to_dict` when
-    #: ``None``.
+    #: Serialized elastic-provider inventory (``None`` on a fixed
+    #: pool, whose inventory never changes).  The key is omitted from
+    #: :meth:`to_dict` when ``None``.
     provider_state: Optional[Dict[str, object]] = None
 
     @classmethod
@@ -123,7 +123,7 @@ class CellState:
             pending_cancels=tuple(service._pending_cancels),
             provider_state=(
                 service.provider.state_dict()
-                if service.provider is not None and service.provider.elastic
+                if service.provider.elastic
                 else None
             ),
         )
@@ -153,14 +153,9 @@ class CellState:
         service.model.load_state(self.model_state)
         service.runner.faulted_workloads.update(self.faulted_workloads)
         if self.provider_state is not None:
-            if service.provider is None:
-                raise ServiceError(
-                    "checkpoint carries provider state but the service "
-                    "has no provider; rebuild it with the original "
-                    "--provider configuration"
-                )
+            # A fixed pool refuses an elastic capture by name.
             service.provider.load_state(self.provider_state)
-        elif service.provider is not None and service.provider.elastic:
+        elif service.provider.elastic:
             raise ServiceError(
                 "service has an elastic provider but the checkpoint "
                 "carries no provider state; it was captured on a fixed "

@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro._util import atomic_write_text
+from repro._util import atomic_write_text, round_floats
 from repro.errors import ServiceError
 
 #: Event kinds, in the order they can occur within an epoch.
@@ -64,17 +64,6 @@ EVENT_KINDS = (
 )
 
 
-def _clean(value: object) -> object:
-    """Round floats (recursively) so serialization is byte-stable."""
-    if isinstance(value, float):
-        return round(value, 6)
-    if isinstance(value, dict):
-        return {str(k): _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class ServiceEvent:
     """One log entry: (epoch, sequence number, kind, payload)."""
@@ -110,7 +99,7 @@ class ServiceEvent:
         if kind not in EVENT_KINDS:
             raise ServiceError(f"unknown event kind {kind!r} in {entry!r}")
         payload = tuple(sorted(
-            (key, _clean(value))
+            (key, round_floats(value))
             for key, value in entry.items()
             if key not in ("epoch", "seq", "kind")
         ))
@@ -286,7 +275,7 @@ class EventLog:
             seq=len(self),
             kind=kind,
             payload=tuple(sorted(
-                (key, _clean(value)) for key, value in payload.items()
+                (key, round_floats(value)) for key, value in payload.items()
             )),
         )
         self._events.append(event)

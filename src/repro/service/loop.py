@@ -42,6 +42,7 @@ from repro.placement.objectives import (
 )
 from repro.placement.qos import QoSAwarePlacer
 from repro.placement.throughput import ThroughputPlacer
+from repro.providers.static import StaticProvider
 from repro.service.admission import (
     AdmissionController,
     placement_without_job,
@@ -139,14 +140,15 @@ class ConsolidationService:
         is the flat service, whose spans and events are byte-identical
         to releases before the scale layer existed.
     provider:
-        Optional :class:`~repro.providers.base.CapacityProvider`
-        backing the node pool.  The runner must be built at the
-        provider's ``max_nodes`` ceiling.  An *elastic* provider adds a
-        capacity phase at the head of every epoch (autoscaling, spot
+        The :class:`~repro.providers.base.CapacityProvider` backing
+        the node pool; ``None`` (the default) builds a fixed
+        :class:`~repro.providers.static.StaticProvider` over the
+        runner's nodes.  The runner must be built at the provider's
+        ``max_nodes`` ceiling.  An *elastic* provider adds a capacity
+        phase at the head of every epoch (autoscaling, spot
         preemption, eviction + requeue of reclaimed tenants) plus
-        additive snapshot/trace output; a non-elastic provider (the
-        ``static`` backend) changes nothing — the day is byte-identical
-        to a run with no provider at all.
+        additive snapshot/trace/checkpoint output; a fixed pool adds
+        none.
     """
 
     def __init__(
@@ -161,7 +163,9 @@ class ConsolidationService:
         cell_id: Optional[int] = None,
         provider=None,
     ) -> None:
-        if provider is not None and provider.max_nodes != runner.spec.num_nodes:
+        if provider is None:
+            provider = StaticProvider(runner.spec.num_nodes)
+        if provider.max_nodes != runner.spec.num_nodes:
             raise ServiceError(
                 f"runner has {runner.spec.num_nodes} nodes but the "
                 f"provider's ceiling is {provider.max_nodes}; build the "
@@ -264,15 +268,11 @@ class ConsolidationService:
 
     def live_node_count(self) -> int:
         """Nodes currently hosting work (the utilization denominator)."""
-        if self.provider is not None:
-            return len(self.provider.live_nodes())
-        return self.runner.spec.num_nodes
+        return len(self.provider.live_nodes())
 
     def schedulable_node_count(self) -> int:
         """Nodes accepting new work (the headroom numerator's pool)."""
-        if self.provider is not None:
-            return len(self.provider.schedulable_nodes())
-        return self.runner.spec.num_nodes
+        return len(self.provider.schedulable_nodes())
 
     def utilization(self) -> float:
         """Occupied fraction of the live pool's unit slots."""
@@ -552,10 +552,8 @@ class ConsolidationService:
         ]
         return [c for c in constraints if c is not None]
 
-    def _search_candidate(
-        self, epoch: int, allowed: Optional[List[int]] = None
-    ) -> Placement:
-        """Search a fresh placement, optionally restricted to ``allowed``.
+    def _search_candidate(self, epoch: int, allowed: List[int]) -> Placement:
+        """Search a fresh placement over the ``allowed`` nodes.
 
         With ``allowed`` a strict subset of the runner's nodes (the
         elastic pool's schedulable set), the placers run on a compact
@@ -570,7 +568,7 @@ class ConsolidationService:
         constraints = self._constraints()
         spec = self.runner.spec
         view: Optional[ClusterView] = None
-        if allowed is not None and len(allowed) < spec.num_nodes:
+        if len(allowed) < spec.num_nodes:
             view = ClusterView.of(spec, allowed)
             spec = view.spec
         if constraints:
@@ -605,10 +603,6 @@ class ConsolidationService:
 
     def _lost_nodes(self) -> set:
         """Occupied nodes no longer schedulable (draining or reclaimed)."""
-        if self.provider is None or not self.provider.elastic:
-            return set()
-        if self._placement is None:
-            return set()
         return self._occupied_nodes() - set(
             self.provider.schedulable_nodes()
         )
@@ -626,28 +620,26 @@ class ConsolidationService:
             return
         if self._placement is None or not self._tenants:
             return
-        allowed: Optional[List[int]] = None
-        if self.provider is not None and self.provider.elastic:
-            allowed = self.provider.schedulable_nodes()
         try:
-            candidate = self._search_candidate(epoch, allowed)
+            candidate = self._search_candidate(
+                epoch, self.provider.schedulable_nodes()
+            )
         except PlacementError:
             # The shrunken pool cannot hold the resident mix (e.g. a
             # drain mid-warning with nowhere to go yet); tenants ride
             # out the warning window where they are.
             return
-        if self.provider is not None and self.provider.elastic:
-            # Admission never puts a mission-critical tenant on spot
-            # capacity; migration honours the same invariant.  A
-            # candidate that would move one onto a preemptible node is
-            # discarded — tenants stay put rather than trade a QoS
-            # bound for a reclaim risk.
-            for job_id, job in self._tenants.items():
-                if job.mission_critical and any(
-                    self.provider.is_spot(node)
-                    for node in candidate.nodes_of(job_id)
-                ):
-                    return
+        # Admission never puts a mission-critical tenant on spot
+        # capacity; migration honours the same invariant.  A candidate
+        # that would move one onto a preemptible node is discarded —
+        # tenants stay put rather than trade a QoS bound for a reclaim
+        # risk.
+        for job_id, job in self._tenants.items():
+            if job.mission_critical and any(
+                self.provider.is_spot(node)
+                for node in candidate.nodes_of(job_id)
+            ):
+                return
         constraints = self._constraints()
         current_predictions = predict_placement(self.model, self._placement)
         candidate_predictions = predict_placement(self.model, candidate)
@@ -740,7 +732,7 @@ class ConsolidationService:
 
     def _provider_block(self) -> Optional[Dict[str, object]]:
         """The snapshot's pool picture (``None`` unless elastic)."""
-        if self.provider is None or not self.provider.elastic:
+        if not self.provider.elastic:
             return None
         live = self.provider.live_nodes()
         spot = sum(1 for n in live if self.provider.is_spot(n))
@@ -830,11 +822,9 @@ class ConsolidationService:
         with _obs.RECORDER.span(
             "service.epoch", epoch=epoch, log_seq_start=len(self.log)
         ) as espan:
-            if self.provider is not None and self.provider.elastic:
-                # Spanned (and run) only on elastic pools, so fixed-pool
-                # days — including ``--provider static`` — trace
-                # byte-identically to releases without the provider
-                # layer.
+            if self.provider.elastic:
+                # Spanned (and run) only on elastic pools: a fixed pool
+                # never changes, so its days trace no capacity phase.
                 with _obs.RECORDER.span(
                     "provider.capacity",
                     epoch=epoch,

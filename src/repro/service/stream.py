@@ -12,7 +12,7 @@ many times (or in what order) other epochs were generated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro._util import make_rng, stable_seed
 from repro.errors import ServiceError

@@ -1,11 +1,9 @@
-"""Tests for the EC2 validation environment (the ``ec2`` provider)."""
+"""Tests for the EC2 validation environment (Section 6)."""
 
 from repro.providers.ec2 import (
     EC2_COUNTS,
-    EC2_NUM_INSTANCES,
     EC2_POLICY_SAMPLES,
     EC2_WORKLOADS,
-    EC2Provider,
     ec2_cluster_spec,
     ec2_counts,
     make_ec2_runner,
@@ -48,14 +46,3 @@ class TestEC2Runner:
         runner = make_ec2_runner()
         value = runner.measure("M.zeus", 1.0, 1)
         assert 0.5 < value < 2.0
-
-
-class TestEC2Provider:
-    def test_registered_fixed_pool(self):
-        from repro.providers import make_provider
-
-        provider = make_provider("ec2")
-        assert isinstance(provider, EC2Provider)
-        assert not provider.elastic
-        assert provider.live_nodes() == list(range(EC2_NUM_INSTANCES))
-        assert provider.durable_nodes() == provider.schedulable_nodes()

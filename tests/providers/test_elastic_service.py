@@ -2,9 +2,10 @@
 
 Two contracts:
 
-* **Static identity** — a ``StaticProvider`` day is byte-identical to
-  a day with no provider at all: same event log, snapshots, trace, and
-  checkpoint bytes.
+* **Static identity** — a service built without a provider runs on a
+  ``StaticProvider`` over its runner: its day is byte-identical to one
+  handed that pool explicitly (same event log, snapshots, trace, and
+  checkpoint bytes), and a fixed pool adds no provider output.
 * **Elastic invariants** — under autoscaling and seeded spot churn, no
   mission-critical tenant ever touches a spot node, and every resident
   job evicted by a reclaim is requeued (never dropped).
@@ -90,7 +91,7 @@ class TestConstruction:
 
 
 class TestStaticIdentity:
-    """``--provider static`` replays the provider-free day byte for byte."""
+    """The default pool is the static one, and it records nothing."""
 
     @pytest.fixture(scope="class")
     def days(self, environment):

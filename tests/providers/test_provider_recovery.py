@@ -131,13 +131,16 @@ class TestRestoreValidation:
         with pytest.raises(ServiceError, match="provider"):
             fresh.restore(checkpoint, log=donor.log)
 
-    def test_providerless_service_rejects_provider_state(self, environment):
+    def test_static_pool_rejects_elastic_state(self, environment):
         donor = make_service(environment, provider=churn_provider())
         donor.run(2)
         checkpoint = donor.checkpoint()
-        fresh = make_service(environment, provider=None)
-        with pytest.raises(ServiceError, match="provider"):
-            fresh.restore(checkpoint, log=donor.log)
+        for provider in (None, StaticProvider(CEILING)):
+            fresh = make_service(environment, provider=provider)
+            with pytest.raises(
+                ConfigurationError, match="'elastic' does not match"
+            ):
+                fresh.restore(checkpoint, log=donor.log)
 
     def test_mismatched_churn_plan_is_rejected(self, environment):
         donor = make_service(environment, provider=churn_provider())

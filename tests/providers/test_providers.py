@@ -10,12 +10,9 @@ from repro.providers import (
     LIVE,
     SPOT,
     AutoscalerConfig,
-    CapacityProvider,
     ElasticProvider,
     ProviderInstance,
     StaticProvider,
-    make_provider,
-    provider_names,
 )
 from repro.providers.autoscaler import decide
 
@@ -35,13 +32,6 @@ class TestStaticProvider:
         assert provider.schedulable_nodes() == [0, 1, 2, 3]
         assert provider.durable_nodes() == [0, 1, 2, 3]
         assert not any(provider.is_spot(n) for n in range(4))
-
-    def test_never_changes_shape(self):
-        provider = StaticProvider(4)
-        assert provider.grow(2, 0) == []
-        assert provider.shrink([0], 0) == []
-        assert provider.step(0, queue_depth=99, idle_nodes=[0, 1]) == []
-        assert provider.live_nodes() == [0, 1, 2, 3]
 
     def test_rejects_nonpositive_pool(self):
         with pytest.raises(ConfigurationError):
@@ -288,21 +278,6 @@ class TestSerialization:
                                         "launched_epoch": 0, "state": LIVE})
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"static", "elastic", "ec2"} <= set(provider_names())
-
-    def test_make_provider_builds_by_name(self):
-        provider = make_provider("static", num_nodes=4)
-        assert isinstance(provider, StaticProvider)
-        assert isinstance(make_provider("elastic", max_nodes=4),
-                          ElasticProvider)
-
-    def test_unknown_name_names_the_known_set(self):
-        with pytest.raises(ConfigurationError, match="static"):
-            make_provider("clownshoes")
-
-
 class TestPreemptFamilyDraws:
     def test_zero_rate_never_fires(self):
         plan = churn_plan(rate=0.0)
@@ -331,13 +306,11 @@ class TestPreemptFamilyDraws:
         assert len({base, churned, windowed}) == 3
 
 
-class TestProviderBase:
+class TestElasticStep:
     def test_step_orders_autoscale_before_poll(self):
         calls = []
 
-        class Probe(CapacityProvider):
-            name = "probe"
-
+        class Probe(ElasticProvider):
             def autoscale(self, epoch, **kwargs):
                 calls.append("autoscale")
                 return []

@@ -128,6 +128,11 @@ def test_cell_workers_fan_out_matches_serial(synthetic_model):
     ]
 
 
+def test_negative_cell_workers_are_rejected(synthetic_model):
+    with pytest.raises(ServiceError, match="cell_workers"):
+        sharded_service(synthetic_model, 2, cell_workers=-1)
+
+
 def test_wave_routing_respects_queue_room(synthetic_model):
     """No cell's intake may exceed its queue room while siblings have room."""
     sharded = sharded_service(synthetic_model, 3, seed=11)

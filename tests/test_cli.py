@@ -210,6 +210,7 @@ class TestServeCellsAndResume:
 
 
 _SPOT = ["--provider", "elastic", "--spot-fraction", "2"]
+_MIX = ["--workloads", "M.lmps", "H.KM", "--policy-samples", "5"]
 _BAD_DAY_FLAGS = [
     pytest.param(verb, flags, message, id=f"{name}-{verb}")
     for name, flags, message in [
@@ -219,12 +220,23 @@ _BAD_DAY_FLAGS = [
         ("migration-cost", ["--migration-cost", "-1"],
          "migration_cost must be non-negative"),
         ("spot-fraction", _SPOT, "spot_fraction must be in [0, 1]"),
+        ("workloads",
+         ["--workloads", "M.lmps", "X.bogus", "--policy-samples", "5"],
+         "unknown workload 'X.bogus'"),
+        ("policy-samples", _MIX + ["--policy-samples", "0"],
+         "--policy-samples must be at least 1"),
     ]
     for verb in ("serve", "daemon")
 ] + [
     pytest.param("serve", ["--cells", "2"] + _SPOT,
                  "spot_fraction must be in [0, 1]",
                  id="cells-spot-fraction-serve"),
+    pytest.param("serve", _MIX + ["--cells", "3", "--nodes", "2"],
+                 "cannot shard 2 node(s) into 3 cells",
+                 id="cells-nodes-serve"),
+    pytest.param("serve", _MIX + ["--cells", "2", "--cell-workers", "-1"],
+                 "--cell-workers must be non-negative",
+                 id="cell-workers-serve"),
     pytest.param("daemon", ["--lease-ticks", "0"],
                  "lease_ticks must be at least 2", id="lease-ticks-daemon"),
     pytest.param("daemon", ["--exec-ticks", "0"],
@@ -248,6 +260,20 @@ class TestDayFlags:
         assert f"error: {message}" in err
         assert "Profiling" not in err
         assert not spool.exists()
+
+    @pytest.mark.parametrize("verb", ["serve", "daemon"])
+    def test_only_static_and_elastic_pools(self, verb, tmp_path, capsys):
+        argv = [verb]
+        if verb == "daemon":
+            argv += ["--spool", str(tmp_path / "spool")]
+        assert build_parser().parse_args(argv).provider == "static"
+        day = SERVE_FAST[1:] + ["--epochs", "1", "--provider", "ec2"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + day)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'ec2'" in err
+        assert "Profiling" not in err
 
 
 class TestNetworkFlags:

@@ -1,5 +1,6 @@
 """Every ``__all__`` under ``repro`` names something its module defines,
-and every definition in ``repro`` has a caller outside the tests."""
+every definition in ``repro`` has a caller outside the tests, and every
+import in ``repro`` is used."""
 
 import ast
 import importlib
@@ -35,8 +36,6 @@ KEEP = {
         "trace diagnostic of sim/metrics.py (docs/paper_mapping.md §4.4)",
     "repro.sim.metrics.StageStats.straggler_ratio":
         "barrier-stall signal of sim/metrics.py (docs/paper_mapping.md §4.4)",
-    "repro.providers.ec2.EC2Provider":
-        "reached through @register_provider('ec2') and --provider ec2",
     # Paper-table data.
     "repro.experiments.table5_mixes.mix_by_name":
         "Table 5 lookup by the paper's mix names",
@@ -89,15 +88,18 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def _all_constants(tree):
-    """Ids of the string constants inside ``__all__ = [...]``."""
-    found = set()
+def _all_nodes(tree):
+    """The nodes inside ``__all__ = [...]``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            found.update(id(c) for c in ast.walk(node.value))
-    return found
+            yield from ast.walk(node.value)
+
+
+def _all_constants(tree):
+    """Ids of the string constants inside ``__all__ = [...]``."""
+    return {id(node) for node in _all_nodes(tree)}
 
 
 def _used_names(trees):
@@ -161,4 +163,57 @@ def test_every_definition_has_a_non_test_caller():
     assert not stale, (
         "these KEEP entries are gone or now have a caller; drop them:\n  "
         + "\n  ".join(stale)
+    )
+
+
+def _string_annotation_names(tree):
+    """Names mentioned inside string annotations (``-> "Placement"``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        if annotation is None:
+            continue
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                parsed = ast.parse(part.value, mode="eval")
+                names.update(
+                    name.id for name in ast.walk(parsed)
+                    if isinstance(name, ast.Name)
+                )
+    return names
+
+
+def test_every_import_is_used():
+    package = ROOT / "src" / "repro"
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        }
+        used |= {
+            node.value for node in _all_nodes(tree)
+            if isinstance(node, ast.Constant)
+        }
+        used |= _string_annotation_names(tree)
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{module}: {bound}")
+    assert not unused, (
+        "these imports are never used; delete them:\n  "
+        + "\n  ".join(unused)
     )
