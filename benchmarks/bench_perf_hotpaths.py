@@ -20,6 +20,10 @@ Covers the PR's fast paths, each against the slow path it replaces:
   table, versus the per-row ``np.interp`` formulation it replaced (an
   inline copy below).  Bit-identical; the ratio catches NumPy creeping
   back into the scalar route without a wall-time baseline.
+* **Proposal draws** — annealing's proposal and acceptance draws served
+  by a :class:`~repro._util.DrawStream`, versus the NumPy
+  ``choice``/``integers``/``random`` calls it replays.  Same values
+  and same final generator state.
 * **Flat-network gate** — the per-resource prediction API's only cost
   on models without network profiles: one ``has_network`` consultation
   per batch call.  The guard bounds the gate at 5% of an end-to-end
@@ -36,10 +40,12 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import time
 
 import numpy as np
 
+from repro._util import DrawStream
 from repro.cluster.cluster import ClusterSpec
 from repro.core.curves import HomogeneousSetting, PropagationMatrix
 from repro.core.model import InterferenceModel, InterferenceProfile
@@ -437,6 +443,65 @@ def test_scalar_lookup(record_artifact, artifact_dir):
     )
     _record_json(artifact_dir)
     assert speedup >= 4.0
+
+
+#: Proposal-shaped draws ``(instances, units_a, units_b, accept)``: a
+#: pair over 4-48 instances, two unit draws, and an acceptance test
+#: about 60% of the time (what reaches ``exp(-delta / T)``).
+_DRAW_SHAPES = random.Random(16)
+PROPOSALS = [
+    (_DRAW_SHAPES.randrange(4, 49), _DRAW_SHAPES.randrange(1, 5),
+     _DRAW_SHAPES.randrange(1, 5), _DRAW_SHAPES.random() < 0.6)
+    for _ in range(2000)
+]
+
+
+def _numpy_proposals():
+    rng = np.random.default_rng(2016)
+    drawn = []
+    for instances, units_a, units_b, accept in PROPOSALS:
+        a, b = rng.choice(instances, size=2, replace=False)
+        drawn.append((
+            int(a), int(b), int(rng.integers(units_a)),
+            int(rng.integers(units_b)), rng.random() if accept else None,
+        ))
+    return drawn, rng.bit_generator.state
+
+
+def _stream_proposals():
+    rng = np.random.default_rng(2016)
+    drawn = []
+    with DrawStream(rng) as draws:
+        for instances, units_a, units_b, accept in PROPOSALS:
+            a, b = draws.pair(instances)
+            drawn.append((
+                a, b, draws.integers(units_a), draws.integers(units_b),
+                draws.random() if accept else None,
+            ))
+    return drawn, rng.bit_generator.state
+
+
+def test_proposal_draws(record_artifact, artifact_dir):
+    assert _stream_proposals() == _numpy_proposals()
+
+    numpy_s, stream_s = _best_pair(
+        _numpy_proposals, _stream_proposals, reps=3
+    )
+    speedup = numpy_s / stream_s
+    per_call = len(PROPOSALS)
+    RESULTS["proposal_draws"] = {
+        "numpy_s": numpy_s, "stream_s": stream_s, "speedup": speedup,
+        "proposals": per_call,
+    }
+    record_artifact(
+        "perf_hotpaths_proposal_draws",
+        f"Proposal draws ({per_call} proposals over 4-48 instances)\n"
+        f"  NumPy calls: {numpy_s / per_call * 1e6:8.3f} us/proposal\n"
+        f"  DrawStream:  {stream_s / per_call * 1e6:8.3f} us/proposal\n"
+        f"  speedup:     {speedup:8.2f}x (identical draws and state)",
+    )
+    _record_json(artifact_dir)
+    assert speedup >= 3.0
 
 
 def test_flat_network_gate_overhead(record_artifact, artifact_dir):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -65,6 +65,75 @@ def child_rng(rng: np.random.Generator, *labels: object) -> np.random.Generator:
     """
     seed = int(rng.integers(0, 2**32)) ^ stable_seed(*labels)
     return np.random.default_rng(seed)
+
+
+#: Raw 64-bit words a :class:`DrawStream` fetches per refill.
+_STREAM_BLOCK = 256
+
+
+class DrawStream:
+    """NumPy's PCG64 draws, bit for bit, served from bulk raw words.
+
+    ``integers``, ``pair`` (``choice(n, 2, replace=False)``) and
+    ``random`` replay NumPy's; on exit, an exception included, the
+    generator is left exactly as those NumPy calls would leave it.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._bitgen = bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"DrawStream needs PCG64, not {type(bitgen).__name__}")
+        self._start = bitgen.state
+        self._has_half = bool(self._start["has_uint32"])
+        self._half = self._start["uinteger"]
+        self._words: List[int] = []  # reversed: pop() is the next word
+        self._fetched = 0
+
+    def __enter__(self) -> "DrawStream":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._bitgen.state = self._start  # rewind, then advance by use
+        state = self._bitgen.advance(self._fetched - len(self._words)).state
+        state.update(has_uint32=int(self._has_half), uinteger=self._half)
+        self._bitgen.state = state
+
+    def _word(self) -> int:
+        if not self._words:
+            self._words = self._bitgen.random_raw(_STREAM_BLOCK).tolist()[::-1]
+            self._fetched += _STREAM_BLOCK
+        return self._words.pop()
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        word = self._word()
+        self._has_half, self._half = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, k: int) -> int:
+        """Uniform on ``[0, k)`` (Lemire's method); k = 1 draws nothing."""
+        if not 1 <= k <= 0x100000000:
+            raise ValueError(f"integers() needs 1 <= k <= 2**32, got {k}")
+        if k == 1:
+            return 0
+        m = self._uint32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (0xFFFFFFFF - (k - 1)) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * k
+        return m >> 32
+
+    def pair(self, n: int) -> Tuple[int, int]:
+        """Two distinct indices below ``n``: Floyd's draw, then a shuffle."""
+        first, second = self.integers(n - 1), self.integers(n)
+        second = n - 1 if second == first else second
+        return (first, second) if self.integers(2) else (second, first)
+
+    def random(self) -> float:
+        """Uniform on ``[0, 1)`` from a fresh word; a buffered half stays."""
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
 
 
 def stable_seed(*labels: object) -> int:

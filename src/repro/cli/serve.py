@@ -60,8 +60,8 @@ def provider_setup(args: argparse.Namespace, default_nodes: int):
     from repro.faults import FaultPlan
     from repro.providers import AutoscalerConfig, ElasticProvider
 
-    initial = args.initial_nodes or default_nodes
-    ceiling = args.max_nodes or initial + 4
+    initial = default_nodes if args.initial_nodes is None else args.initial_nodes
+    ceiling = initial + 4 if args.max_nodes is None else args.max_nodes
     churn = FaultPlan.load(args.churn) if args.churn else None
     spot_fraction = args.spot_fraction
 
@@ -274,7 +274,8 @@ def _build_service(args: argparse.Namespace):
             reschedule_every=args.reschedule_every,
             migration_cost=args.migration_cost,
         )
-        cluster = ClusterSpec(num_nodes=args.nodes or ClusterSpec().num_nodes)
+        nodes = ClusterSpec().num_nodes if args.nodes is None else args.nodes
+        cluster = ClusterSpec(num_nodes=nodes)
         # Sharded only for its checks: build_sharded_service shards again.
         shard_cluster(cluster, args.cells, seed=args.seed)
     else:
@@ -320,12 +321,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.cell_workers < 0:
         console.info("error: --cell-workers must be non-negative")
         return 1
-    if args.cells == 1 and (args.nodes or args.cell_workers):
+    if args.cells == 1 and (args.nodes is not None or args.cell_workers):
         console.info(
             "error: --nodes/--cell-workers require --cells 2 or more"
         )
         return 1
-    if args.cells > 1 and (args.initial_nodes or args.max_nodes):
+    if args.cells > 1 and (args.initial_nodes, args.max_nodes) != (None, None):
         console.info(
             "error: --initial-nodes/--max-nodes apply to the flat "
             "service; cells are sized by their shard"

@@ -9,7 +9,7 @@ moves are accepted with probability ``exp(-delta / T)`` under a
 geometric cooling schedule, which degenerates to the paper's stochastic
 hill climbing when ``initial_temperature`` is 0.
 
-Two fast paths keep large searches cheap:
+Three fast paths keep large searches cheap:
 
 * **Incremental energy** — when the energy implements the
   :class:`~repro.placement.objectives.IncrementalEnergy` protocol,
@@ -22,6 +22,10 @@ Two fast paths keep large searches cheap:
   stream derived up front from the placer seed, so restarts can run
   in worker processes (``max_workers``) with results bit-identical to
   the serial loop.
+* **Bulk draws** — proposals and acceptance tests come from a
+  :class:`~repro._util.DrawStream`, an exact replica of PCG64's
+  ``choice``/``integers``/``random`` fed by raw-word blocks, which
+  leaves the generator as if NumPy had drawn.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro._util import make_rng
+from repro._util import DrawStream, make_rng
 from repro.errors import PlacementError
 from repro.obs import recorder as _obs
 from repro.parallel import fan_out
@@ -148,7 +152,7 @@ class SimulatedAnnealingPlacer:
 
     # ------------------------------------------------------------------
     def _propose_swap(
-        self, placement: Placement, rng
+        self, placement: Placement, draws: DrawStream
     ) -> Optional[Tuple[Placement, Tuple[int, int]]]:
         """A random swap of two units of different instances.
 
@@ -160,10 +164,10 @@ class SimulatedAnnealingPlacer:
         if len(keys) < 2:
             return None
         for _ in range(16):  # retry degenerate proposals
-            idx_a, idx_b = rng.choice(len(keys), size=2, replace=False)
-            key_a, key_b = keys[int(idx_a)], keys[int(idx_b)]
-            unit_a = int(rng.integers(placement.instance(key_a).num_units))
-            unit_b = int(rng.integers(placement.instance(key_b).num_units))
+            idx_a, idx_b = draws.pair(len(keys))
+            key_a, key_b = keys[idx_a], keys[idx_b]
+            unit_a = draws.integers(placement.instance(key_a).num_units)
+            unit_b = draws.integers(placement.instance(key_b).num_units)
             node_a = placement.nodes_of(key_a)[unit_a]
             node_b = placement.nodes_of(key_b)[unit_b]
             if node_a == node_b:
@@ -192,7 +196,7 @@ class SimulatedAnnealingPlacer:
             "anneal.restart",
             iterations=self.schedule.iterations,
             incremental=incremental,
-        ) as obs_span:
+        ) as obs_span, DrawStream(rng) as draws:
             current = initial
             if incremental:
                 state = self.energy.full_state(current)
@@ -205,7 +209,7 @@ class SimulatedAnnealingPlacer:
             accepted = 0
             trajectory = [current_energy]
             for iteration in range(self.schedule.iterations):
-                proposal = self._propose_swap(current, rng)
+                proposal = self._propose_swap(current, draws)
                 if proposal is None:
                     continue
                 candidate, touched_nodes = proposal
@@ -222,7 +226,7 @@ class SimulatedAnnealingPlacer:
                 temperature = self.schedule.temperature(iteration)
                 accept = delta <= 0 or (
                     temperature > 0
-                    and rng.random() < math.exp(-delta / temperature)
+                    and draws.random() < math.exp(-delta / temperature)
                 )
                 if accept:
                     current, current_energy = candidate, candidate_energy

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro._util import child_rng, make_rng
 from repro.apps.base import Stage, Workload
@@ -109,7 +109,7 @@ class _Pass:
         "key", "program", "slot_nodes", "spanned_nodes", "sensitivity",
         "net_sensitivity", "jitter", "rng", "stage_index", "stage",
         "not_started", "running", "slot_pending", "slots", "version",
-        "tasks_executed", "stages_completed", "finish_time",
+        "tasks_executed", "stages_completed", "finish_time", "factors",
     )
 
     def __init__(self, deployed: DeployedInstance, jitter: TaskJitter, rng) -> None:
@@ -136,6 +136,8 @@ class _Pass:
         self.tasks_executed = 0
         self.stages_completed = 0
         self.finish_time: Optional[float] = None
+        #: The stage's jitter, drawn in bulk when no task can stall.
+        self.factors: Optional[Iterator[float]] = None
 
     def refresh(self, field: PressureField, version: int) -> None:
         """Re-read every slot's pressure and slowdown from ``field``."""
@@ -149,6 +151,10 @@ class _Pass:
 
 class CoRunExecutor:
     """Runs a set of deployed instances concurrently.
+
+    A pass that can never stall (:meth:`StallModel.never_draws`) draws
+    each stage's jitter in one call as the stage starts; the others
+    draw jitter and stall per task.  Both give identical results.
 
     Parameters
     ----------
@@ -253,6 +259,10 @@ class CoRunExecutor:
         trace = self._trace
         sustained = self._sustained
         deactivations = 0
+        for state in passes:
+            state.refresh(field, deactivations)
+            if self._noise.stall.never_draws(state.slots, sustained):
+                state.factors = iter(())
 
         def begin(index: int, state: _Pass, slot: int, now: float) -> None:
             """Start the current stage's next task on ``slot``."""
@@ -265,8 +275,12 @@ class CoRunExecutor:
             if state.version != deactivations:
                 state.refresh(field, deactivations)
             slowdown, pressure = state.slots[slot]
-            duration = state.stage.task_time * slowdown * state.jitter.sample()
-            duration *= stall(state.rng, pressure, reacts=slowdown > 1.0)
+            duration = state.stage.task_time * slowdown
+            if state.factors is None:
+                duration *= state.jitter.sample()
+                duration *= stall(state.rng, pressure, reacts=slowdown > 1.0)
+            else:
+                duration *= next(state.factors)
             heappush(heap, (now + duration, next(seq), index, slot))
 
         def advance(index: int, state: _Pass, now: float) -> None:
@@ -284,6 +298,8 @@ class CoRunExecutor:
             stage = state.program[state.stage_index]
             state.stage = stage
             state.not_started = stage.n_tasks
+            if state.factors is not None:
+                state.factors = state.jitter.samples(stage.n_tasks)
             num_slots = len(state.slot_nodes)
             if stage.dynamic:
                 for slot in range(min(num_slots, stage.n_tasks)):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from repro.units import MAX_PRESSURE
 
 class TaskJitter:
     """Multiplicative log-normal jitter with unit mean.
+
+    :meth:`samples` draws many factors in one call, bit for bit as
+    many :meth:`sample` calls (values and final generator state).
 
     Parameters
     ----------
@@ -40,7 +43,6 @@ class TaskJitter:
     def __init__(self, cv: float, rng: np.random.Generator) -> None:
         if cv < 0:
             raise ValueError("cv must be non-negative")
-        self._cv = cv
         self._rng = rng
         if cv > 0:
             # For a log-normal with sigma s, CV = sqrt(e^{s^2} - 1).
@@ -55,6 +57,13 @@ class TaskJitter:
         if self._sigma == 0.0:
             return 1.0
         return float(math.exp(self._rng.normal(self._mu, self._sigma)))
+
+    def samples(self, count: int) -> Iterator[float]:
+        """``count`` factors from one draw; ``np.exp`` would round differently."""
+        if self._sigma == 0.0:
+            return iter([1.0] * count)
+        draws = self._rng.normal(self._mu, self._sigma, size=count)
+        return map(math.exp, draws.tolist())
 
 
 class AmbientNoise:
@@ -116,6 +125,17 @@ class StallModel:
             raise ValueError("prob_at_max must be in [0, 1]")
         if self.scale < 0:
             raise ValueError("scale must be non-negative")
+
+    def never_draws(
+        self, slots: Sequence[Tuple[float, float]], sustained: bool
+    ) -> bool:
+        """Whether :meth:`factor` cannot draw for a pass's starting slots.
+
+        Finishing co-runners only remove pressure; sustained slots stay.
+        """
+        if self.prob_at_max <= 0.0 or all(p <= 0.0 for _, p in slots):
+            return True
+        return sustained and all(p <= 0.0 or s <= 1.0 for s, p in slots)
 
     def factor(
         self, rng: np.random.Generator, pressure: float, reacts: bool

@@ -37,6 +37,25 @@ class TestTaskJitter:
         with pytest.raises(ValueError):
             TaskJitter(-0.1, make_rng(0))
 
+    @pytest.mark.parametrize(
+        "chunks", [(1,), (7,), (5, 1, 17), (64, 3, 200, 2, 1, 31)]
+    )
+    def test_stage_sized_samples_equal_scalar_samples(self, chunks):
+        bulk_rng, scalar_rng = make_rng(11), make_rng(11)
+        bulk, scalar = TaskJitter(0.3, bulk_rng), TaskJitter(0.3, scalar_rng)
+        for count in chunks:
+            got = list(bulk.samples(count))
+            want = [scalar.sample() for _ in range(count)]
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
+        assert bulk_rng.random() == scalar_rng.random()
+
+    def test_zero_cv_samples_draw_nothing(self):
+        rng = make_rng(3)
+        before = rng.bit_generator.state
+        assert list(TaskJitter(0.0, rng).samples(9)) == [1.0] * 9
+        assert rng.bit_generator.state == before
+
 
 class TestAmbientNoise:
     def test_draw_covers_all_nodes(self):
@@ -91,6 +110,22 @@ class TestStallModel:
         rng = make_rng(1)
         low = sum(stall.factor(rng, 2.0, True) > 1.0 for _ in range(4000))
         assert high > 2.5 * low
+
+    @pytest.mark.parametrize(
+        "prob, slots, sustained, expected",
+        [
+            (0.0, [(2.0, 8.0)], False, True),
+            (0.5, [(1.0, 0.0), (1.0, 0.0)], False, True),
+            (0.5, [(1.0, 0.0), (1.3, 2.0)], False, False),
+            (0.5, [(1.0, 2.0), (1.0, 0.0)], False, False),
+            (0.5, [(1.0, 2.0), (1.0, 0.0)], True, True),
+            (0.5, [(1.0, 2.0), (1.3, 2.0)], True, False),
+        ],
+    )
+    def test_never_draws(self, prob, slots, sustained, expected):
+        """``slots`` are ``(slowdown, pressure)``; only sustained slots stay."""
+        stall = StallModel(prob_at_max=prob)
+        assert stall.never_draws(slots, sustained) is expected
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -225,9 +225,25 @@ _BAD_DAY_FLAGS = [
          "unknown workload 'X.bogus'"),
         ("policy-samples", _MIX + ["--policy-samples", "0"],
          "--policy-samples must be at least 1"),
+        ("zero-initial-nodes",
+         _MIX + ["--epochs", "1", "--provider", "elastic",
+                 "--initial-nodes", "0"],
+         "initial_nodes must be in [1, 4], got 0"),
+        ("zero-max-nodes",
+         _MIX + ["--epochs", "1", "--provider", "elastic",
+                 "--max-nodes", "0"],
+         "max_nodes must be positive"),
     ]
     for verb in ("serve", "daemon")
 ] + [
+    pytest.param("serve", _MIX + ["--epochs", "1", "--cells", "2",
+                                  "--nodes", "0"],
+                 "num_nodes must be positive", id="cells-zero-nodes-serve"),
+    pytest.param("serve", _MIX + ["--epochs", "1", "--cells", "1",
+                                  "--nodes", "0"],
+                 "--nodes/--cell-workers require --cells 2 or more",
+                 id="one-cell-zero-nodes-serve"),
+
     pytest.param("serve", ["--cells", "2"] + _SPOT,
                  "spot_fraction must be in [0, 1]",
                  id="cells-spot-fraction-serve"),
