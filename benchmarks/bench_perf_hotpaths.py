@@ -1,16 +1,13 @@
-"""Before/after microbenchmarks for the three hot-path optimizations.
+"""Before/after microbenchmarks for the hot-path optimizations.
 
 Covers the PR's fast paths, each against the slow path it replaces:
 
 * **Incremental annealing energy** — delta evaluation re-predicts only
   the instances on the two swapped nodes, versus re-predicting the
   whole mix every proposal.  Same seeds, bit-identical results.
-* **Parallel measurement fan-out** — a pairwise co-run sweep shipped
-  through ``measure_many`` with worker processes, versus the serial
-  loop.  (The speedup floor is only asserted on machines with >= 4
-  cores; bit-identity is asserted everywhere.)
-* **Persistent measurement cache** — a cold sweep that simulates and
-  records, versus a warm sweep that replays the recorded times.
+* **Persistent measurement cache** — a cold sweep of co-runs and
+  homogeneous settings that simulates and records, versus a warm
+  sweep that replays the recorded times.
 * **Batch prediction** — a full-placement evaluation and an admission
   candidate wave scored through the vectorized
   :class:`~repro.core.kernel.PredictionKernel` path, versus the scalar
@@ -39,7 +36,6 @@ against the checked-in baseline.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 
@@ -60,7 +56,7 @@ from repro.placement.objectives import (
 from repro.service.admission import AdmissionController
 from repro.service.jobs import Job
 from repro.sim.cache import MeasurementCache
-from repro.sim.runner import ClusterRunner, MeasurementRequest
+from repro.sim.runner import ClusterRunner
 
 #: Section 5-like shape, scaled up so the per-proposal win is visible:
 #: 16 applications x 4 units on 32 two-slot nodes.  A full evaluation
@@ -131,13 +127,14 @@ def assignment_of(placement: Placement):
     }
 
 
-def sweep_requests():
+def sweep(runner: ClusterRunner) -> list:
+    """Every target's co-runs, then its settings at four pressures."""
     return [
-        MeasurementRequest.corun(target, co)
+        runner.corun_pair(target, co)
         for target in SWEEP_TARGETS
         for co in SWEEP_CO_RUNNERS
     ] + [
-        MeasurementRequest.measure(target, pressure, 4)
+        runner.measure(target, pressure, 4)
         for target in SWEEP_TARGETS
         for pressure in (2.0, 4.0, 6.0, 8.0)
     ]
@@ -279,53 +276,14 @@ def test_incremental_vs_full_search(record_artifact, artifact_dir):
     assert speedup >= 1.8
 
 
-def test_parallel_vs_serial_sweep(record_artifact, artifact_dir):
-    serial_runner = ClusterRunner(base_seed=7)
-    serial_results, serial_s = _timed(
-        lambda: serial_runner.measure_many(sweep_requests(), max_workers=1)
-    )
-    parallel_runner = ClusterRunner(base_seed=7)
-    parallel_results, parallel_s = _timed(
-        lambda: parallel_runner.measure_many(sweep_requests(), max_workers=-1)
-    )
-
-    assert parallel_results == serial_results
-    assert parallel_runner.measurement_count == serial_runner.measurement_count
-    assert (
-        parallel_runner.solo_measurement_count
-        == serial_runner.solo_measurement_count
-    )
-
-    speedup = serial_s / parallel_s
-    cores = os.cpu_count() or 1
-    RESULTS["sweep"] = {
-        "serial_s": serial_s, "parallel_s": parallel_s,
-        "speedup": speedup, "cores": cores,
-    }
-    record_artifact(
-        "perf_hotpaths_sweep",
-        f"Measurement sweep ({len(sweep_requests())} settings, {cores} cores)\n"
-        f"  serial:   {serial_s:8.3f} s\n"
-        f"  parallel: {parallel_s:8.3f} s\n"
-        f"  speedup:  {speedup:8.2f}x (bit-identical results and accounting)",
-    )
-    _record_json(artifact_dir)
-    if cores >= 4:
-        assert speedup >= 3.0
-
-
 def test_cache_cold_vs_warm(record_artifact, artifact_dir, tmp_path):
     path = tmp_path / "measurements.json"
     cold_runner = ClusterRunner(base_seed=7, cache=MeasurementCache(path))
-    cold_results, cold_s = _timed(
-        lambda: cold_runner.measure_many(sweep_requests())
-    )
+    cold_results, cold_s = _timed(lambda: sweep(cold_runner))
     cold_runner.cache.flush()
 
     warm_runner = ClusterRunner(base_seed=7, cache=MeasurementCache(path))
-    warm_results, warm_s = _timed(
-        lambda: warm_runner.measure_many(sweep_requests())
-    )
+    warm_results, warm_s = _timed(lambda: sweep(warm_runner))
 
     assert warm_results == cold_results
     assert warm_runner.measurement_count == cold_runner.measurement_count
@@ -339,7 +297,7 @@ def test_cache_cold_vs_warm(record_artifact, artifact_dir, tmp_path):
     }
     record_artifact(
         "perf_hotpaths_cache",
-        f"Persistent cache ({len(sweep_requests())} settings)\n"
+        f"Persistent cache ({len(cold_results)} settings)\n"
         f"  cold (simulate + record): {cold_s:8.3f} s\n"
         f"  warm (replay):            {warm_s:8.3f} s\n"
         f"  speedup:                  {speedup:8.2f}x (identical results)",

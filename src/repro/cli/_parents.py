@@ -23,10 +23,10 @@ TRACE_HELP = (
 )
 
 FAULTS_HELP = (
-    "inject deterministic faults from this FaultPlan JSON; verbs that "
-    "run measurements take the retrying fault-injected path (crashes, "
-    "stragglers, outliers, worker-pool failures), other verbs accept "
-    "and ignore the plan"
+    "inject deterministic faults from this FaultPlan JSON (crashes, "
+    "stragglers, outliers, executor crashes, lease expiries, spot "
+    "preemptions); profile, serve and daemon honour the plan, run "
+    "rejects it, and the other verbs accept and ignore it"
 )
 
 

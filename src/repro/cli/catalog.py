@@ -7,6 +7,7 @@ from typing import Mapping
 
 from repro.analysis.reporting import format_table
 from repro.apps.catalog import table1_rows
+from repro.errors import ConfigurationError
 from repro.experiments.registry import REGISTRY, get_experiment
 from repro.obs import console
 
@@ -24,6 +25,13 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.fault_plan is not None:
+        # The experiments measure the clean testbed; accepting the plan
+        # would print clean figures as if they had run under faults.
+        raise ConfigurationError(
+            "run does not inject faults; --faults applies to profile, "
+            "serve and daemon"
+        )
     entry = get_experiment(args.experiment)
     console.info(f"Running {entry.paper_artifact}: {entry.description}...\n")
     result = entry.run()

@@ -11,8 +11,8 @@ collectives are contention-free.  The NETWORK contention domain
 (:class:`~repro.cluster.contention.ContentionDomain`) lifts that
 restriction: each host's uplink to the switch is a *link* that
 accumulates the network pressure of the flows crossing it
-(:meth:`SwitchTopology.link_pressure`), and a collective crossing a
-pressured link pays a congestion premium
+(:meth:`~repro.sim.pressure.PressureField.link_pressure_seen`), and a
+collective crossing a pressured link pays a congestion premium
 (:meth:`SwitchTopology.collective_cost` with ``link_pressure``).  With
 every link flat (pressure 0) the costs reduce exactly to the
 contention-free star.
@@ -21,9 +21,7 @@ contention-free star.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.cluster.contention import ContentionDomain, combine_pressures
 from repro.units import MAX_PRESSURE
 
 
@@ -55,20 +53,6 @@ class SwitchTopology:
             raise ValueError("latencies must be non-negative")
         if self.congestion_factor < 0:
             raise ValueError("congestion_factor must be non-negative")
-
-    def link_pressure(self, contributions: Iterable[float]) -> float:
-        """Accumulated pressure on one link from the flows crossing it.
-
-        In the star every host owns one uplink to the switch; the flows
-        of all co-resident network-generating tenants share it.
-        Contributions combine on the logarithmic pressure scale
-        (:func:`~repro.cluster.contention.combine_pressures` in the
-        NETWORK domain), mirroring how node-level bubble pressures
-        combine in the COMPUTE domain.
-        """
-        return combine_pressures(
-            contributions, domain=ContentionDomain.NETWORK
-        )
 
     def collective_cost(
         self, num_nodes: int, *, link_pressure: float = 0.0

@@ -165,34 +165,6 @@ class MeasurementOracle:
             max(self._cache.values(), default=0.0), FALLBACK_FLOOR
         )
 
-    def is_cached(self, pressure: float, count: int) -> bool:
-        """Whether a setting has already been measured (or primed)."""
-        return (float(pressure), int(count)) in self._cache
-
-    def prime(self, pressure: float, count: int, value: float) -> None:
-        """Install a measurement obtained out-of-band (batch prewarm).
-
-        Lets callers fan a block of settings out through
-        :meth:`~repro.sim.runner.ClusterRunner.measure_many` and hand
-        the results to the oracle; an already-cached setting keeps its
-        existing value.
-        """
-        if count == 0 or pressure == 0.0:
-            return
-        key = (float(pressure), int(count))
-        if key not in self._cache:
-            # A primed setting was still measured (out-of-band, via the
-            # batch fan-out), so it gets its probe span too.
-            with _obs.RECORDER.span(
-                "profile.probe",
-                workload=self.abbrev,
-                pressure=float(pressure),
-                count=int(count),
-                primed=True,
-            ) as span:
-                span.set(normalized=float(value))
-            self._cache[key] = float(value)
-
     @property
     def distinct_settings_measured(self) -> int:
         """Number of distinct settings run so far."""

@@ -88,11 +88,6 @@ class SpoolLock:
         self.path = Path(path)
         self._held = False
 
-    @property
-    def held(self) -> bool:
-        """Whether this instance currently owns the lock."""
-        return self._held
-
     def acquire(self) -> None:
         """Take the lock, recovering a stale one; raise if live-owned."""
         if self._held:

@@ -32,7 +32,7 @@ from repro.core.profiling.policy_selection import (
     select_policy,
 )
 from repro.sim.cache import MeasurementCache
-from repro.sim.runner import ClusterRunner, MeasurementRequest
+from repro.sim.runner import ClusterRunner
 
 
 class ExperimentContext:
@@ -48,11 +48,6 @@ class ExperimentContext:
         Heterogeneous configurations per workload for policy selection.
     algorithm:
         Matrix-profiling algorithm used to build the working model.
-    max_workers:
-        Fan batchable measurement sweeps (the exhaustive truth
-        matrices) and annealing restarts out over worker processes.
-        ``None`` keeps everything serial; results are bit-identical
-        either way.
     cache:
         Persistent measurement cache handed to the default runner
         (ignored when an explicit ``runner`` is supplied — configure
@@ -68,11 +63,9 @@ class ExperimentContext:
         policy_reps: int = 1,
         algorithm: str = "binary-optimized",
         counts: Optional[Sequence[float]] = None,
-        max_workers: Optional[int] = None,
         cache: Optional[MeasurementCache] = None,
     ) -> None:
         self.runner = runner or ClusterRunner(base_seed=seed, cache=cache)
-        self.max_workers = max_workers
         self.seed = seed
         self.policy_samples = policy_samples
         self.policy_reps = policy_reps
@@ -103,39 +96,10 @@ class ExperimentContext:
     def truth_matrix(self, abbrev: str) -> PropagationMatrix:
         """The exhaustively-measured propagation matrix of a workload."""
         if abbrev not in self._truth:
-            self._prewarm_truth(abbrev)
             self._truth[abbrev] = exhaustive_truth(
                 self.oracle(abbrev), self.pressures, self.counts
             )
         return self._truth[abbrev]
-
-    def _prewarm_truth(self, abbrev: str) -> None:
-        """Batch the exhaustive sweep's settings through ``measure_many``.
-
-        Every setting the exhaustive truth needs is independent (each
-        derives its own stable seed), so the sweep fans out across
-        worker processes when ``max_workers`` allows — and the primed
-        oracle then serves :func:`exhaustive_truth` from cache.  Values
-        and measurement accounting are bit-identical to the serial
-        sweep.
-        """
-        oracle = self.oracle(abbrev)
-        settings = [
-            (float(pressure), int(count))
-            for pressure in self.pressures
-            for count in self.counts
-            if count > 0 and pressure > 0.0
-            and not oracle.is_cached(pressure, count)
-        ]
-        if not settings:
-            return
-        requests = [
-            MeasurementRequest.measure(abbrev, pressure, count, span=oracle.span)
-            for pressure, count in settings
-        ]
-        values = self.runner.measure_many(requests, max_workers=self.max_workers)
-        for (pressure, count), value in zip(settings, values):
-            oracle.prime(pressure, count, value)
 
     # ------------------------------------------------------------------
     @property

@@ -22,7 +22,6 @@ from repro.placement.annealing import AnnealingSchedule
 from repro.placement.assignment import Placement
 from repro.placement.objectives import QoSConstraint, weighted_total_time
 from repro.placement.qos import QoSAwarePlacer
-from repro.sim.runner import MeasurementRequest
 
 #: QoS requirement: guarantee 80% of solo performance, as in the paper.
 QOS_FRACTION: float = 0.8
@@ -82,13 +81,10 @@ def _evaluate(
     reps: int = 3,
 ) -> QoSOutcome:
     """Ground-truth check of a placement, averaged over ``reps`` runs."""
-    samples = context.runner.measure_many(
-        [
-            MeasurementRequest.deployments(placement.deployments(), rep=rep + i)
-            for i in range(reps)
-        ],
-        max_workers=context.max_workers,
-    )
+    samples = [
+        context.runner.run_deployments(placement.deployments(), rep=rep + i)
+        for i in range(reps)
+    ]
     times = {
         key: sum(s[key] for s in samples) / len(samples) for key in samples[0]
     }
@@ -128,7 +124,6 @@ def run_fig10(
                 [constraint],
                 schedule=schedule,
                 seed=stable_seed(seed, mix.name, model_name),
-                max_workers=context.max_workers,
             )
             result = placer.place(instances)
             by_model[model_name] = _evaluate(

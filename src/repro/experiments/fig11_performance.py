@@ -28,7 +28,6 @@ from repro.placement.assignment import Placement
 from repro.placement.objectives import weighted_average_speedup
 from repro.placement.search import random_placements
 from repro.placement.throughput import ThroughputPlacer
-from repro.sim.runner import MeasurementRequest
 
 #: Placement strategies reported per mix, in rendering order.
 STRATEGIES: Tuple[str, ...] = ("best", "random", "naive", "worst")
@@ -92,13 +91,10 @@ def _measure(
     context: ExperimentContext, placement: Placement, rep: int, reps: int = 5
 ) -> Dict[str, float]:
     """Ground-truth times of a placement, averaged over ``reps`` runs."""
-    samples = context.runner.measure_many(
-        [
-            MeasurementRequest.deployments(placement.deployments(), rep=rep + i)
-            for i in range(reps)
-        ],
-        max_workers=context.max_workers,
-    )
+    samples = [
+        context.runner.run_deployments(placement.deployments(), rep=rep + i)
+        for i in range(reps)
+    ]
     return {key: sum(s[key] for s in samples) / len(samples) for key in samples[0]}
 
 
@@ -122,12 +118,10 @@ def run_fig11(
         model_placer = ThroughputPlacer(
             context.placement_model, spec, schedule=schedule,
             seed=stable_seed(seed, mix.name, "model"),
-            max_workers=context.max_workers,
         )
         naive_placer = ThroughputPlacer(
             context.naive_placement_model, spec, schedule=schedule,
             seed=stable_seed(seed, mix.name, "naive"),
-            max_workers=context.max_workers,
         )
         placements: Dict[str, List[Placement]] = {
             "best": [model_placer.best(instances).placement],

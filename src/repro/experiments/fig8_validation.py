@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.analysis.errors import ErrorSummary, absolute_percent_error
 from repro.analysis.reporting import format_table
 from repro.experiments.context import ExperimentContext, default_context
-from repro.sim.runner import MeasurementRequest
 
 
 @dataclass(frozen=True)
@@ -105,22 +104,16 @@ def run_fig8(
         co_runners = list(context.distributed_workloads()) + list(
             context.batch_workloads()
         )
-    # The grid's measurements are independent (each co-run derives its
-    # own stable seed), so the whole sweep ships through measure_many
-    # as one batch and fans out when the context allows.
     pairs = [
         (target, co_runner, rep)
         for target in targets
         for co_runner in co_runners
         for rep in range(reps)
     ]
-    requests = [
-        MeasurementRequest.corun(target, co_runner, rep=rep)
+    results = [
+        context.runner.corun_pair(target, co_runner, rep=rep)
         for target, co_runner, rep in pairs
     ]
-    results = context.runner.measure_many(
-        requests, max_workers=context.max_workers
-    )
     predictions = {
         (target, co_runner): predict_pair(context, target, co_runner)
         for target in targets

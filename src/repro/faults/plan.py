@@ -2,10 +2,10 @@
 
 A :class:`FaultPlan` decides — ahead of time, as a pure function of its
 seed and the label of the thing being faulted — which measurement
-attempts crash, which readings come back straggler-inflated or as
-outright garbage, and which fan-out worker pools die mid-batch.  Each
-fault family draws from its **own** stable-seeded stream
-(``stable_seed(seed, "fault", family, *labels)``), so
+attempts crash and which readings come back straggler-inflated or as
+outright garbage.  Each fault family draws from its **own**
+stable-seeded stream (``stable_seed(seed, "fault", family, *labels)``),
+so
 
 * enabling one family never perturbs another family's draws,
 * a decision depends only on the label, never on how many (or in what
@@ -14,8 +14,7 @@ fault family draws from its **own** stable-seeded stream
   fault activity — which is what the determinism tests and the
   ``chaos-smoke`` CI job compare.
 
-Plans serialize to plain JSON so every CLI verb can take
-``--faults plan.json``.
+Plans serialize to plain JSON, the form ``--faults plan.json`` reads.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.errors import FaultError
 #: families it draws from its own stream, so a plan that only preempts
 #: perturbs no measurement.
 FAULT_FAMILIES = (
-    "crash", "straggler", "outlier", "pool", "worker", "lease", "preempt",
+    "crash", "straggler", "outlier", "worker", "lease", "preempt",
 )
 
 
@@ -61,9 +60,6 @@ class FaultConfig:
         Probability a probe reading comes back as garbage, and how far
         off it lands.  Outliers are large by construction so robust
         profilers can detect and re-probe them.
-    pool_failure_rate:
-        Probability a parallel measurement fan-out loses a worker
-        process mid-batch.
     worker_crash_rate:
         Probability one claimed epoch *execution attempt* in the
         daemon's executor pool dies mid-run (the worker stops renewing
@@ -89,7 +85,6 @@ class FaultConfig:
     straggler_factor: float = 1.5
     outlier_rate: float = 0.0
     outlier_factor: float = 25.0
-    pool_failure_rate: float = 0.0
     worker_crash_rate: float = 0.0
     lease_expiry_rate: float = 0.0
     preemption_rate: float = 0.0
@@ -97,8 +92,8 @@ class FaultConfig:
 
     def __post_init__(self) -> None:
         for name in ("crash_rate", "straggler_rate", "outlier_rate",
-                     "pool_failure_rate", "worker_crash_rate",
-                     "lease_expiry_rate", "preemption_rate"):
+                     "worker_crash_rate", "lease_expiry_rate",
+                     "preemption_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise FaultError(f"{name} must be in [0, 1], got {rate}")
@@ -129,9 +124,8 @@ class FaultPlan:
         return any(
             rate > 0.0
             for rate in (cfg.crash_rate, cfg.straggler_rate,
-                         cfg.outlier_rate, cfg.pool_failure_rate,
-                         cfg.worker_crash_rate, cfg.lease_expiry_rate,
-                         cfg.preemption_rate)
+                         cfg.outlier_rate, cfg.worker_crash_rate,
+                         cfg.lease_expiry_rate, cfg.preemption_rate)
         )
 
     def signature(self) -> str:
@@ -145,9 +139,8 @@ class FaultPlan:
             str(part) for part in (
                 cfg.seed, cfg.crash_rate, cfg.straggler_rate,
                 cfg.straggler_factor, cfg.outlier_rate, cfg.outlier_factor,
-                cfg.pool_failure_rate, cfg.worker_crash_rate,
-                cfg.lease_expiry_rate, cfg.preemption_rate,
-                cfg.preemption_warning_epochs,
+                cfg.worker_crash_rate, cfg.lease_expiry_rate,
+                cfg.preemption_rate, cfg.preemption_warning_epochs,
             )
         )
 
@@ -179,12 +172,6 @@ class FaultPlan:
         if self._draw("outlier", label + (attempt,)) < self.config.outlier_rate:
             return self.config.outlier_factor
         return 1.0
-
-    def pool_fails(self, label: Tuple) -> bool:
-        """Does the fan-out batch ``label`` lose a worker process?"""
-        if self.config.pool_failure_rate <= 0.0:
-            return False
-        return self._draw("pool", label) < self.config.pool_failure_rate
 
     def worker_crashes(self, epoch: int, attempt: int) -> bool:
         """Does execution attempt ``attempt`` of ``epoch`` die mid-run?
@@ -235,14 +222,6 @@ class FaultPlan:
             < self.config.preemption_rate
         )
 
-    def pool_victim(self, label: Tuple, batch_size: int) -> int:
-        """Which item of a failing batch the dying worker was holding."""
-        if batch_size <= 0:
-            raise FaultError("batch_size must be positive")
-        rng = make_rng(stable_seed(self.config.seed, "fault", "pool-victim",
-                                   *label))
-        return int(rng.integers(batch_size))
-
     # ------------------------------------------------------------------
     # Construction / serialization
     # ------------------------------------------------------------------
@@ -250,19 +229,6 @@ class FaultPlan:
     def none(cls) -> "FaultPlan":
         """A plan that injects nothing (all rates zero)."""
         return cls(FaultConfig())
-
-    @classmethod
-    def chaos(cls, seed: int = 0, *, scale: float = 1.0) -> "FaultPlan":
-        """A ready-made moderately hostile plan for chaos testing."""
-        if scale < 0.0:
-            raise FaultError("scale must be non-negative")
-        return cls(FaultConfig(
-            seed=seed,
-            crash_rate=min(0.15 * scale, 1.0),
-            straggler_rate=min(0.10 * scale, 1.0),
-            outlier_rate=min(0.08 * scale, 1.0),
-            pool_failure_rate=min(0.20 * scale, 1.0),
-        ))
 
     def to_dict(self) -> dict:
         """JSON-serializable representation."""

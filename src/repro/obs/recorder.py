@@ -23,10 +23,11 @@ simulated-time attribution are byte-stable across runs of a seeded
 workload; wall-clock durations are recorded alongside but excluded
 from deterministic exports (see :mod:`repro.obs.sinks`).
 
-Process model: the recorder is per-process state.  Work fanned out to
-worker processes (:mod:`repro.parallel`) records into the workers'
-own (null) recorders; only parent-side spans and counters appear in
-the trace.  Serial runs — the default — capture everything.
+Process model: the recorder is per-process state.  Cells fanned out to
+worker processes (``--cell-workers``, :mod:`repro.parallel`) record
+into the workers' own (null) recorders; only parent-side spans and
+counters appear in the trace.  Serial runs — the default — capture
+everything.
 """
 
 from __future__ import annotations

@@ -1,11 +1,8 @@
-"""Deterministic process fan-out for measurements and searches.
+"""Deterministic process fan-out for the sharded service's cells.
 
-Every measurement in this reproduction derives a stable seed from its
-own setting (:func:`repro._util.stable_seed`), so a batch of
-measurements is embarrassingly parallel: the results are identical
-whether the batch runs in one process or many.  The same holds for
-annealing restarts once each restart owns an independent random stream.
-This module provides the one fan-out primitive both layers use.
+Cells are independent within an epoch, so running their epoch bodies
+in worker processes produces the same state as running them one after
+another.  ``--cell-workers`` is the one caller.
 
 Workers are forked (where the platform allows) so they inherit the
 parent's loaded modules and caches cheaply; on platforms without
@@ -17,11 +14,10 @@ optimization, never a semantic switch.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, List, TypeVar
 
 from repro.obs import recorder as _obs
 
@@ -30,36 +26,6 @@ R = TypeVar("R")
 
 #: Placeholder for an item whose worker died before returning a result.
 _PENDING = object()
-
-#: Environment variable overriding the default worker count.
-MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
-
-
-def default_max_workers() -> int:
-    """Worker count used when a caller asks for "parallel" without a number.
-
-    Reads :data:`MAX_WORKERS_ENV` if set, otherwise the CPU count.
-    """
-    override = os.environ.get(MAX_WORKERS_ENV)
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def resolve_workers(max_workers: Optional[int]) -> int:
-    """Normalize a ``max_workers`` argument to an effective count.
-
-    ``None``, 0 and 1 all mean "serial"; negative values mean "use the
-    default" (CPU count or :data:`MAX_WORKERS_ENV`).
-    """
-    if max_workers is None:
-        return 1
-    if max_workers < 0:
-        return default_max_workers()
-    return max(1, max_workers)
 
 
 def _pool_context():
@@ -80,41 +46,32 @@ def fan_out(
     fn: Callable[[T], R],
     items: Iterable[T],
     *,
-    max_workers: Optional[int] = None,
-    initializer: Optional[Callable] = None,
-    initargs: Sequence = (),
+    max_workers: int,
 ) -> List[R]:
-    """Order-preserving map over ``items``, optionally across processes.
+    """Order-preserving map over ``items`` across ``max_workers`` processes.
 
-    The serial path is taken when ``max_workers`` resolves to 1, the
+    The serial path is taken when ``max_workers`` is at most 1, the
     batch has fewer than two items, or the function/items cannot be
-    pickled.  When the serial path is taken and an ``initializer`` was
-    supplied, it runs once in-process first so ``fn`` sees the same
-    worker state either way.
+    pickled.
 
     A worker process dying mid-batch (``BrokenProcessPool``) does not
     abort the batch: results already returned are kept, and every
-    unfinished item is re-run serially in the parent (after running the
-    initializer in-process), so the output is identical to an
-    undisturbed run for deterministic ``fn``.  The recovery is counted
-    as ``fault.pool_failure`` / ``retry.pool_serial_items``.
+    unfinished item is re-run serially in the parent, so the output is
+    identical to an undisturbed run for deterministic ``fn``.  The
+    recovery is counted as ``fault.pool_failure`` /
+    ``retry.pool_serial_items``.
 
     Results are returned in input order; the output is bit-identical to
     ``[fn(item) for item in items]`` for deterministic ``fn``.
     """
     work = list(items)
-    workers = min(resolve_workers(max_workers), len(work))
-    if workers <= 1 or not _picklable(fn, work, initargs):
-        if initializer is not None:
-            initializer(*initargs)
+    workers = min(max_workers, len(work))
+    if workers <= 1 or not _picklable(fn, work):
         return [fn(item) for item in work]
     results: List = [_PENDING] * len(work)
     broken = False
     with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_pool_context(),
-        initializer=initializer,
-        initargs=tuple(initargs),
+        max_workers=workers, mp_context=_pool_context()
     ) as pool:
         futures = []
         for item in work:
@@ -137,8 +94,6 @@ def fan_out(
         unfinished = [i for i, value in enumerate(results) if value is _PENDING]
         _obs.RECORDER.count("fault.pool_failure")
         _obs.RECORDER.count("retry.pool_serial_items", len(unfinished))
-        if initializer is not None:
-            initializer(*initargs)
         for index in unfinished:
             results[index] = fn(work[index])
     return results

@@ -9,7 +9,7 @@ moves are accepted with probability ``exp(-delta / T)`` under a
 geometric cooling schedule, which degenerates to the paper's stochastic
 hill climbing when ``initial_temperature`` is 0.
 
-Three fast paths keep large searches cheap:
+Two fast paths keep large searches cheap:
 
 * **Incremental energy** — when the energy implements the
   :class:`~repro.placement.objectives.IncrementalEnergy` protocol,
@@ -18,10 +18,6 @@ Three fast paths keep large searches cheap:
   prediction table across moves.  Results are bit-identical to full
   evaluation (the scalar energy is always re-aggregated from the full
   table).
-* **Parallel restarts** — each restart owns an independent random
-  stream derived up front from the placer seed, so restarts can run
-  in worker processes (``max_workers``) with results bit-identical to
-  the serial loop.
 * **Bulk draws** — proposals and acceptance tests come from a
   :class:`~repro._util.DrawStream`, an exact replica of PCG64's
   ``choice``/``integers``/``random`` fed by raw-word blocks, which
@@ -37,7 +33,6 @@ from typing import Callable, List, Optional, Tuple
 from repro._util import DrawStream, make_rng
 from repro.errors import PlacementError
 from repro.obs import recorder as _obs
-from repro.parallel import fan_out
 from repro.placement.assignment import Placement
 from repro.placement.objectives import IncrementalEnergy
 
@@ -115,13 +110,6 @@ class SearchResult:
     evaluations: int
     accepted_moves: int
     energy_trajectory: List[float]
-
-
-def _run_restart(plan: Tuple) -> SearchResult:
-    """One restart, self-contained so it can run in a worker process."""
-    energy, schedule, initial, search_seed = plan
-    placer = SimulatedAnnealingPlacer(energy, schedule=schedule, seed=search_seed)
-    return placer.search_from(initial)
 
 
 class SimulatedAnnealingPlacer:
@@ -258,10 +246,7 @@ class SimulatedAnnealingPlacer:
         )
 
     def search(
-        self,
-        initial_factory: Callable[[object], Placement],
-        *,
-        max_workers: Optional[int] = None,
+        self, initial_factory: Callable[[object], Placement]
     ) -> SearchResult:
         """Best result across the schedule's restarts.
 
@@ -270,17 +255,12 @@ class SimulatedAnnealingPlacer:
         initial_factory:
             Called with a seed per restart to produce the starting
             placement (typically :meth:`Placement.random`).
-        max_workers:
-            Fan restarts out over worker processes.  Every restart's
-            random stream is derived up front from the placer seed, so
-            the result is bit-identical to the serial loop
-            (``None``/``0``/``1``).
 
         Notes
         -----
-        Initial placements are built in the parent process (the
-        factory may close over unpicklable state); only the search
-        itself is fanned out.
+        Every restart's initial-placement seed and search seed are
+        drawn from the placer seed before any restart runs, so each
+        restart owns an independent random stream.
         """
         with _obs.RECORDER.span(
             "anneal.search", restarts=self.schedule.restarts
@@ -289,13 +269,10 @@ class SimulatedAnnealingPlacer:
             for _ in range(self.schedule.restarts):
                 init_seed = int(self._rng.integers(0, 2**31))
                 search_seed = int(self._rng.integers(0, 2**31))
-                plans.append(
-                    (self.energy, self.schedule, initial_factory(init_seed),
-                     search_seed)
-                )
-            results = fan_out(_run_restart, plans, max_workers=max_workers)
+                plans.append((initial_factory(init_seed), search_seed))
             best: Optional[SearchResult] = None
-            for result in results:
+            for initial, search_seed in plans:
+                result = self.search_from(initial, rng=make_rng(search_seed))
                 if best is None or result.energy < best.energy:
                     best = result
             assert best is not None

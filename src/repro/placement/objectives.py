@@ -298,13 +298,6 @@ class PredictionEnergy(IncrementalEnergy):
         energy = self.aggregate(predictions, new_placement)
         return EnergyState(new_placement, predictions, energy, residents)
 
-    def __getstate__(self) -> dict:
-        # The memo is a per-process accelerator, not state: shipping it
-        # to fan-out workers would be pure pickling weight.
-        state = dict(self.__dict__)
-        state["_memo"] = {}
-        return state
-
 
 class WeightedTimeEnergy(PredictionEnergy):
     """Total weighted normalized runtime (Section 5.3's objective).

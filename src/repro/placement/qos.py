@@ -170,9 +170,6 @@ class QoSAwarePlacer:
         Annealing schedule (used for both phases).
     seed:
         Search randomness.
-    max_workers:
-        Fan phase-1 annealing restarts out over worker processes
-        (results stay bit-identical to the serial search).
     """
 
     def __init__(
@@ -183,14 +180,12 @@ class QoSAwarePlacer:
         *,
         schedule: Optional[AnnealingSchedule] = None,
         seed: object = 0,
-        max_workers: Optional[int] = None,
     ) -> None:
         self.model = model
         self.cluster_spec = cluster_spec
         self.constraints = list(constraints)
         self.schedule = schedule or AnnealingSchedule()
         self.seed = seed
-        self.max_workers = max_workers
 
     # ------------------------------------------------------------------
     def place(self, instances: Sequence[InstanceSpec]) -> QoSPlacementResult:
@@ -201,8 +196,7 @@ class QoSAwarePlacer:
             seed=self.seed,
         )
         phase1 = feasibility.search(
-            lambda seed: Placement.random(self.cluster_spec, instances, seed=seed),
-            max_workers=self.max_workers,
+            lambda seed: Placement.random(self.cluster_spec, instances, seed=seed)
         )
         throughput = SimulatedAnnealingPlacer(
             ConstrainedThroughputEnergy(self.model, self.constraints),

@@ -44,9 +44,6 @@ class ThroughputPlacer:
         Annealing schedule.
     seed:
         Search randomness.
-    max_workers:
-        Fan annealing restarts out over worker processes (results stay
-        bit-identical to the serial search).
     """
 
     def __init__(
@@ -56,13 +53,11 @@ class ThroughputPlacer:
         *,
         schedule: Optional[AnnealingSchedule] = None,
         seed: object = 0,
-        max_workers: Optional[int] = None,
     ) -> None:
         self.model = model
         self.cluster_spec = cluster_spec
         self.schedule = schedule or AnnealingSchedule()
         self.seed = seed
-        self.max_workers = max_workers
 
     def _search(
         self, instances: Sequence[InstanceSpec], sign: float
@@ -72,8 +67,7 @@ class ThroughputPlacer:
             energy, schedule=self.schedule, seed=self.seed
         )
         result = placer.search(
-            lambda seed: Placement.random(self.cluster_spec, instances, seed=seed),
-            max_workers=self.max_workers,
+            lambda seed: Placement.random(self.cluster_spec, instances, seed=seed)
         )
         return ThroughputPlacementResult(
             placement=result.placement,

@@ -149,11 +149,6 @@ class ShardedConsolidationService:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def n_cells(self) -> int:
-        """Number of cells."""
-        return len(self.cells)
-
-    @property
     def epochs_run(self) -> int:
         """Epochs the sharded service has completed."""
         return self._epochs_run
@@ -249,11 +244,12 @@ class ShardedConsolidationService:
     def _run_cells(self, epoch: int) -> None:
         """Run every cell's epoch body, serially or fanned out.
 
-        Cells are independent within an epoch, so parallel and serial
-        execution produce identical state; ``fan_out`` falls back to
-        serial when pickling fails, preserving determinism either way.
-        Fanned-out cells record into their workers' (null) recorders,
-        so traces of parallel days only carry parent-side spans.
+        With ``cell_workers`` above 1 the cells go through
+        :func:`~repro.parallel.fan_out`; otherwise they run in order,
+        in-process.  Cells are independent within an epoch, so both
+        paths produce identical state.  Fanned-out cells record into
+        their workers' (null) recorders, so traces of parallel days
+        only carry parent-side spans.
         """
         if self.cell_workers > 1:
             returned = fan_out(

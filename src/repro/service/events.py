@@ -135,11 +135,6 @@ class EventLog:
         self._path: Optional[str] = None
         self._source_path: Optional[str] = None
 
-    @property
-    def start_seq(self) -> int:
-        """Sequence number the first held event carries (0 = full log)."""
-        return self._start_seq
-
     # ------------------------------------------------------------------
     # Incremental persistence
     # ------------------------------------------------------------------

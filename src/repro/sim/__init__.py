@@ -17,7 +17,7 @@ from repro.sim.noise import (
     TaskJitter,
 )
 from repro.sim.pressure import PressureField
-from repro.sim.runner import ClusterRunner, MeasurementRequest
+from repro.sim.runner import ClusterRunner
 from repro.sim.trace import ExecutionTrace, StageRecord
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "ExecutionTrace",
     "InstanceResult",
     "MeasurementCache",
-    "MeasurementRequest",
     "NoiseProfile",
     "PRIVATE_TESTBED_NOISE",
     "PressureField",

@@ -47,8 +47,7 @@ class MeasurementCache:
     ----------
     path:
         JSON file backing the cache; ``None`` keeps the cache purely
-        in memory (used by fan-out workers, which report their fresh
-        entries back to the parent instead of writing files).
+        in memory.
     autosave:
         Rewrite the file after every new entry.  Convenient for
         interactive use; batch users should prefer explicit
@@ -106,13 +105,8 @@ class MeasurementCache:
         if self.autosave:
             self.flush()
 
-    def merge(self, entries: Dict[str, CacheValue]) -> None:
-        """Adopt entries produced elsewhere (fan-out workers)."""
-        for key, value in entries.items():
-            self.put(key, value)
-
     def fresh_entries(self) -> Dict[str, CacheValue]:
-        """Entries added since construction (what workers ship back)."""
+        """Entries added since construction or the last flush."""
         return dict(self._fresh)
 
     def flush(self) -> None:
@@ -144,9 +138,8 @@ class MeasurementCache:
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> Tuple[Dict[str, CacheValue]]:
-        # Pickling ships entries only: a worker must never write the
-        # parent's file, and its fresh entries restart from empty so the
-        # parent can collect exactly what the worker added.
+        # Pickling ships entries only: a fanned-out cell's runner must
+        # never write the parent's file.
         return (dict(self._entries),)
 
     def __setstate__(self, state: Tuple[Dict[str, CacheValue]]) -> None:

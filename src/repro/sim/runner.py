@@ -17,10 +17,6 @@ run.
 
 from __future__ import annotations
 
-import os
-import pickle
-import traceback
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro._util import stable_seed
@@ -33,156 +29,10 @@ from repro.errors import ConfigurationError, MeasurementFault
 from repro.faults.injection import attempt_reading
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.parallel import fan_out, resolve_workers
 from repro.sim.cache import MeasurementCache, cache_key
 from repro.sim.execution import CoRunExecutor, DeployedInstance
 from repro.sim.noise import NoiseProfile, PRIVATE_TESTBED_NOISE
 from repro.units import MAX_PRESSURE
-
-
-@dataclass(frozen=True)
-class MeasurementRequest:
-    """One measurement of a :meth:`ClusterRunner.measure_many` batch.
-
-    A request is plain data — the method name plus frozen positional
-    and keyword arguments — so batches can be shipped to worker
-    processes.  Use the named constructors rather than spelling the
-    tuples out.
-    """
-
-    method: str
-    args: Tuple = ()
-    kwargs: Tuple[Tuple[str, object], ...] = ()
-
-    _ALLOWED = (
-        "solo_time",
-        "measure_time",
-        "measure",
-        "measure_heterogeneous_time",
-        "measure_heterogeneous",
-        "corun_pair",
-        "run_deployments",
-    )
-
-    def __post_init__(self) -> None:
-        if self.method not in self._ALLOWED:
-            raise ConfigurationError(
-                f"unknown measurement method {self.method!r}; "
-                f"allowed: {', '.join(self._ALLOWED)}"
-            )
-
-    def apply(self, runner: "ClusterRunner"):
-        """Execute this request against ``runner``."""
-        return getattr(runner, self.method)(*self.args, **dict(self.kwargs))
-
-    # -- named constructors -------------------------------------------
-    @classmethod
-    def solo(cls, abbrev: str, *, num_units: Optional[int] = None):
-        """Solo-baseline request (:meth:`ClusterRunner.solo_time`)."""
-        return cls("solo_time", (abbrev,), (("num_units", num_units),))
-
-    @classmethod
-    def measure(
-        cls, abbrev: str, pressure: float, interfering: int, *,
-        rep: int = 0, span: Optional[int] = None, normalized: bool = True,
-    ):
-        """Homogeneous-setting request (Algorithm 1/2's ``measure``)."""
-        method = "measure" if normalized else "measure_time"
-        return cls(
-            method, (abbrev, float(pressure), int(interfering)),
-            (("rep", rep), ("span", span)),
-        )
-
-    @classmethod
-    def heterogeneous(
-        cls, abbrev: str, node_pressures: Mapping[int, float], *,
-        rep: int = 0, span: Optional[int] = None, normalized: bool = True,
-    ):
-        """Arbitrary per-node bubble assignment request."""
-        method = "measure_heterogeneous" if normalized else (
-            "measure_heterogeneous_time"
-        )
-        pressures = tuple(sorted((int(n), float(p)) for n, p in
-                                 dict(node_pressures).items()))
-        return cls(method, (abbrev, pressures), (("rep", rep), ("span", span)))
-
-    @classmethod
-    def corun(cls, abbrev_a: str, abbrev_b: str, *, rep: int = 0):
-        """Pairwise co-run request (Section 4.3 validation)."""
-        return cls("corun_pair", (abbrev_a, abbrev_b), (("rep", rep),))
-
-    @classmethod
-    def deployments(
-        cls,
-        deployments: Sequence[Tuple[str, str, Mapping[int, int]]],
-        *,
-        rep: int = 0,
-    ):
-        """Ground-truth co-run of arbitrary deployments."""
-        frozen = tuple(
-            (key, abbrev, tuple(sorted(dict(units).items())))
-            for key, abbrev, units in deployments
-        )
-        return cls("run_deployments", (frozen,), (("rep", rep),))
-
-
-#: Per-process runner used by measurement fan-out workers.
-_WORKER_RUNNER: Optional["ClusterRunner"] = None
-
-
-def _init_measurement_worker(blob: bytes) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = pickle.loads(blob)
-
-
-class _WorkerTraceback(Exception):
-    """A fan-out worker's formatted traceback, chained as the cause of
-    the error the parent re-raises, so the worker's frames still show."""
-
-    def __str__(self) -> str:
-        return self.args[0]
-
-
-def _run_measurement_request(payload):
-    """Execute one request in a worker; report state deltas to the parent.
-
-    ``payload`` is ``(request, die, parent_pid)``.  In a pool worker
-    with ``die`` set, the process exits hard — modelling a node crash
-    mid-batch and breaking the pool.  During the serial recovery the
-    parent re-runs the same payload in-process (its pid matches
-    ``parent_pid``), so the doomed item computes normally and the batch
-    result is identical to an undisturbed run.
-
-    Returns ``(value, error, solo_entries, measurement_delta,
-    cache_entries, faulted_workloads)``, where ``error`` is ``(exception,
-    formatted traceback)`` for whatever the request raised, if anything
-    (a :class:`~repro.errors.MeasurementFault` or any other error).  The
-    entries and workloads are everything this worker has learned so
-    far (the parent deduplicates in batch order, which reproduces the
-    serial accounting exactly).
-    """
-    request, die, parent_pid = payload
-    if die and os.getpid() != parent_pid:
-        os._exit(1)
-    runner = _WORKER_RUNNER
-    assert runner is not None, "measurement worker not initialized"
-    count_before = runner.measurement_count
-    value = error = None
-    try:
-        value = request.apply(runner)
-    except Exception as exc:
-        error = (exc, traceback.format_exc())
-    cache_entries = (
-        runner.cache.fresh_entries() if runner.cache is not None else {}
-    )
-    return (
-        value,
-        error,
-        dict(runner._solo_cache),
-        runner.measurement_count - count_before,
-        cache_entries,
-        set(runner.faulted_workloads),
-    )
 
 
 class ClusterRunner:
@@ -209,10 +59,10 @@ class ClusterRunner:
         Optional :class:`~repro.faults.plan.FaultPlan`.  When any of
         its rates are nonzero, every measurement runs on the retrying
         path: attempts can crash (and are retried with deterministic
-        simulated-time backoff), probe readings can come back
-        straggler-inflated or as outliers, and parallel fan-out batches
-        can lose workers.  All fault decisions are stable functions of
-        the measurement labels, so a faulty run replays byte-identically.
+        simulated-time backoff), and probe readings can come back
+        straggler-inflated or as outliers.  All fault decisions are
+        stable functions of the measurement labels, so a faulty run
+        replays byte-identically.
     retry:
         Retry budget/backoff for faulting measurements; defaults to
         :data:`~repro.faults.retry.DEFAULT_RETRY_POLICY`.
@@ -259,7 +109,6 @@ class ClusterRunner:
         #: profiles partially rest on fallbacks, so predictions fall
         #: back to the conservative ALL-max mapping.
         self.faulted_workloads: Set[str] = set()
-        self._fanout_batches = 0
         self._fingerprint = self._environment_fingerprint()
 
     # ------------------------------------------------------------------
@@ -729,101 +578,3 @@ class ClusterRunner:
             solo = self.solo_time(abbrev, num_units=len(units))
             normalized[key] = finish_times[key] / solo
         return normalized
-
-    # ------------------------------------------------------------------
-    # Batch measurement fan-out
-    # ------------------------------------------------------------------
-    def measure_many(
-        self,
-        requests: Sequence[MeasurementRequest],
-        *,
-        max_workers: Optional[int] = None,
-    ) -> List:
-        """Run a batch of measurements, optionally across processes.
-
-        Because every measurement derives a stable seed from its own
-        setting, the batch is order-free and embarrassingly parallel:
-        results (and the runner's measurement accounting) are
-        bit-identical to issuing the requests one by one in order.
-        That includes a request that raises (a
-        :class:`~repro.errors.MeasurementFault` when its reading
-        exhausts its retry budget, or any other error): the accounting
-        of every request before it, and its own, is kept, and its
-        exception is raised.
-
-        Parameters
-        ----------
-        requests:
-            The batch, in result order.
-        max_workers:
-            ``None``/``0``/``1`` run serially in-process; a positive
-            count forks that many workers; a negative count uses the
-            machine default (:func:`repro.parallel.default_max_workers`).
-
-        Returns
-        -------
-        list
-            One result per request, in request order.
-        """
-        requests = list(requests)
-        workers = resolve_workers(max_workers)
-        _obs.RECORDER.count("fanout.batches")
-        _obs.RECORDER.count("fanout.requests", len(requests))
-        blob = None
-        if workers > 1 and len(requests) >= 2:
-            try:
-                blob = pickle.dumps(self)
-            except Exception:
-                pass
-        if blob is None:
-            with _obs.RECORDER.span(
-                "measure.batch", requests=len(requests), workers=1
-            ):
-                return [request.apply(self) for request in requests]
-        _obs.RECORDER.count("fanout.parallel_requests", len(requests))
-        self._fanout_batches += 1
-        batch = ("fanout", self._fanout_batches)
-        with _obs.RECORDER.span(
-            "measure.batch", requests=len(requests), workers=workers,
-            parallel=True,
-        ):
-            victim = None
-            if self.faults_active and self.faults.pool_fails(batch):
-                # The plan dooms one worker this batch: the victim's
-                # worker exits hard, and fan_out's BrokenProcessPool
-                # recovery re-runs whatever was unfinished serially in
-                # the parent.
-                victim = self.faults.pool_victim(batch, len(requests))
-                _obs.RECORDER.count("fault.pool_kill")
-            parent_pid = os.getpid()
-            outcomes = fan_out(
-                _run_measurement_request,
-                [
-                    (request, index == victim, parent_pid)
-                    for index, request in enumerate(requests)
-                ],
-                max_workers=workers,
-                initializer=_init_measurement_worker,
-                initargs=(blob,),
-            )
-            values: List = []
-            for outcome in outcomes:
-                value, error, solo_entries, delta, cache_entries, faulted = outcome
-                # Replay the serial accounting in batch order: each solo
-                # baseline is charged once, at the first request that
-                # needed it, exactly as the serial path would.
-                for key, solo in solo_entries.items():
-                    if key not in self._solo_cache:
-                        self._solo_cache[key] = solo
-                        self.solo_measurement_count += self.SOLO_REPS
-                self.measurement_count += delta
-                if self.cache is not None:
-                    self.cache.merge(cache_entries)
-                if error is not None:
-                    # The serial loop stops here: later requests never
-                    # ran, so none of their accounting counts.
-                    self.faulted_workloads.update(faulted)
-                    exc, worker_traceback = error
-                    raise exc from _WorkerTraceback(worker_traceback)
-                values.append(value)
-            return values

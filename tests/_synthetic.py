@@ -20,6 +20,7 @@ from repro.apps.mpi import BSPWorkload, CollectiveType, LooselyCoupledWorkload
 from repro.cluster.cluster import ClusterSpec
 from repro.cluster.contention import LinearSensitivity, SensitivityFunction
 from repro.cluster.topology import SwitchTopology
+from repro.faults import FaultConfig, FaultPlan
 from repro.sim.noise import NoiseProfile, StallModel
 from repro.sim.runner import ClusterRunner
 
@@ -95,7 +96,7 @@ class SyntheticFactory:
     """Picklable ``workload_factory`` mapping any abbreviation to a BSP synth.
 
     A class rather than a closure so runners built on it can cross
-    process boundaries (``ClusterRunner.measure_many`` fan-out).
+    process boundaries (cells fanned out by ``cell_workers``).
     """
 
     def __init__(self, **overrides) -> None:
@@ -125,3 +126,14 @@ def quiet_runner(
         base_seed=base_seed,
         workload_factory=factory or synthetic_factory(),
     )
+
+
+def hostile_plan(seed: int, *, scale: float = 1.0) -> FaultPlan:
+    """A moderately hostile measurement fault plan: crashes, stragglers
+    and outliers at ``scale`` times 15%, 10% and 8%."""
+    return FaultPlan(FaultConfig(
+        seed=seed,
+        crash_rate=0.15 * scale,
+        straggler_rate=0.10 * scale,
+        outlier_rate=0.08 * scale,
+    ))

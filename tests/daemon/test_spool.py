@@ -1,5 +1,6 @@
 """JobSpool durability, cancel markers, and the single-instance lock."""
 
+import os
 import subprocess
 import sys
 
@@ -132,7 +133,7 @@ class TestSpoolLock:
         spool.lock_path.write_text(f"{child.pid}\n", encoding="ascii")
         lock = SpoolLock(spool.lock_path)
         lock.acquire()
-        assert lock.held
+        assert spool.lock_path.read_text(encoding="ascii") == f"{os.getpid()}\n"
         lock.release()
 
     def test_torn_pidfile_is_recovered(self, spool):
@@ -140,6 +141,6 @@ class TestSpoolLock:
         spool.lock_path.write_text("", encoding="ascii")
         lock = SpoolLock(spool.lock_path)
         lock.acquire()
-        assert lock.held
+        assert spool.lock_path.read_text(encoding="ascii") == f"{os.getpid()}\n"
         lock.release()
         assert not spool.lock_path.exists()

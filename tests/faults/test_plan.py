@@ -1,11 +1,19 @@
 """Tests for deterministic fault plans."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import FaultError
 from repro.faults import FAULT_FAMILIES, FaultConfig, FaultPlan
+from tests._synthetic import hostile_plan
+
+#: The plans the smoke jobs and the reference-day benchmark load.
+CHECKED_IN_PLANS = sorted(
+    (Path(__file__).resolve().parents[2] / "benchmarks" / "baselines")
+    .glob("*plan*.json")
+)
 
 
 class TestFaultConfig:
@@ -15,10 +23,9 @@ class TestFaultConfig:
         assert not plan.crashes(("a",), 0)
         assert plan.straggler(("a",), 0) == 1.0
         assert plan.outlier(("a",), 0) == 1.0
-        assert not plan.pool_fails(("a",))
 
     @pytest.mark.parametrize("field", [
-        "crash_rate", "straggler_rate", "outlier_rate", "pool_failure_rate",
+        "crash_rate", "straggler_rate", "outlier_rate",
     ])
     def test_rates_must_be_probabilities(self, field):
         with pytest.raises(FaultError):
@@ -37,8 +44,8 @@ class TestFaultConfig:
 
 class TestDeterminism:
     def test_decisions_are_pure_functions_of_labels(self):
-        a = FaultPlan.chaos(seed=7)
-        b = FaultPlan.chaos(seed=7)
+        a = hostile_plan(seed=7)
+        b = hostile_plan(seed=7)
         labels = [("measure", "app", rep) for rep in range(50)]
         assert [a.crashes(l, 0) for l in labels] == [
             b.crashes(l, 0) for l in labels
@@ -51,7 +58,7 @@ class TestDeterminism:
         ]
 
     def test_decisions_independent_of_query_order(self):
-        plan = FaultPlan.chaos(seed=3)
+        plan = hostile_plan(seed=3)
         first = plan.crashes(("x",), 0)
         # Interleave unrelated queries; the original decision must hold.
         for rep in range(20):
@@ -62,7 +69,7 @@ class TestDeterminism:
     def test_families_draw_independent_streams(self):
         # Zeroing one family's rate must not change another family's
         # decisions: each family derives its own stream.
-        full = FaultPlan.chaos(seed=11)
+        full = hostile_plan(seed=11)
         crash_only = FaultPlan(FaultConfig(seed=11, crash_rate=0.15))
         labels = [("m", rep) for rep in range(100)]
         assert [full.crashes(l, 0) for l in labels] == [
@@ -70,7 +77,7 @@ class TestDeterminism:
         ]
 
     def test_different_seeds_differ(self):
-        a, b = FaultPlan.chaos(seed=1), FaultPlan.chaos(seed=2)
+        a, b = hostile_plan(seed=1), hostile_plan(seed=2)
         labels = [("m", rep) for rep in range(200)]
         assert [a.crashes(l, 0) for l in labels] != [
             b.crashes(l, 0) for l in labels
@@ -83,18 +90,10 @@ class TestDeterminism:
         )
         assert 0.2 < crashes / 2000 < 0.3
 
-    def test_pool_victim_in_range_and_stable(self):
-        plan = FaultPlan.chaos(seed=5)
-        victim = plan.pool_victim(("fanout", 1), 8)
-        assert 0 <= victim < 8
-        assert plan.pool_victim(("fanout", 1), 8) == victim
-        with pytest.raises(FaultError):
-            plan.pool_victim(("fanout", 1), 0)
-
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        plan = FaultPlan.chaos(seed=42, scale=0.5)
+        plan = hostile_plan(seed=42, scale=0.5)
         assert plan.config.crash_rate == pytest.approx(0.075)
         path = tmp_path / "plan.json"
         plan.save(path)
@@ -124,23 +123,25 @@ class TestSerialization:
 
     def test_signature_distinguishes_plans(self):
         assert (
-            FaultPlan.chaos(seed=1).signature()
-            != FaultPlan.chaos(seed=2).signature()
+            hostile_plan(seed=1).signature()
+            != hostile_plan(seed=2).signature()
         )
         assert (
-            FaultPlan.chaos(seed=1).signature()
-            != FaultPlan.chaos(seed=1, scale=2.0).signature()
+            hostile_plan(seed=1).signature()
+            != hostile_plan(seed=1, scale=2.0).signature()
         )
-
-    def test_chaos_rejects_negative_scale(self):
-        with pytest.raises(FaultError):
-            FaultPlan.chaos(scale=-1.0)
 
     def test_families_constant_is_exhaustive(self):
         assert FAULT_FAMILIES == (
-            "crash", "straggler", "outlier", "pool", "worker", "lease",
-            "preempt",
+            "crash", "straggler", "outlier", "worker", "lease", "preempt",
         )
+
+
+@pytest.mark.parametrize(
+    "path", CHECKED_IN_PLANS, ids=[path.name for path in CHECKED_IN_PLANS]
+)
+def test_checked_in_plan_loads(path):
+    assert FaultPlan.load(path).enabled
 
 
 class TestDaemonFamilies:

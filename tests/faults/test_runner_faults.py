@@ -12,8 +12,13 @@ from repro.core.profiling.plan import (
 from repro.errors import ConfigurationError, MeasurementFault
 from repro.faults import FaultConfig, FaultPlan, RetryPolicy
 from repro.obs import recording
-from repro.sim.runner import ClusterRunner, MeasurementRequest
-from tests._synthetic import QUIET_NOISE, quiet_runner, synthetic_factory
+from repro.sim.runner import ClusterRunner
+from tests._synthetic import (
+    QUIET_NOISE,
+    hostile_plan,
+    quiet_runner,
+    synthetic_factory,
+)
 
 
 def faulty_runner(plan, *, retry=None, base_seed=1):
@@ -65,8 +70,8 @@ class TestCleanPath:
 
     def test_active_plan_namespaces_the_fingerprint(self):
         clean = quiet_runner()
-        chaotic = faulty_runner(FaultPlan.chaos(seed=0))
-        other = faulty_runner(FaultPlan.chaos(seed=1))
+        chaotic = faulty_runner(hostile_plan(0))
+        other = faulty_runner(hostile_plan(1))
         assert chaotic._environment_fingerprint() != clean._environment_fingerprint()
         assert chaotic._environment_fingerprint() != other._environment_fingerprint()
 
@@ -87,7 +92,7 @@ class TestCrashRetries:
         assert not crashy.faulted_workloads
 
     def test_faulty_runs_replay_byte_stable(self):
-        plan = FaultPlan.chaos(seed=7)
+        plan = hostile_plan(7)
         with recording() as first:
             a = measure_all(faulty_runner(plan))
         with recording() as second:
@@ -179,78 +184,33 @@ class TestRobustProfiling:
         assert "app" in runner.faulted_workloads
 
 
-class TestPoolFaults:
-    def test_killed_fanout_batch_matches_serial_results(self):
-        requests = [
-            MeasurementRequest.measure("app", 8.0, 2),
-            MeasurementRequest.measure("app", 4.0, 1),
-            MeasurementRequest.solo("other"),
-            MeasurementRequest.corun("app", "other"),
-        ]
-        serial = quiet_runner(factory=synthetic_factory())
-        expected = serial.measure_many(requests, max_workers=1)
+class TestAccountingAtAFailure:
+    """A failing measurement keeps the accounting of every call before it."""
 
-        lossy = faulty_runner(FaultPlan(FaultConfig(
-            seed=0, pool_failure_rate=1.0,
-        )))
-        with recording() as rec:
-            values = lossy.measure_many(requests, max_workers=2)
-        assert values == expected
-        assert rec.counters["fault.pool_kill"] == 1
-        assert rec.counters["fault.pool_failure"] == 1
-        assert rec.counters.get("retry.pool_serial_items", 0) >= 1
-        # Accounting is replayed exactly despite the recovery.
-        assert lossy.measurement_count == serial.measurement_count
-        assert lossy.solo_measurement_count == serial.solo_measurement_count
+    def test_fault_keeps_the_accounting_before_it(self):
+        # The third call is the first to fault: the setting reads fine,
+        # then its solo baseline exhausts the retry budget.
+        runner = faulty_runner(
+            FaultPlan(FaultConfig(seed=1, crash_rate=0.5)),
+            retry=RetryPolicy(max_attempts=2),
+        )
+        runner.solo_time("app")
+        runner.measure("app", 8.0, 2)
+        with pytest.raises(MeasurementFault):
+            runner.measure("other", 4.0, 1)
+        assert (
+            runner.faulted_workloads,
+            runner.measurement_count,
+            runner.solo_measurement_count,
+        ) == ({"other"}, 2, 3)
 
-    def test_worker_fault_keeps_the_serial_fault_accounting(self):
-        # The batch's first fault is its third request: the setting
-        # reads fine, then its solo baseline exhausts the retry budget.
-        plan = FaultPlan(FaultConfig(seed=1, crash_rate=0.5))
-        requests = [
-            MeasurementRequest.solo("app"),
-            MeasurementRequest.measure("app", 8.0, 2),
-            MeasurementRequest.measure("other", 4.0, 1),
-            MeasurementRequest.heterogeneous(
-                "other", {0: 8.0}, normalized=False
-            ),
-            MeasurementRequest.corun("app", "other"),
-        ]
-        outcomes = []
-        for workers in (None, 2):
-            runner = faulty_runner(plan, retry=RetryPolicy(max_attempts=2))
-            with pytest.raises(MeasurementFault) as fault:
-                runner.measure_many(requests, max_workers=workers)
-            outcomes.append((
-                str(fault.value),
-                runner.faulted_workloads,
-                runner.measurement_count,
-                runner.solo_measurement_count,
-            ))
-        serial, parallel = outcomes
-        assert serial[1:] == ({"other"}, 2, 3)
-        assert parallel == serial
-
-    def test_worker_error_keeps_the_serial_accounting(self):
-        # The third request's span exceeds the 4-node cluster: serial
-        # issue has charged the first two requests when it raises.
-        requests = [
-            MeasurementRequest.measure("app", 8.0, 2),
-            MeasurementRequest.solo("other"),
-            MeasurementRequest.measure("app", 8.0, 2, span=9),
-        ]
-        outcomes = []
-        for workers in (None, 2):
-            runner = quiet_runner()
-            with pytest.raises(ConfigurationError) as error:
-                runner.measure_many(requests, max_workers=workers)
-            outcomes.append((
-                str(error.value),
-                runner.measurement_count,
-                runner.solo_measurement_count,
-            ))
-        serial, parallel = outcomes
-        assert serial[1:] == (1, 6)
-        assert parallel == serial
-        # The worker's traceback is chained under the re-raised error.
-        assert "Traceback" in str(error.value.__cause__)
+    def test_error_keeps_the_accounting_before_it(self):
+        # The third call's span exceeds the 4-node cluster.
+        runner = quiet_runner()
+        runner.measure("app", 8.0, 2)
+        runner.solo_time("other")
+        with pytest.raises(ConfigurationError):
+            runner.measure("app", 8.0, 2, span=9)
+        assert (runner.measurement_count, runner.solo_measurement_count) == (
+            1, 6,
+        )

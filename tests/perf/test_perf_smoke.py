@@ -26,7 +26,7 @@ from repro.core.model import InterferenceModel, InterferenceProfile
 from repro.placement.annealing import AnnealingSchedule, SimulatedAnnealingPlacer
 from repro.placement.assignment import InstanceSpec, Placement
 from repro.placement.objectives import WeightedTimeEnergy
-from repro.sim.runner import ClusterRunner, MeasurementRequest
+from repro.sim.runner import ClusterRunner
 from tests._synthetic import quiet_runner
 
 pytestmark = pytest.mark.perf_smoke
@@ -148,8 +148,8 @@ def test_disabled_tracing_overhead_within_3_percent():
 
 
 def test_measurement_batch_not_regressed():
-    requests = [
-        MeasurementRequest.measure("app", pressure, count)
+    settings = [
+        (pressure, count)
         for pressure in (2.0, 4.0, 6.0, 8.0)
         for count in (1, 2, 3, 4)
     ]
@@ -158,7 +158,9 @@ def test_measurement_batch_not_regressed():
         # Fresh runner per round so memo caches never mask the cost;
         # several rounds keep the measurement out of timer-noise range.
         for _ in range(8):
-            quiet_runner(num_nodes=4).measure_many(requests)
+            runner = quiet_runner(num_nodes=4)
+            for pressure, count in settings:
+                runner.measure("app", pressure, count)
 
     _check("measurement_batch_s", _best_of(run))
 

@@ -151,22 +151,6 @@ class TestIncrementalSearch:
         assert fast.energy == slow.energy
         assert assignment_of(fast.placement) == assignment_of(slow.placement)
 
-    def test_parallel_restarts_bit_identical_to_serial(self):
-        model = make_model()
-
-        def factory(seed):
-            return Placement.random(SPEC, instances(), seed=seed)
-
-        serial = SimulatedAnnealingPlacer(
-            WeightedTimeEnergy(model), schedule=self.SCHEDULE, seed=6
-        ).search(factory, max_workers=None)
-        parallel = SimulatedAnnealingPlacer(
-            WeightedTimeEnergy(model), schedule=self.SCHEDULE, seed=6
-        ).search(factory, max_workers=2)
-        assert parallel.energy == serial.energy
-        assert assignment_of(parallel.placement) == assignment_of(serial.placement)
-        assert parallel.energy_trajectory == serial.energy_trajectory
-
 
 class TestTrajectoryStride:
     def test_validation(self):

@@ -120,3 +120,27 @@ class TestCoRuns:
         assert set(times) == {"a", "b"}
         # Disjoint nodes: no interference, normalized ~1.
         assert times["a"] == pytest.approx(1.0, abs=0.02)
+
+
+class TestSoloAccounting:
+    def test_solo_counts_reps_once_per_key(self):
+        runner = quiet_runner()
+        runner.solo_time("app")
+        runner.solo_time("app")
+        assert runner.solo_measurement_count == runner.SOLO_REPS
+        runner.solo_time("app", num_units=2)
+        assert runner.solo_measurement_count == 2 * runner.SOLO_REPS
+
+    def test_solo_not_counted_as_measurement(self):
+        runner = quiet_runner()
+        runner.solo_time("app")
+        assert runner.measurement_count == 0
+
+    def test_total_combines_both(self):
+        runner = quiet_runner()
+        runner.measure("app", 8.0, 2)
+        assert runner.total_measurement_count == (
+            runner.measurement_count + runner.solo_measurement_count
+        )
+        assert runner.measurement_count == 1
+        assert runner.solo_measurement_count == runner.SOLO_REPS

@@ -10,8 +10,9 @@ the fresh pass recorded.  The kinds are:
   normalized and absolute, including the zero-pressure shortcuts;
 * pairwise co-runs and arbitrary deployments;
 * profiling-oracle probes in both domains;
-* ``measure_many`` batches run serially, on a runner that cannot be
-  pickled, and in two worker processes.
+* mixed sequences of these calls: one on the main runner, one on a
+  second runner sharing the cache, and one recorded into a trace of
+  its own.
 
 ``golden/runner_measurements.json`` pins, per environment and pass:
 
@@ -21,12 +22,10 @@ the fresh pass recorded.  The kinds are:
   ``faulted_workloads`` of both runners;
 * the sorted cache entries;
 * the SHA-256 of the deterministic JSONL trace (``obs.sinks.to_jsonl``)
-  of the in-process calls, and of the 2-worker batch in the fault-free
-  environments.  Under the fault plan that batch always loses a
-  worker, and which requests the parent then re-runs depends on
-  process timing, so its trace is not pinned there.
+  of the main and second runners' calls, and of the separately
+  recorded sequence.
 
-No request in a batch exhausts its retry budget.
+No call in a sequence exhausts its retry budget.
 
 Regenerate only after an intentional change to measurement behaviour::
 
@@ -42,7 +41,6 @@ from typing import Callable, Dict, List, Tuple
 
 import pytest
 
-from repro.apps.catalog import get_workload
 from repro.cluster.cluster import ClusterSpec
 from repro.cluster.contention import ContentionDomain
 from repro.core.profiling.plan import MeasurementOracle
@@ -51,7 +49,7 @@ from repro.faults import FaultConfig, FaultPlan, RetryPolicy
 from repro.obs import recording
 from repro.obs.sinks import to_jsonl
 from repro.sim.cache import MeasurementCache
-from repro.sim.runner import ClusterRunner, MeasurementRequest
+from repro.sim.runner import ClusterRunner
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent / "golden" / "runner_measurements.json"
@@ -63,11 +61,10 @@ NETWORK_APP = "D.PS"
 OTHER_APP = "H.KM"
 
 #: Crashes often enough that, with two attempts per reading, some
-#: direct readings exhaust their budget; every fan-out batch loses a
-#: worker.  The seed keeps every batched request inside its budget.
+#: direct readings exhaust their budget.  The seed keeps every call of
+#: a sequence inside its budget.
 CHAOS = FaultPlan(FaultConfig(
     seed=28, crash_rate=0.2, straggler_rate=0.1, outlier_rate=0.08,
-    pool_failure_rate=1.0,
 ))
 
 ENVIRONMENTS: Dict[str, Dict[str, object]] = {
@@ -136,38 +133,38 @@ STEPS: List[Tuple[str, Callable[[ClusterRunner], object]]] = [
     ("oracle_network", lambda r: _probe_all(
         MeasurementOracle(r, NETWORK_APP, 3, domain=ContentionDomain.NETWORK)
     )),
-    ("batch_serial", lambda r: r.measure_many([
-        MeasurementRequest.solo(OTHER_APP, num_units=3),
-        MeasurementRequest.measure(OTHER_APP, 4.0, 2),
-        MeasurementRequest.measure(COMPUTE_APP, 7.0, 3, rep=3, normalized=False),
-        MeasurementRequest.heterogeneous(OTHER_APP, {0: 8.0, 1: 2.0}),
-        MeasurementRequest.corun(OTHER_APP, COMPUTE_APP),
-        MeasurementRequest.deployments([("p", OTHER_APP, {0: 2, 1: 3})]),
-    ], max_workers=1)),
+    ("mixed_sequence", lambda r: [
+        r.solo_time(OTHER_APP, num_units=3),
+        r.measure(OTHER_APP, 4.0, 2),
+        r.measure_time(COMPUTE_APP, 7.0, 3, rep=3),
+        r.measure_heterogeneous(OTHER_APP, {0: 8.0, 1: 2.0}),
+        r.corun_pair(OTHER_APP, COMPUTE_APP),
+        r.run_deployments([("p", OTHER_APP, {0: 2, 1: 3})]),
+    ]),
 ]
 
-#: Run on a runner with a lambda workload factory, which cannot be
-#: pickled, so ``max_workers=2`` falls back to the serial path.
-UNPICKLABLE_BATCH = [
-    MeasurementRequest.measure(NETWORK_APP, 5.0, 1, rep=4),
-    MeasurementRequest.heterogeneous(
-        COMPUTE_APP, {3: 2.0}, span=4, normalized=False,
-    ),
-    MeasurementRequest.solo(COMPUTE_APP, num_units=1),
-]
 
-PARALLEL_BATCH = [
-    MeasurementRequest.measure(NETWORK_APP, 5.0, 2),
-    MeasurementRequest.solo(NETWORK_APP, num_units=3),
-    MeasurementRequest.heterogeneous(
-        COMPUTE_APP, {2: 3.0}, span=3, normalized=False,
-    ),
-    MeasurementRequest.corun(NETWORK_APP, OTHER_APP),
-    MeasurementRequest.deployments(
-        [("q", NETWORK_APP, {0: 0, 1: 1}), ("r", OTHER_APP, {0: 1})], rep=2,
-    ),
-    MeasurementRequest.measure(OTHER_APP, 6.0, 1, rep=2),
-]
+def sibling_sequence(r: ClusterRunner) -> List[object]:
+    """Run on a second runner that shares the main runner's cache."""
+    return [
+        r.measure(NETWORK_APP, 5.0, 1, rep=4),
+        r.measure_heterogeneous_time(COMPUTE_APP, {3: 2.0}, span=4),
+        r.solo_time(COMPUTE_APP, num_units=1),
+    ]
+
+
+def separate_sequence(r: ClusterRunner) -> List[object]:
+    """Run on the main runner last, recorded into a trace of its own."""
+    return [
+        r.measure(NETWORK_APP, 5.0, 2),
+        r.solo_time(NETWORK_APP, num_units=3),
+        r.measure_heterogeneous_time(COMPUTE_APP, {2: 3.0}, span=3),
+        r.corun_pair(NETWORK_APP, OTHER_APP),
+        r.run_deployments(
+            [("q", NETWORK_APP, {0: 0, 1: 1}), ("r", OTHER_APP, {0: 1})], rep=2,
+        ),
+        r.measure(OTHER_APP, 6.0, 1, rep=2),
+    ]
 
 
 def _encode(value: object) -> object:
@@ -202,19 +199,15 @@ def _sha256(text: str) -> str:
 def capture_pass(environment: str, cache: MeasurementCache) -> Dict[str, object]:
     """One pass over every measurement kind; return its pinned fields."""
     runner = make_runner(environment, cache)
-    sibling = make_runner(
-        environment, cache, workload_factory=lambda abbrev: get_workload(abbrev),
-    )
+    sibling = make_runner(environment, cache)
     values: Dict[str, object] = {}
     with recording() as rec:
         for name, step in STEPS:
             values[name] = _outcome(lambda: step(runner))
-        values["batch_unpicklable"] = _outcome(
-            lambda: sibling.measure_many(UNPICKLABLE_BATCH, max_workers=2)
-        )
-    with recording() as fan_rec:
-        values["batch_2_workers"] = _outcome(
-            lambda: runner.measure_many(PARALLEL_BATCH, max_workers=2)
+        values["sibling_sequence"] = _outcome(lambda: sibling_sequence(sibling))
+    with recording() as separate_rec:
+        values["separate_sequence"] = _outcome(
+            lambda: separate_sequence(runner)
         )
     return {
         "values": values,
@@ -224,9 +217,7 @@ def capture_pass(environment: str, cache: MeasurementCache) -> Dict[str, object]
             [key, _encode(value)] for key, value in cache.fresh_entries().items()
         ),
         "trace_sha256": _sha256(to_jsonl(rec)),
-        "fanout_trace_sha256": (
-            None if runner.faults_active else _sha256(to_jsonl(fan_rec))
-        ),
+        "separate_trace_sha256": _sha256(to_jsonl(separate_rec)),
     }
 
 
@@ -257,11 +248,10 @@ def test_golden_covers_the_contract(golden):
                 if isinstance(value, str) and value.startswith("MeasurementFault")
             ]
             assert bool(exhausted) == faulty
-            assert not any(name.startswith("batch") for name in exhausted)
+            assert not any(name.endswith("sequence") for name in exhausted)
             assert bool(record["runner"][2]) == faulty
             assert values["hom_no_pressure"] == values["het_no_pressure"] == (
                 1.0).hex()
-            assert (record["fanout_trace_sha256"] is None) == faulty
         assert passes["fresh"]["cache"] == passes["replay"]["cache"]
         assert passes["fresh"]["trace_sha256"] != passes["replay"]["trace_sha256"]
 

@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+CHAOS_PLAN = str(
+    Path(__file__).resolve().parents[1]
+    / "benchmarks" / "baselines" / "chaos_plan.json"
+)
 
 SERVE_FAST = [
     "serve",
@@ -32,6 +38,19 @@ class TestListCommand:
         assert "M.lmps" in out
         assert "fig2" in out
         assert "fig13" in out
+
+
+class TestRunCommand:
+    @pytest.mark.parametrize("argv", [
+        ["run", "table3", "--faults", CHAOS_PLAN],
+        ["--faults", CHAOS_PLAN, "run", "table3"],
+    ], ids=["after-verb", "before-verb"])
+    def test_rejects_a_fault_plan_before_running(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "--faults" in captured.err
+        assert "Running" not in captured.out + captured.err
 
 
 class TestProfilePredictRoundtrip:

@@ -64,8 +64,8 @@ KEEP = {
         "tests check the pressure the simulator sums on a node",
     "repro.placement.qos.QoSPlacementResult.predicted_feasible":
         "tests check the QoS placer's predicted feasibility",
-    "repro.sim.runner.MeasurementRequest.heterogeneous":
-        "tests build heterogeneous-setting batch requests",
+    "repro.sim.cache.MeasurementCache.fresh_entries":
+        "the runner golden pins the entries a capture pass records",
 }
 
 
@@ -103,38 +103,41 @@ def _all_constants(tree):
 
 
 def _used_names(trees):
-    """Every name a ``Name``, an ``Attribute`` or an identifier string
-    (a ``getattr`` name, a daybench layer target) mentions."""
-    used = set()
+    """``(bare, attributes)``: every name a ``Name`` mentions, and every
+    name an ``Attribute`` or an identifier string (a ``getattr`` name, a
+    daybench layer target) mentions."""
+    bare, attributes = set(), set()
     for tree in trees:
         exported = _all_constants(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and node.value.isidentifier()
                 and id(node) not in exported
             ):
-                used.add(node.value)
-    return used
+                attributes.add(node.value)
+    return bare, attributes
 
 
 def _definitions(module, tree):
-    """``(qualified name, bare name)`` of module- and class-level defs."""
+    """``(qualified name, bare name, is a class member)`` of module- and
+    class-level defs."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, kinds):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member, kinds):
                         yield (
                             f"{module}.{node.name}.{member.name}",
                             member.name,
+                            True,
                         )
 
 
@@ -143,15 +146,18 @@ def test_every_definition_has_a_non_test_caller():
     for directory in CALLER_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):
             trees[path] = ast.parse(path.read_text(encoding="utf-8"))
-    used = _used_names(trees.values())
+    bare, attributes = _used_names(trees.values())
     package = ROOT / "src" / "repro"
     unused = set()
     for path, tree in trees.items():
         if package not in path.parents:
             continue
         module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
-        for qualified, name in _definitions(module, tree):
+        for qualified, name, member in _definitions(module, tree):
             dunder = name.startswith("__") and name.endswith("__")
+            # A member is reached through an attribute or by name in a
+            # string; a local variable sharing its name is no caller.
+            used = attributes if member else bare | attributes
             if not dunder and name not in used:
                 unused.add(qualified)
     orphans = sorted(unused - set(KEEP))
