@@ -5,9 +5,6 @@ Covers the PR's fast paths, each against the slow path it replaces:
 * **Incremental annealing energy** — delta evaluation re-predicts only
   the instances on the two swapped nodes, versus re-predicting the
   whole mix every proposal.  Same seeds, bit-identical results.
-* **Persistent measurement cache** — a cold sweep of co-runs and
-  homogeneous settings that simulates and records, versus a warm
-  sweep that replays the recorded times.
 * **Batch prediction** — a full-placement evaluation and an admission
   candidate wave scored through the vectorized
   :class:`~repro.core.kernel.PredictionKernel` path, versus the scalar
@@ -55,8 +52,6 @@ from repro.placement.objectives import (
 )
 from repro.service.admission import AdmissionController
 from repro.service.jobs import Job
-from repro.sim.cache import MeasurementCache
-from repro.sim.runner import ClusterRunner
 
 #: Section 5-like shape, scaled up so the per-proposal win is visible:
 #: 16 applications x 4 units on 32 two-slot nodes.  A full evaluation
@@ -66,9 +61,6 @@ NUM_NODES = 32
 NUM_INSTANCES = 16
 UNITS_PER_INSTANCE = 4
 SEARCH_SCHEDULE = AnnealingSchedule(iterations=2000, restarts=1)
-
-SWEEP_TARGETS = ("M.lmps", "M.Gems", "N.cg", "S.PR")
-SWEEP_CO_RUNNERS = ("C.gcc", "C.mcf", "C.libq", "S.WC", "H.KM")
 
 
 def _make_matrix(max_slowdown: float) -> PropagationMatrix:
@@ -125,19 +117,6 @@ def assignment_of(placement: Placement):
         spec.instance_key: tuple(placement.nodes_of(spec.instance_key))
         for spec in placement.instances
     }
-
-
-def sweep(runner: ClusterRunner) -> list:
-    """Every target's co-runs, then its settings at four pressures."""
-    return [
-        runner.corun_pair(target, co)
-        for target in SWEEP_TARGETS
-        for co in SWEEP_CO_RUNNERS
-    ] + [
-        runner.measure(target, pressure, 4)
-        for target in SWEEP_TARGETS
-        for pressure in (2.0, 4.0, 6.0, 8.0)
-    ]
 
 
 #: Consolidated-cluster shape for the batch-prediction benchmarks:
@@ -274,36 +253,6 @@ def test_incremental_vs_full_search(record_artifact, artifact_dir):
     # scalar full path (~2.1-2.9x measured); the incremental path's
     # absolute time is separately guarded by the perf_smoke baseline.
     assert speedup >= 1.8
-
-
-def test_cache_cold_vs_warm(record_artifact, artifact_dir, tmp_path):
-    path = tmp_path / "measurements.json"
-    cold_runner = ClusterRunner(base_seed=7, cache=MeasurementCache(path))
-    cold_results, cold_s = _timed(lambda: sweep(cold_runner))
-    cold_runner.cache.flush()
-
-    warm_runner = ClusterRunner(base_seed=7, cache=MeasurementCache(path))
-    warm_results, warm_s = _timed(lambda: sweep(warm_runner))
-
-    assert warm_results == cold_results
-    assert warm_runner.measurement_count == cold_runner.measurement_count
-    assert (
-        warm_runner.solo_measurement_count == cold_runner.solo_measurement_count
-    )
-
-    speedup = cold_s / warm_s
-    RESULTS["cache"] = {
-        "cold_s": cold_s, "warm_s": warm_s, "speedup": speedup,
-    }
-    record_artifact(
-        "perf_hotpaths_cache",
-        f"Persistent cache ({len(cold_results)} settings)\n"
-        f"  cold (simulate + record): {cold_s:8.3f} s\n"
-        f"  warm (replay):            {warm_s:8.3f} s\n"
-        f"  speedup:                  {speedup:8.2f}x (identical results)",
-    )
-    _record_json(artifact_dir)
-    assert speedup >= 3.0
 
 
 def test_full_placement_batch(record_artifact, artifact_dir):

@@ -4,8 +4,8 @@ Everything a consumer of this reproduction needs is re-exported here,
 grouped by concern, and the set is intentionally small enough to keep
 stable across releases:
 
-* **Measurement** — :class:`ClusterRunner` (the oracle) and the
-  persistent :class:`MeasurementCache`.
+* **Measurement** — :class:`ClusterRunner`, the oracle that simulates
+  every reading and counts profiling cost.
 * **Model building & prediction** — :func:`build_model` /
   :func:`build_batch_profiles` / :func:`build_network_profiles`, the
   :class:`InterferenceModel` (whose
@@ -154,13 +154,12 @@ from repro.service import (
     StreamConfig,
     WorkloadStream,
 )
-from repro.sim import ClusterRunner, MeasurementCache
+from repro.sim import ClusterRunner
 
 __all__ = [
     # measurement
     "ClusterRunner",
     "ClusterSpec",
-    "MeasurementCache",
     # model building & prediction
     "ALL_WORKLOADS",
     "BATCH_WORKLOADS",

@@ -22,7 +22,7 @@ unobserved workload predicts exactly like the static model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +41,6 @@ class CorrectionState:
     factor: float = 1.0
     observations: int = 0
     last_error_percent: float = 0.0
-    history: List[float] = field(default_factory=list)
 
 
 class OnlineModel:
@@ -273,7 +272,6 @@ class OnlineModel:
         state.factor += self.learning_rate * (target - state.factor)
         state.observations += 1
         state.last_error_percent = abs(predicted - measured) / measured * 100.0
-        state.history.append(state.last_error_percent)
         return state
 
     def observe_placement(
@@ -312,7 +310,6 @@ class OnlineModel:
                 "factor": state.factor,
                 "observations": state.observations,
                 "last_error_percent": state.last_error_percent,
-                "history": list(state.history),
             }
             for workload, state in sorted(self._corrections.items())
         }
@@ -326,7 +323,6 @@ class OnlineModel:
                     factor=float(entry["factor"]),
                     observations=int(entry["observations"]),
                     last_error_percent=float(entry["last_error_percent"]),
-                    history=[float(v) for v in entry["history"]],
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelError(

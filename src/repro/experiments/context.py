@@ -31,7 +31,6 @@ from repro.core.profiling.policy_selection import (
     PolicySelectionResult,
     select_policy,
 )
-from repro.sim.cache import MeasurementCache
 from repro.sim.runner import ClusterRunner
 
 
@@ -48,10 +47,6 @@ class ExperimentContext:
         Heterogeneous configurations per workload for policy selection.
     algorithm:
         Matrix-profiling algorithm used to build the working model.
-    cache:
-        Persistent measurement cache handed to the default runner
-        (ignored when an explicit ``runner`` is supplied — configure
-        that runner's cache directly).
     """
 
     def __init__(
@@ -63,9 +58,8 @@ class ExperimentContext:
         policy_reps: int = 1,
         algorithm: str = "binary-optimized",
         counts: Optional[Sequence[float]] = None,
-        cache: Optional[MeasurementCache] = None,
     ) -> None:
-        self.runner = runner or ClusterRunner(base_seed=seed, cache=cache)
+        self.runner = runner or ClusterRunner(base_seed=seed)
         self.seed = seed
         self.policy_samples = policy_samples
         self.policy_reps = policy_reps

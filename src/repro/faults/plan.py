@@ -129,10 +129,11 @@ class FaultPlan:
         )
 
     def signature(self) -> str:
-        """Stable identity of this plan (folded into cache fingerprints).
+        """Stable identity of this plan.
 
-        A reading recorded under one fault plan must never be replayed
-        into a run under a different plan (or none).
+        An elastic provider's checkpoint records it as its
+        ``churn_signature``, so a resume under a different churn plan
+        is refused.
         """
         cfg = self.config
         return "faults|" + "|".join(

@@ -39,7 +39,7 @@ from repro.service.telemetry import MetricsSnapshot
 
 #: Checkpoint format version; bumped on incompatible layout changes.
 #: Files of any other version are rejected, not migrated.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Per-cell operational counters, captured verbatim from the service.
 _COUNTER_FIELDS = (

@@ -10,6 +10,7 @@ per-job QoS target (the paper's "mission-critical" bound of Section
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,10 +36,12 @@ class Job:
     arrival_epoch:
         Epoch the job entered the system.
     qos_target:
-        Optional largest admissible normalized time (e.g. the paper's
-        ``1 / 0.8 = 1.25``); ``None`` marks a best-effort tenant.
+        Optional largest admissible normalized time, finite and at
+        least 1.0 (e.g. the paper's ``1 / 0.8 = 1.25``); ``None`` marks
+        a best-effort tenant.
     weight:
-        Contribution to weighted placement objectives.
+        Contribution to weighted placement objectives; finite and
+        positive.
     """
 
     job_id: str
@@ -56,9 +59,16 @@ class Job:
             raise ServiceError("duration_epochs must be positive")
         if self.arrival_epoch < 0:
             raise ServiceError("arrival_epoch must be non-negative")
-        if self.qos_target is not None and self.qos_target < 1.0:
+        if not (math.isfinite(self.weight) and self.weight > 0.0):
             raise ServiceError(
-                "qos_target below 1.0 is unsatisfiable even solo"
+                f"weight must be finite and positive, got {self.weight!r}"
+            )
+        if self.qos_target is not None and not (
+            math.isfinite(self.qos_target) and self.qos_target >= 1.0
+        ):
+            raise ServiceError(
+                f"qos_target must be finite and at least 1.0 (a bound below "
+                f"1.0 is unsatisfiable even solo), got {self.qos_target!r}"
             )
 
     @property

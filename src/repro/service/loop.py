@@ -471,6 +471,13 @@ class ConsolidationService:
                 duration=job.duration_epochs,
                 qos_target=job.qos_target,
             )
+            if job.workload not in self.model.workloads:
+                # Without a profile no retry can ever predict the job.
+                self._rejected += 1
+                self.log.append(
+                    "reject", epoch, job=job.job_id, reason="unprofiled"
+                )
+                continue
             if len(self._queue) >= self.config.max_queue_depth:
                 self._rejected += 1
                 self.log.append(

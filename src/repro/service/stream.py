@@ -11,6 +11,7 @@ many times (or in what order) other epochs were generated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -59,8 +60,10 @@ class StreamConfig:
             raise ServiceError("duration_range must satisfy 0 < min <= max")
         if not 0.0 <= self.qos_fraction <= 1.0:
             raise ServiceError("qos_fraction must be in [0, 1]")
-        if not self.qos_targets or any(t < 1.0 for t in self.qos_targets):
-            raise ServiceError("qos_targets must be >= 1.0")
+        if not self.qos_targets or not all(
+            math.isfinite(t) and t >= 1.0 for t in self.qos_targets
+        ):
+            raise ServiceError("qos_targets must be finite and >= 1.0")
 
 
 class WorkloadStream:

@@ -1,6 +1,5 @@
 """Discrete-event simulation of consolidated cluster executions."""
 
-from repro.sim.cache import MeasurementCache, cache_key
 from repro.sim.metrics import (
     StageStats,
     all_stage_stats,
@@ -28,7 +27,6 @@ __all__ = [
     "EC2_NOISE",
     "ExecutionTrace",
     "InstanceResult",
-    "MeasurementCache",
     "NoiseProfile",
     "PRIVATE_TESTBED_NOISE",
     "PressureField",
@@ -36,7 +34,6 @@ __all__ = [
     "StageRecord",
     "StageStats",
     "all_stage_stats",
-    "cache_key",
     "slowdown_breakdown",
     "stage_stats",
     "TaskJitter",

@@ -128,8 +128,8 @@ class PressureField:
         and the ambient background pressure.  Results are cached until
         the next activation change.
         """
-        cache_key = (instance_key, node_id)
-        cached = self._cache.get(cache_key)
+        key = (instance_key, node_id)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         sources: List[float] = []
@@ -141,7 +141,7 @@ class PressureField:
                 continue
             sources.extend(per_node.get(node_id, ()))
         pressure = combine_pressures(sources)
-        self._cache[cache_key] = pressure
+        self._cache[key] = pressure
         return pressure
 
     def link_pressure_seen(self, instance_key: str, node_id: int) -> float:
@@ -151,8 +151,8 @@ class PressureField:
         every other active instance's uplink traffic on the node with
         the ambient link noise, under the NETWORK collision surcharge.
         """
-        cache_key = (instance_key, node_id)
-        cached = self._link_cache.get(cache_key)
+        key = (instance_key, node_id)
+        cached = self._link_cache.get(key)
         if cached is not None:
             return cached
         sources: List[float] = []
@@ -164,7 +164,7 @@ class PressureField:
                 continue
             sources.extend(per_node.get(node_id, ()))
         pressure = combine_pressures(sources, domain=ContentionDomain.NETWORK)
-        self._link_cache[cache_key] = pressure
+        self._link_cache[key] = pressure
         return pressure
 
     def generated_on(self, node_id: int, *, exclude: str | None = None) -> float:

@@ -29,7 +29,6 @@ from repro.errors import ConfigurationError, MeasurementFault
 from repro.faults.injection import attempt_reading
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.sim.cache import MeasurementCache, cache_key
 from repro.sim.execution import CoRunExecutor, DeployedInstance
 from repro.sim.noise import NoiseProfile, PRIVATE_TESTBED_NOISE
 from repro.units import MAX_PRESSURE
@@ -49,12 +48,6 @@ class ClusterRunner:
     workload_factory:
         Hook for substituting the catalog (used by the EC2 environment
         and by tests with synthetic workloads).
-    cache:
-        Optional persistent measurement store.  Because every
-        measurement is a deterministic function of its stable-seed
-        label, a cached result is indistinguishable from re-running
-        the simulation — re-running a benchmark replays recorded
-        times like re-reading a run log.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan`.  When any of
         its rates are nonzero, every measurement runs on the retrying
@@ -69,9 +62,8 @@ class ClusterRunner:
     network_ambient:
         Constant NETWORK-domain background pressure applied to every
         node's uplink in every run (the ``--network-noise`` injection).
-        Deterministic (no RNG draw) and 0.0 by default, which keeps the
-        environment fingerprint — and therefore every cache key and
-        measurement — byte-identical to builds without the flag.
+        Deterministic (no RNG draw) and 0.0 by default, which keeps
+        every measurement byte-identical to builds without the flag.
     """
 
     def __init__(
@@ -81,7 +73,6 @@ class ClusterRunner:
         noise: NoiseProfile = PRIVATE_TESTBED_NOISE,
         base_seed: int = 2016,
         workload_factory=get_workload,
-        cache: Optional[MeasurementCache] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         network_ambient: float = 0.0,
@@ -101,7 +92,6 @@ class ClusterRunner:
         #: Simulated runs spent on solo baselines (Table 3's reported
         #: profiling cost must account for these too).
         self.solo_measurement_count = 0
-        self.cache = cache
         self.faults = faults
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
         #: Workloads for which some reading exhausted its retry budget.
@@ -109,42 +99,6 @@ class ClusterRunner:
         #: profiles partially rest on fallbacks, so predictions fall
         #: back to the conservative ALL-max mapping.
         self.faulted_workloads: Set[str] = set()
-        self._fingerprint = self._environment_fingerprint()
-
-    # ------------------------------------------------------------------
-    # Persistent-cache plumbing
-    # ------------------------------------------------------------------
-    def _environment_fingerprint(self) -> str:
-        """Stable identity of this measurement environment.
-
-        Cache entries are only replayed for an identical environment:
-        same cluster shape, same base seed, same noise profile — and,
-        when fault injection is active, the same fault plan: a reading
-        recorded under injected faults must never be replayed into a
-        clean run (or vice versa).
-        """
-        noise = self.noise
-        ambient = (
-            None if noise.ambient is None
-            else (noise.ambient.max_pressure, noise.ambient.occupancy)
-        )
-        parts = [
-            "v1",
-            self.spec.num_nodes,
-            self.spec.cores_per_node,
-            self.base_seed,
-            noise.jitter_scale,
-            ambient,
-            noise.stall.prob_at_max,
-            noise.stall.scale,
-        ]
-        if self.faults_active:
-            parts.append(self.faults.signature())
-        # Appended only when active so flat-network cache keys are
-        # unchanged from scalar-era builds.
-        if self.network_ambient > 0.0:
-            parts.append(("netamb", self.network_ambient))
-        return "|".join(str(part) for part in parts)
 
     @property
     def faults_active(self) -> bool:
@@ -182,34 +136,6 @@ class ClusterRunner:
         except MeasurementFault:
             self.faulted_workloads.update(workloads)
             raise
-
-    def _replay_or_simulate(
-        self, span, labels: Tuple, simulate: Callable[[], object], *,
-        runs: int = 1,
-    ):
-        """The recorded measurement under ``labels``, or a fresh one.
-
-        A store hit counts ``measure.store_hit`` and marks ``span``
-        replayed.  A miss counts ``measure.store_miss``, then calls
-        ``simulate`` (which builds the deployments, so only misses pay
-        for them), counts ``runs`` simulated runs and records the
-        result.  Without a store every call simulates.
-        """
-        store_key = cache_key(self._fingerprint, *labels)
-        if self.cache is not None:
-            recorded = self.cache.get(store_key)
-            if recorded is not None:
-                _obs.RECORDER.count("measure.store_hit")
-                span.set(replayed=True)
-                if isinstance(recorded, dict):
-                    return {key: float(item) for key, item in recorded.items()}
-                return float(recorded)
-            _obs.RECORDER.count("measure.store_miss")
-        value = simulate()
-        _obs.RECORDER.count("measure.simulated", runs)
-        if self.cache is not None:
-            self.cache.put(store_key, value)
-        return value
 
     @property
     def total_measurement_count(self) -> int:
@@ -321,12 +247,10 @@ class ClusterRunner:
     def solo_time(self, abbrev: str, *, num_units: Optional[int] = None) -> float:
         """Execution time of the workload with no interference.
 
-        Cached: the paper measures the solo baseline once per workload
-        (we average :attr:`SOLO_REPS` runs to stabilize the
-        normalization denominator).  The :attr:`SOLO_REPS` runs count
-        toward :attr:`solo_measurement_count` whether they are freshly
-        simulated or replayed from the persistent cache, so reported
-        profiling costs are replay-independent.
+        Memoized per runner: the paper measures the solo baseline once
+        per workload (we average :attr:`SOLO_REPS` runs to stabilize
+        the normalization denominator), so the :attr:`SOLO_REPS` runs
+        count toward :attr:`solo_measurement_count` once.
         """
         num_units = num_units if num_units is not None else self.num_nodes
         key = (abbrev, num_units)
@@ -341,7 +265,9 @@ class ClusterRunner:
             seed = stable_seed(self.base_seed, abbrev, "solo", num_units, rep)
             return self._finish_times([instance], seed)[abbrev]
 
-        def simulate() -> float:
+        with _obs.RECORDER.span(
+            "measure.solo", workload=abbrev, units=num_units
+        ) as span:
             # The solo baseline is every normalization's denominator,
             # so its runs can crash and be retried but are never
             # value-perturbed (perturb=False).
@@ -354,15 +280,8 @@ class ClusterRunner:
                 )
                 for rep in range(self.SOLO_REPS)
             ]
-            return sum(times) / len(times)
-
-        with _obs.RECORDER.span(
-            "measure.solo", workload=abbrev, units=num_units
-        ) as span:
-            solo = self._replay_or_simulate(
-                span, ("solo", abbrev, num_units), simulate,
-                runs=self.SOLO_REPS,
-            )
+            solo = sum(times) / len(times)
+            _obs.RECORDER.count("measure.simulated", self.SOLO_REPS)
             span.set_sim(solo)
         self._solo_cache[key] = solo
         self.solo_measurement_count += self.SOLO_REPS
@@ -410,8 +329,7 @@ class ClusterRunner:
     ) -> float:
         """Absolute time with an arbitrary per-node bubble assignment.
 
-        Counts toward :attr:`measurement_count` whether simulated
-        fresh or replayed from the persistent cache.
+        Counts toward :attr:`measurement_count`.
         """
         node_pressures = dict(node_pressures)
         label = ("het", span) + tuple(sorted(node_pressures.items()))
@@ -448,9 +366,9 @@ class ClusterRunner:
 
         ``label`` names the setting's kind (``hom``/``het``) and
         parameters.  A NETWORK setting's kind gains a ``net`` prefix,
-        which keeps it apart from COMPUTE settings in seeds, cache
-        keys, spans and accounting; ``domain`` also selects which
-        bubble variant is pinned to the interfering nodes.
+        which keeps it apart from COMPUTE settings in seeds, spans and
+        accounting; ``domain`` also selects which bubble variant is
+        pinned to the interfering nodes.
         """
         domain = ContentionDomain.parse(domain)
         if domain is ContentionDomain.NETWORK:
@@ -462,24 +380,20 @@ class ClusterRunner:
             attrs["interfering"] = int(label[2])
         else:
             attrs["nodes"] = len(node_pressures)
-        reading = ("measure", abbrev, rep) + label
         with _obs.RECORDER.span("measure.setting", **attrs) as obs_span:
-
-            def simulate() -> float:
-                instances = [self.full_span_deployment(abbrev, span=span)]
-                instances += self._bubble_instances(node_pressures, domain=domain)
-                seed = stable_seed(self.base_seed, abbrev, rep, *label)
-                # Probe readings take the fully perturbable path:
-                # stragglers and outliers land here, where robust
-                # profiling (median-of-k re-probes) can catch them.
-                return self._read(
-                    reading,
-                    lambda: self._finish_times(instances, seed)[abbrev],
-                    workloads=(abbrev,),
-                    perturb=True,
-                )
-
-            time = self._replay_or_simulate(obs_span, reading, simulate)
+            instances = [self.full_span_deployment(abbrev, span=span)]
+            instances += self._bubble_instances(node_pressures, domain=domain)
+            seed = stable_seed(self.base_seed, abbrev, rep, *label)
+            # Probe readings take the fully perturbable path:
+            # stragglers and outliers land here, where robust
+            # profiling (median-of-k re-probes) can catch them.
+            time = self._read(
+                ("measure", abbrev, rep) + label,
+                lambda: self._finish_times(instances, seed)[abbrev],
+                workloads=(abbrev,),
+                perturb=True,
+            )
+            _obs.RECORDER.count("measure.simulated")
             obs_span.set_sim(time)
         return time
 
@@ -500,23 +414,20 @@ class ClusterRunner:
         with _obs.RECORDER.span(
             "measure.corun", a=abbrev_a, b=abbrev_b, rep=rep
         ) as obs_span:
-
-            def simulate() -> Dict[str, float]:
-                instances = [
-                    self.full_span_deployment(abbrev_a, instance_key=key_a),
-                    self.full_span_deployment(abbrev_b, instance_key=key_b),
-                ]
-                seed = stable_seed(self.base_seed, *label)
-                # Ground truth: runs can crash and be retried, but a
-                # completed run's values are believed (perturb=False).
-                return self._read(
-                    label,
-                    lambda: self._finish_times(instances, seed, sustained=True),
-                    workloads=(abbrev_a, abbrev_b),
-                    perturb=False,
-                )
-
-            finish_times = self._replay_or_simulate(obs_span, label, simulate)
+            instances = [
+                self.full_span_deployment(abbrev_a, instance_key=key_a),
+                self.full_span_deployment(abbrev_b, instance_key=key_b),
+            ]
+            seed = stable_seed(self.base_seed, *label)
+            # Ground truth: runs can crash and be retried, but a
+            # completed run's values are believed (perturb=False).
+            finish_times = self._read(
+                label,
+                lambda: self._finish_times(instances, seed, sustained=True),
+                workloads=(abbrev_a, abbrev_b),
+                perturb=False,
+            )
+            _obs.RECORDER.count("measure.simulated")
             obs_span.set_sim(max(finish_times.values()))
         return {
             key_a: finish_times[key_a] / self.solo_time(abbrev_a),
@@ -554,23 +465,20 @@ class ClusterRunner:
         with _obs.RECORDER.span(
             "measure.deploy", instances=len(deployments), rep=rep
         ) as obs_span:
-
-            def simulate() -> Dict[str, float]:
-                instances = [
-                    DeployedInstance(key, self.workload(abbrev), units)
-                    for key, abbrev, units in deployments
-                ]
-                seed = stable_seed(self.base_seed, *label)
-                # Ground truth for the service's QoS accounting: crash
-                # faults retry, but completed values are never perturbed.
-                return self._read(
-                    label,
-                    lambda: self._finish_times(instances, seed, sustained=True),
-                    workloads=tuple(abbrev for _, abbrev, _ in deployments),
-                    perturb=False,
-                )
-
-            finish_times = self._replay_or_simulate(obs_span, label, simulate)
+            instances = [
+                DeployedInstance(key, self.workload(abbrev), units)
+                for key, abbrev, units in deployments
+            ]
+            seed = stable_seed(self.base_seed, *label)
+            # Ground truth for the service's QoS accounting: crash
+            # faults retry, but completed values are never perturbed.
+            finish_times = self._read(
+                label,
+                lambda: self._finish_times(instances, seed, sustained=True),
+                workloads=tuple(abbrev for _, abbrev, _ in deployments),
+                perturb=False,
+            )
+            _obs.RECORDER.count("measure.simulated")
             if finish_times:
                 obs_span.set_sim(max(finish_times.values()))
         normalized: Dict[str, float] = {}

@@ -78,7 +78,6 @@ class TestLearning:
         state = online.correction("app")
         assert state.observations == 1
         assert state.last_error_percent == pytest.approx(100 * 0.3 / 1.8)
-        assert len(state.history) == 1
 
     def test_observe_placement(self):
         online = OnlineModel(base_model())
@@ -93,6 +92,17 @@ class TestLearning:
         report = online.staleness_report()
         assert report[0][0] == "app"
         assert report[0][1] == 1
+
+    def test_learned_state_does_not_grow_with_observations(self):
+        online = OnlineModel(base_model())
+        online.observe("app", 1.5, 1.8)
+        after_one = online.state_dict()["app"]
+        for _ in range(49):
+            online.observe("app", 1.5, 1.8)
+        after_fifty = online.state_dict()["app"]
+        assert after_fifty["observations"] == 50
+        assert after_fifty.keys() == after_one.keys()
+        assert not any(isinstance(v, list) for v in after_fifty.values())
 
 
 class TestValidation:

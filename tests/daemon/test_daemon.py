@@ -157,6 +157,16 @@ class TestSubmitStatusCancelRoundTrip:
         cancels = daemon.log.of_kind("job_cancel")
         assert [dict(e.payload)["job"] for e in cancels] == ["mine"]
 
+    def test_unprofiled_submission_is_rejected_and_the_day_goes_on(
+        self, tmp_path, model
+    ):
+        daemon = make_daemon(tmp_path / "spool", model)
+        daemon.submit("Z.bogus", num_units=2, duration_epochs=3, job_id="typo")
+        daemon.run(2)
+        assert daemon.status("typo").status == "rejected"
+        daemon.run(EPOCHS)
+        assert daemon.snapshots[-1].epoch == EPOCHS - 1
+
     def test_submission_changes_only_the_tail_of_the_day(
         self, tmp_path, model, flat_day
     ):

@@ -60,21 +60,6 @@ class TestCleanPath:
             name.startswith(("fault.", "retry.")) for name in rec.counters
         )
 
-    def test_null_plan_keeps_the_fingerprint(self):
-        # An all-zero plan must replay the same cache entries as no
-        # plan at all.
-        assert (
-            faulty_runner(FaultPlan.none())._environment_fingerprint()
-            == quiet_runner()._environment_fingerprint()
-        )
-
-    def test_active_plan_namespaces_the_fingerprint(self):
-        clean = quiet_runner()
-        chaotic = faulty_runner(hostile_plan(0))
-        other = faulty_runner(hostile_plan(1))
-        assert chaotic._environment_fingerprint() != clean._environment_fingerprint()
-        assert chaotic._environment_fingerprint() != other._environment_fingerprint()
-
 
 class TestCrashRetries:
     def test_crash_only_faults_never_change_values(self):

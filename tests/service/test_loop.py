@@ -189,6 +189,28 @@ class TestQueueAndRetry:
         admitted = {dict(e.payload)["job"] for e in service.log.of_kind("admit")}
         assert admitted == {"filler0", "filler1"}
 
+    def test_unprofiled_arrival_is_rejected_at_once(self, environment):
+        runner, model = environment
+        stream = FixedStream((
+            Job("typo", "C.gcc", num_units=2, duration_epochs=3),
+            Job("known", "M.lmps", num_units=2, duration_epochs=3),
+        ))
+        service = ConsolidationService(
+            runner, model, stream,
+            config=ServiceConfig(schedule=FAST_SCHEDULE), seed=1,
+        )
+        service.run(3)
+        typo = [
+            (event.kind, dict(event.payload).get("reason"))
+            for event in service.log
+            if dict(event.payload).get("job") == "typo"
+        ]
+        assert typo == [("arrival", None), ("reject", "unprofiled")]
+        assert [dict(e.payload)["job"] for e in service.log.of_kind("admit")] == [
+            "known"
+        ]
+        assert service.snapshots[-1].rejected_total == 1
+
 
 class TestMigrationGating:
     def test_infinite_cost_freezes_placement(self, environment):

@@ -58,6 +58,8 @@ class TestStreamConfig:
             StreamConfig(workloads=("a",), qos_fraction=1.5)
         with pytest.raises(ServiceError):
             StreamConfig(workloads=("a",), qos_targets=(0.5,))
+        with pytest.raises(ServiceError):
+            StreamConfig(workloads=("a",), qos_targets=(float("nan"),))
 
 
 class TestWorkloadStream:

@@ -1,9 +1,7 @@
 """Golden contract for the measurement oracle, :class:`ClusterRunner`.
 
-Every measurement kind runs in four environments: clean, fault
-injected, ambient link noise, and both.  Each environment runs twice on
-one :class:`MeasurementCache`, first fresh and then replayed from what
-the fresh pass recorded.  The kinds are:
+Every measurement kind runs once in each of four environments: clean,
+fault injected, ambient link noise, and both.  The kinds are:
 
 * solo baselines;
 * homogeneous and heterogeneous settings in both contention domains,
@@ -11,16 +9,15 @@ the fresh pass recorded.  The kinds are:
 * pairwise co-runs and arbitrary deployments;
 * profiling-oracle probes in both domains;
 * mixed sequences of these calls: one on the main runner, one on a
-  second runner sharing the cache, and one recorded into a trace of
-  its own.
+  second runner of the same environment, and one recorded into a trace
+  of its own.
 
-``golden/runner_measurements.json`` pins, per environment and pass:
+``golden/runner_measurements.json`` pins, per environment:
 
 * every value as ``float.hex``, or the error when a reading exhausts
   its retry budget;
 * ``measurement_count``, ``solo_measurement_count`` and the sorted
   ``faulted_workloads`` of both runners;
-* the sorted cache entries;
 * the SHA-256 of the deterministic JSONL trace (``obs.sinks.to_jsonl``)
   of the main and second runners' calls, and of the separately
   recorded sequence.
@@ -48,7 +45,6 @@ from repro.errors import MeasurementFault
 from repro.faults import FaultConfig, FaultPlan, RetryPolicy
 from repro.obs import recording
 from repro.obs.sinks import to_jsonl
-from repro.sim.cache import MeasurementCache
 from repro.sim.runner import ClusterRunner
 
 GOLDEN_PATH = (
@@ -78,12 +74,11 @@ ENVIRONMENTS: Dict[str, Dict[str, object]] = {
 }
 
 
-def make_runner(environment: str, cache: MeasurementCache, **options) -> ClusterRunner:
+def make_runner(environment: str) -> ClusterRunner:
     return ClusterRunner(
         ClusterSpec(num_nodes=4, cores_per_node=16),
         base_seed=7,
-        cache=cache,
-        **dict(ENVIRONMENTS[environment], **options),
+        **ENVIRONMENTS[environment],
     )
 
 
@@ -145,7 +140,7 @@ STEPS: List[Tuple[str, Callable[[ClusterRunner], object]]] = [
 
 
 def sibling_sequence(r: ClusterRunner) -> List[object]:
-    """Run on a second runner that shares the main runner's cache."""
+    """Run on a second runner, which measures its own solo baselines."""
     return [
         r.measure(NETWORK_APP, 5.0, 1, rep=4),
         r.measure_heterogeneous_time(COMPUTE_APP, {3: 2.0}, span=4),
@@ -196,10 +191,10 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def capture_pass(environment: str, cache: MeasurementCache) -> Dict[str, object]:
+def capture(environment: str) -> Dict[str, object]:
     """One pass over every measurement kind; return its pinned fields."""
-    runner = make_runner(environment, cache)
-    sibling = make_runner(environment, cache)
+    runner = make_runner(environment)
+    sibling = make_runner(environment)
     values: Dict[str, object] = {}
     with recording() as rec:
         for name, step in STEPS:
@@ -213,19 +208,9 @@ def capture_pass(environment: str, cache: MeasurementCache) -> Dict[str, object]
         "values": values,
         "runner": _accounting(runner),
         "sibling": _accounting(sibling),
-        "cache": sorted(
-            [key, _encode(value)] for key, value in cache.fresh_entries().items()
-        ),
         "trace_sha256": _sha256(to_jsonl(rec)),
         "separate_trace_sha256": _sha256(to_jsonl(separate_rec)),
     }
-
-
-def capture(environment: str) -> Dict[str, object]:
-    """A fresh pass, then a pass replayed from the same cache."""
-    cache = MeasurementCache()
-    fresh = capture_pass(environment, cache)
-    return {"fresh": fresh, "replay": capture_pass(environment, cache)}
 
 
 @pytest.fixture(scope="module")
@@ -239,21 +224,18 @@ def test_runner_matches_golden(environment, golden):
 
 
 def test_golden_covers_the_contract(golden):
-    for environment, passes in golden.items():
+    for environment, record in golden.items():
         faulty = "faults" in environment
-        for record in passes.values():
-            values = record["values"]
-            exhausted = [
-                name for name, value in values.items()
-                if isinstance(value, str) and value.startswith("MeasurementFault")
-            ]
-            assert bool(exhausted) == faulty
-            assert not any(name.endswith("sequence") for name in exhausted)
-            assert bool(record["runner"][2]) == faulty
-            assert values["hom_no_pressure"] == values["het_no_pressure"] == (
-                1.0).hex()
-        assert passes["fresh"]["cache"] == passes["replay"]["cache"]
-        assert passes["fresh"]["trace_sha256"] != passes["replay"]["trace_sha256"]
+        values = record["values"]
+        exhausted = [
+            name for name, value in values.items()
+            if isinstance(value, str) and value.startswith("MeasurementFault")
+        ]
+        assert bool(exhausted) == faulty
+        assert not any(name.endswith("sequence") for name in exhausted)
+        assert bool(record["runner"][2]) == faulty
+        assert values["hom_no_pressure"] == values["het_no_pressure"] == (
+            1.0).hex()
 
 
 def _write_golden() -> None:

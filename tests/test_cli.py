@@ -376,3 +376,22 @@ class TestNetworkFlags:
         out = capsys.readouterr().out
         assert "Bubble score" in out
         assert "Network score" not in out
+
+
+class TestSubmitCommand:
+    @pytest.mark.parametrize("flag, value", [
+        ("--weight", "0"),
+        ("--weight", "-5"),
+        ("--weight", "nan"),
+        ("--qos-target", "nan"),
+        ("--qos-target", "inf"),
+    ])
+    def test_rejects_a_job_no_day_could_run(self, flag, value, tmp_path, capsys):
+        from repro.daemon import JobSpool
+
+        spool = tmp_path / "spool"
+        argv = ["submit", "M.lmps", "--spool", str(spool),
+                "--units", "2", "--duration", "3", flag, value]
+        assert main(argv) == 1
+        assert "error: " in capsys.readouterr().err
+        assert JobSpool(spool).jobs() == []

@@ -64,8 +64,6 @@ KEEP = {
         "tests check the pressure the simulator sums on a node",
     "repro.placement.qos.QoSPlacementResult.predicted_feasible":
         "tests check the QoS placer's predicted feasibility",
-    "repro.sim.cache.MeasurementCache.fresh_entries":
-        "the runner golden pins the entries a capture pass records",
 }
 
 
