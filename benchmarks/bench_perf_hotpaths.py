@@ -250,9 +250,12 @@ def test_incremental_vs_full_search(record_artifact, artifact_dir):
     # The full-evaluation denominator rides the batch kernel too
     # (predict_placement dispatches to predict_placement_batch), so the
     # incremental win over it is narrower than against the historical
-    # scalar full path (~2.1-2.9x measured); the incremental path's
-    # absolute time is separately guarded by the perf_smoke baseline.
-    assert speedup >= 1.8
+    # scalar full path.  With the memo keyed on co-runner names per
+    # node instead of node ids it measured 7-9x (2.5-2.6x keyed on node
+    # ids), so keying on node ids again fails this floor; the
+    # incremental path's absolute time is separately guarded by the
+    # perf_smoke baseline.
+    assert speedup >= 4.0
 
 
 def test_full_placement_batch(record_artifact, artifact_dir):

@@ -140,30 +140,33 @@ class SimulatedAnnealingPlacer:
 
     # ------------------------------------------------------------------
     def _propose_swap(
-        self, placement: Placement, draws: DrawStream
+        self, placement: Placement, draws: DrawStream,
+        keys: List[str], units: List[int],
     ) -> Optional[Tuple[Placement, Tuple[int, int]]]:
         """A random swap of two units of different instances.
 
+        ``keys`` and ``units`` are the instances' keys and unit counts
+        in instance order (shared by every placement of a pass).
         Returns the new placement plus the two nodes that traded
         residents (the delta-evaluation frontier), or ``None`` if no
         valid proposal was found.
         """
-        keys = [spec.instance_key for spec in placement.instances]
         if len(keys) < 2:
             return None
+        assignment = placement._assignment
         for _ in range(16):  # retry degenerate proposals
             idx_a, idx_b = draws.pair(len(keys))
+            unit_a = draws.integers(units[idx_a])
+            unit_b = draws.integers(units[idx_b])
             key_a, key_b = keys[idx_a], keys[idx_b]
-            unit_a = draws.integers(placement.instance(key_a).num_units)
-            unit_b = draws.integers(placement.instance(key_b).num_units)
-            node_a = placement.nodes_of(key_a)[unit_a]
-            node_b = placement.nodes_of(key_b)[unit_b]
-            if node_a == node_b:
-                continue  # same node: a no-op swap
-            try:
-                swapped = placement.swap_units(key_a, unit_a, key_b, unit_b)
-            except PlacementError:
+            nodes_a, nodes_b = assignment[key_a], assignment[key_b]
+            node_a, node_b = nodes_a[unit_a], nodes_b[unit_b]
+            # Same node: a no-op swap.  Otherwise the swap must not put
+            # two units of one instance on one node (``swap_units``'
+            # only rule for a 1-for-1 exchange).
+            if node_a == node_b or node_b in nodes_a or node_a in nodes_b:
                 continue
+            swapped = placement.swap_units(key_a, unit_a, key_b, unit_b)
             return swapped, (node_a, node_b)
         return None
 
@@ -196,8 +199,10 @@ class SimulatedAnnealingPlacer:
             evaluations = 1
             accepted = 0
             trajectory = [current_energy]
+            keys = [spec.instance_key for spec in initial.instances]
+            units = [spec.num_units for spec in initial.instances]
             for iteration in range(self.schedule.iterations):
-                proposal = self._propose_swap(current, draws)
+                proposal = self._propose_swap(current, draws, keys, units)
                 if proposal is None:
                     continue
                 candidate, touched_nodes = proposal
@@ -211,11 +216,12 @@ class SimulatedAnnealingPlacer:
                     candidate_energy = self.energy(candidate)
                 evaluations += 1
                 delta = candidate_energy - current_energy
-                temperature = self.schedule.temperature(iteration)
-                accept = delta <= 0 or (
-                    temperature > 0
-                    and draws.random() < math.exp(-delta / temperature)
-                )
+                accept = delta <= 0
+                if not accept:
+                    temperature = self.schedule.temperature(iteration)
+                    accept = temperature > 0 and (
+                        draws.random() < math.exp(-delta / temperature)
+                    )
                 if accept:
                     current, current_energy = candidate, candidate_energy
                     state = candidate_state

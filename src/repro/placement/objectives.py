@@ -141,6 +141,20 @@ def _residents_index(placement: Placement) -> Residents:
     }
 
 
+def _co_runner_names(
+    residents: Residents, key: str, nodes: Iterable[int]
+) -> Tuple[Tuple[str, ...], ...]:
+    """Workloads of ``key``'s co-runners on each of ``nodes``, in turn.
+
+    Each node's names keep assignment-rank order (NOT sorted):
+    combining pressures sums floats in list order, so a reordered
+    tuple could replay a bit-different result.
+    """
+    return tuple([
+        tuple([w for _, k, w in residents[node] if k != key]) for node in nodes
+    ])
+
+
 @dataclass
 class EnergyState:
     """A placement with its per-instance prediction table and energy.
@@ -196,9 +210,16 @@ class PredictionEnergy(IncrementalEnergy):
     Subclasses implement :meth:`aggregate` (prediction table ->
     scalar energy); this class owns the expensive part — maintaining
     the per-instance prediction table across swaps — plus a memo of
-    per-instance predictions keyed by the instance's *local
-    configuration* (its spanned nodes and the exact co-runner layout),
-    which annealing revisits constantly.
+    per-instance predictions keyed by the instance's workload and the
+    co-runner names on each spanned node, in node order, which
+    annealing revisits constantly.
+
+    The contract: a prediction may depend on the co-runner names per
+    spanned node and on the nodes' order, not on node ids.  Every model
+    here (``InterferenceModel`` in both domains, ``OnlineModel``,
+    ``NaiveProportionalModel``, ``MultiwayPredictor``) meets it: each
+    reads ``co_runners.get(node)`` for each node in turn.  A miss
+    still predicts from the real nodes.
 
     Parameters
     ----------
@@ -217,9 +238,13 @@ class PredictionEnergy(IncrementalEnergy):
 
     # -- subclass surface ---------------------------------------------
     def aggregate(
-        self, predictions: Mapping[str, float], placement: Placement
+        self, predictions: Mapping[str, float], placement: Placement,
+        residents: Residents,
     ) -> float:
-        """Scalar energy of a full prediction table (cheap)."""
+        """Scalar energy of a full prediction table (cheap).
+
+        ``residents`` is ``placement``'s :data:`Residents` index.
+        """
         raise NotImplementedError
 
     # -- prediction table maintenance ---------------------------------
@@ -239,20 +264,17 @@ class PredictionEnergy(IncrementalEnergy):
         """Memoized predictions for ``keys``; misses predicted as found."""
         if residents is None:
             residents = _residents_index(placement)
+        by_key, assignment = placement._by_key, placement._assignment
         table: Dict[str, float] = {}
         for key in keys:
-            workload = placement.instance(key).workload
-            nodes = placement.spanned_nodes(key)
-            # The co-runner lists keep placement iteration order (NOT
-            # sorted): combining pressures sums floats in list order,
-            # so a reordered key could replay a bit-different result.
-            layout = tuple([
-                (node, tuple([w for _, k, w in residents[node] if k != key]))
-                for node in nodes
-            ])
+            workload = by_key[key].workload
+            # An instance's units sit on distinct nodes, so this is
+            # ``spanned_nodes``.
+            nodes = sorted(assignment[key])
+            layout = _co_runner_names(residents, key, nodes)
             value = self._memo.get((workload, layout))
             if value is None:
-                co_runners = {node: list(names) for node, names in layout}
+                co_runners = dict(zip(nodes, map(list, layout)))
                 value = self.model.predict_under_corunners(
                     workload, nodes, co_runners
                 )
@@ -267,7 +289,7 @@ class PredictionEnergy(IncrementalEnergy):
         residents = _residents_index(placement)
         keys = [spec.instance_key for spec in placement.instances]
         predictions = self._predict_table(placement, keys, residents)
-        energy = self.aggregate(predictions, placement)
+        energy = self.aggregate(predictions, placement, residents)
         return EnergyState(placement, predictions, energy, residents)
 
     def swap_state(
@@ -283,19 +305,20 @@ class PredictionEnergy(IncrementalEnergy):
         else:
             # Only the touched nodes traded units; ``swap_units`` keeps
             # the assignment's key order, so the ranks stay valid.
+            assignment = new_placement._assignment
             pool = {u[1]: u for node in touched for u in residents[node]}
             residents = dict(residents)
             for node in touched:
                 residents[node] = sorted(
                     unit for unit in pool.values()
-                    if node in new_placement.nodes_of(unit[1])
+                    if node in assignment[unit[1]]
                 )
         changed = dict.fromkeys(
             unit[1] for node in touched for unit in residents[node]
         )
         table = self._predict_table(new_placement, changed, residents)
         predictions = {**state.predictions, **table}
-        energy = self.aggregate(predictions, new_placement)
+        energy = self.aggregate(predictions, new_placement, residents)
         return EnergyState(new_placement, predictions, energy, residents)
 
 
@@ -313,6 +336,7 @@ class WeightedTimeEnergy(PredictionEnergy):
         self.sign = sign
 
     def aggregate(
-        self, predictions: Mapping[str, float], placement: Placement
+        self, predictions: Mapping[str, float], placement: Placement,
+        residents: Residents,
     ) -> float:
         return self.sign * weighted_total_time(predictions, placement)

@@ -35,6 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro._util import mean
 from repro.cluster.cluster import ClusterSpec
 from repro.cluster.contention import ContentionDomain
+from repro.errors import PlacementError
 from repro.placement.annealing import (
     AnnealingSchedule,
     SearchResult,
@@ -44,6 +45,8 @@ from repro.placement.assignment import InstanceSpec, Placement
 from repro.placement.objectives import (
     PredictionEnergy,
     QoSConstraint,
+    Residents,
+    _co_runner_names,
     predict_placement,
     weighted_total_time,
 )
@@ -76,9 +79,13 @@ class ConstrainedEnergy(PredictionEnergy):
         self.constraints = list(constraints)
         self.infeasible_base = infeasible_base
 
-    def _target_pressure(self, placement: Placement) -> float:
+    def _target_pressure(
+        self, placement: Placement, residents: Residents
+    ) -> float:
         """Mean predicted co-runner pressure on the constrained apps.
 
+        Each constrained instance's co-runners come from the residents
+        index, in the order ``co_runner_workloads`` gives.
         When the model carries the NETWORK contention domain the mean
         runs over *both* per-domain vectors: a co-runner that is quiet
         on the compute dimension but saturates the target's uplinks
@@ -88,8 +95,9 @@ class ConstrainedEnergy(PredictionEnergy):
         pressures: List[float] = []
         network = getattr(self.model, "has_network", False)
         for constraint in self.constraints:
-            nodes = placement.spanned_nodes(constraint.instance_key)
-            coworkers = placement.co_runner_workloads(constraint.instance_key)
+            key = constraint.instance_key
+            nodes = sorted(placement._assignment[key])
+            coworkers = dict(zip(nodes, _co_runner_names(residents, key, nodes)))
             vector = self.model.pressure_vector(nodes, coworkers)
             pressures.extend(vector)
             if network:
@@ -99,14 +107,15 @@ class ConstrainedEnergy(PredictionEnergy):
         return mean(pressures) if pressures else 0.0
 
     def aggregate(
-        self, predictions: Mapping[str, float], placement: Placement
+        self, predictions: Mapping[str, float], placement: Placement,
+        residents: Residents,
     ) -> float:
         violation = sum(c.violation(predictions) for c in self.constraints)
         if violation > 0:
             return (
                 self.infeasible_base
                 + violation
-                + PRESSURE_TIEBREAK * self._target_pressure(placement)
+                + PRESSURE_TIEBREAK * self._target_pressure(placement, residents)
             )
         return weighted_total_time(predictions, placement)
 
@@ -189,19 +198,34 @@ class QoSAwarePlacer:
 
     # ------------------------------------------------------------------
     def place(self, instances: Sequence[InstanceSpec]) -> QoSPlacementResult:
-        """Search for the best QoS-satisfying placement of ``instances``."""
+        """Search for the best QoS-satisfying placement of ``instances``.
+
+        Raises
+        ------
+        PlacementError
+            If a constraint names an instance not among ``instances``.
+        """
+        keys = {spec.instance_key for spec in instances}
+        unknown = [
+            c.instance_key for c in self.constraints if c.instance_key not in keys
+        ]
+        if unknown:
+            raise PlacementError(
+                f"constraints name unknown instances: {', '.join(unknown)}"
+            )
+        feasible = FeasibilityEnergy(self.model, self.constraints)
         feasibility = SimulatedAnnealingPlacer(
-            FeasibilityEnergy(self.model, self.constraints),
-            schedule=self.schedule,
-            seed=self.seed,
+            feasible, schedule=self.schedule, seed=self.seed
         )
         phase1 = feasibility.search(
             lambda seed: Placement.random(self.cluster_spec, instances, seed=seed)
         )
+        # Both phases predict with one model over one instance set, and
+        # the memo holds predictions, not energies: share it.
+        constrained = ConstrainedThroughputEnergy(self.model, self.constraints)
+        constrained._memo = feasible._memo
         throughput = SimulatedAnnealingPlacer(
-            ConstrainedThroughputEnergy(self.model, self.constraints),
-            schedule=self.schedule,
-            seed=self.seed,
+            constrained, schedule=self.schedule, seed=self.seed
         )
         phase2 = throughput.search_from(phase1.placement)
         predictions = predict_placement(self.model, phase2.placement)

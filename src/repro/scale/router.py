@@ -160,6 +160,9 @@ class HeadroomRouter:
         Maximum headroom wins.  When no cell can hold a job's units,
         the job goes to the cell with the most free slots (it will
         queue or bounce there — the router never silently drops work).
+        A cell whose model lacks the job's workload never scores it;
+        when no cell has it, the job takes that same fallback, and the
+        cell's arrival step rejects it as ``unprofiled``.
         Picking each job's best cell alone would send the whole wave to
         the same cell — cell placements do not change while the wave is
         being routed, so neither do their scores.  This method adds the
@@ -194,7 +197,11 @@ class HeadroomRouter:
             for cell in eligible:
                 key = (cell.cell_id, job.workload, job.num_units, job.qos_target)
                 if key not in scores:
-                    scores[key] = self.score(cell, job)
+                    scores[key] = (
+                        self.score(cell, job)
+                        if job.workload in cell.service.model.workloads
+                        else None
+                    )
                 score = scores[key]
                 if score is None:
                     continue
@@ -208,7 +215,14 @@ class HeadroomRouter:
                 _obs.RECORDER.count("scale.router.routed")
                 chosen = best.cell_id
             else:
-                _obs.RECORDER.count("scale.router.no_capacity")
+                unprofiled = all(
+                    job.workload not in cell.service.model.workloads
+                    for cell in eligible
+                )
+                _obs.RECORDER.count(
+                    "scale.router.unprofiled" if unprofiled
+                    else "scale.router.no_capacity"
+                )
                 chosen = max(
                     eligible,
                     key=lambda cell: (

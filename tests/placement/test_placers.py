@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.cluster import ClusterSpec
 from repro.core.curves import PropagationMatrix
 from repro.core.model import InterferenceModel, InterferenceProfile
+from repro.errors import PlacementError
 from repro.placement.annealing import AnnealingSchedule
 from repro.placement.assignment import InstanceSpec
 from repro.placement.objectives import QoSConstraint, predict_placement
@@ -48,6 +49,23 @@ def make_model() -> InterferenceModel:
         ),
     }
     return InterferenceModel(profiles)
+
+
+class _CountingModel:
+    """Model proxy logging each scalar prediction's name layout."""
+
+    def __init__(self, model):
+        self._model = model
+        self.layouts = []
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def predict_under_corunners(self, workload, nodes, co_runners):
+        self.layouts.append(
+            (workload, tuple(tuple(co_runners[node]) for node in nodes))
+        )
+        return self._model.predict_under_corunners(workload, nodes, co_runners)
 
 
 def instances():
@@ -128,3 +146,28 @@ class TestQoSAwarePlacer:
         result = placer.place(instances())
         predictions = predict_placement(make_model(), result.placement)
         assert predictions["target#0"] <= 1.3 or not result.predicted_feasible
+
+    def test_unknown_constraint_keys_are_named_before_searching(self):
+        constraints = [
+            QoSConstraint("nope#9"),
+            QoSConstraint("target#0"),
+            QoSConstraint("gone#5"),
+        ]
+        model = _CountingModel(make_model())
+        placer = QoSAwarePlacer(model, SPEC, constraints, schedule=SCHEDULE)
+        with pytest.raises(PlacementError, match="nope#9, gone#5$"):
+            placer.place(instances())
+        assert model.layouts == []
+
+    def test_one_prediction_per_layout_per_search(self):
+        # Both phases share one memo keyed on co-runner names per node,
+        # so no layout is predicted twice, whichever nodes it sits on.
+        model = _CountingModel(make_model())
+        placer = QoSAwarePlacer(
+            model, SPEC, [QoSConstraint("target#0", 1.15)],
+            schedule=SCHEDULE, seed=4,
+        )
+        result = placer.place(instances())
+        assert result.predicted_feasible
+        assert model.layouts
+        assert len(model.layouts) == len(set(model.layouts))

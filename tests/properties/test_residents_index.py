@@ -7,7 +7,8 @@ shuffled against instance order) and chains of swaps, some branching
 from an older state the way a rejected proposal does, every swapped
 state must equal a from-scratch ``full_state`` bit for bit, and every
 re-predicted instance must see exactly ``co_runner_workloads``' lists,
-in order.
+in order.  The memo keys on co-runner names per spanned node, not node
+ids, so a cold memo predicts each changed name layout exactly once.
 """
 
 import math
@@ -32,15 +33,20 @@ class _Recording:
 
     def __init__(self, model):
         self.model = model
-        self.calls = set()
+        self.calls = []
 
     def predict_under_corunners(self, workload, nodes, co_runners):
-        self.calls.add(_layout(workload, nodes, co_runners))
+        self.calls.append((
+            workload,
+            list(nodes),
+            {node: list(names) for node, names in co_runners.items()},
+        ))
         return self.model.predict_under_corunners(workload, nodes, co_runners)
 
 
-def _layout(workload, nodes, co_runners):
-    return workload, tuple((node, tuple(co_runners[node])) for node in nodes)
+def _names(workload, nodes, co_runners):
+    """The memo's view of a prediction: co-runner names per node."""
+    return workload, tuple(tuple(co_runners[node]) for node in nodes)
 
 
 @st.composite
@@ -127,21 +133,26 @@ def test_swap_chains_equal_full_evaluation(case):
         _assert_state_is_full(model, state, swapped)
         states.append(state)
 
-        # A cold memo predicts every changed instance (up to equal
-        # layouts): each from co_runner_workloads' lists, in order.
+        # A cold memo predicts each changed instance's name layout
+        # once, from that instance's real nodes and co_runner_workloads'
+        # lists, in order.
         recording = _Recording(model)
         WeightedTimeEnergy(recording).swap_state(parent, swapped, touched)
-        changed = {
-            key for node in touched for _, key, _ in state.residents[node]
-        }
-        assert recording.calls == {
-            _layout(
+        changed = [
+            (
                 swapped.instance(key).workload,
                 swapped.spanned_nodes(key),
                 swapped.co_runner_workloads(key),
             )
-            for key in changed
-        }
+            for key in {
+                key for node in touched for _, key, _ in state.residents[node]
+            }
+        ]
+        asked = [_names(*call) for call in recording.calls]
+        assert len(asked) == len(set(asked))
+        assert set(asked) == {_names(*args) for args in changed}
+        for call in recording.calls:
+            assert call in changed
 
 
 @given(case=chains())

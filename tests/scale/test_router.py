@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.cluster import ClusterSpec
 from repro.errors import ServiceError
-from repro.scale import HeadroomRouter, free_slot_count
+from repro.obs.recorder import recording
+from repro.scale import HeadroomRouter, build_sharded_service, free_slot_count
 from repro.service.jobs import Job
-from tests.scale._helpers import sharded_service
+from repro.service.stream import FixedStream
+from tests.scale._helpers import (
+    CellRunnerFactory,
+    service_config,
+    sharded_service,
+)
 
 
 def _job(job_id: str, *, units: int = 2, qos: float = None) -> Job:
@@ -103,6 +110,36 @@ def test_route_many_overflows_only_when_every_cell_is_at_cap(
     # Six jobs fill every cap; the seventh lands somewhere anyway (the
     # router never drops work) — exactly one cell goes one over.
     assert sorted(taken.values()) == [2, 2, 3]
+
+
+def test_an_unprofiled_arrival_is_rejected_and_the_day_goes_on(
+    synthetic_model,
+):
+    # No cell profiled appZ: the router must not score it (the model
+    # would raise) but hand it to a cell, which rejects it on arrival.
+    service = build_sharded_service(
+        synthetic_model,
+        ClusterSpec(num_nodes=8, cores_per_node=16),
+        2,
+        FixedStream((Job("j0", "appZ", num_units=2, arrival_epoch=0),)),
+        seed=11,
+        config=service_config(),
+        runner_factory=CellRunnerFactory(),
+    )
+    with recording() as recorder:
+        service.run(2)
+    events = [
+        dict(event.payload, kind=event.kind)
+        for event in service.log
+        if dict(event.payload).get("job") == "j0"
+    ]
+    assert [(e["kind"], e.get("reason")) for e in events] == [
+        ("arrival", None),
+        ("reject", "unprofiled"),
+    ]
+    assert all("cell" in e for e in events)
+    assert recorder.counters["scale.router.unprofiled"] == 1
+    assert "scale.router.no_capacity" not in recorder.counters
 
 
 def test_router_rejects_nonpositive_probe_budget():
