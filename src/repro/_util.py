@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -75,8 +75,9 @@ class DrawStream:
     """NumPy's PCG64 draws, bit for bit, served from bulk raw words.
 
     ``integers``, ``pair`` (``choice(n, 2, replace=False)``) and
-    ``random`` replay NumPy's; on exit, an exception included, the
-    generator is left exactly as those NumPy calls would leave it.
+    ``random`` replay NumPy's, and ``proposal`` replays a ``pair`` and
+    two ``integers``; on exit, an exception included, the generator is
+    left exactly as those NumPy calls would leave it.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
@@ -130,6 +131,12 @@ class DrawStream:
         first, second = self.integers(n - 1), self.integers(n)
         second = n - 1 if second == first else second
         return (first, second) if self.integers(2) else (second, first)
+
+    def proposal(self, units: Sequence[int]) -> Tuple[int, int, int, int]:
+        """A unit swap's draws: ``a, b = pair(len(units))``, then
+        ``integers(units[a])`` and ``integers(units[b])``."""
+        a, b = self.pair(len(units))
+        return a, b, self.integers(units[a]), self.integers(units[b])
 
     def random(self) -> float:
         """Uniform on ``[0, 1)`` from a fresh word; a buffered half stays."""

@@ -7,10 +7,9 @@ from repro.placement.annealing import (
 )
 from repro.placement.assignment import InstanceSpec, Placement, units_moved
 from repro.placement.objectives import (
-    EnergyState,
-    IncrementalEnergy,
     PredictionEnergy,
     QoSConstraint,
+    SearchState,
     WeightedTimeEnergy,
     predict_placement,
     weighted_average_speedup,
@@ -27,9 +26,7 @@ from repro.placement.throughput import ThroughputPlacementResult, ThroughputPlac
 
 __all__ = [
     "AnnealingSchedule",
-    "EnergyState",
     "GreedyPlacer",
-    "IncrementalEnergy",
     "InstanceSpec",
     "Placement",
     "PredictionEnergy",
@@ -38,6 +35,7 @@ __all__ = [
     "QoSConstraint",
     "QoSPlacementResult",
     "SearchResult",
+    "SearchState",
     "SimulatedAnnealingPlacer",
     "ThroughputPlacementResult",
     "ThroughputPlacer",

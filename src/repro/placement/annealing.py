@@ -11,13 +11,14 @@ hill climbing when ``initial_temperature`` is 0.
 
 Two fast paths keep large searches cheap:
 
-* **Incremental energy** — when the energy implements the
-  :class:`~repro.placement.objectives.IncrementalEnergy` protocol,
-  each proposed swap re-predicts only the instances with units on the
-  two touched nodes instead of the whole mix, carrying a per-instance
-  prediction table across moves.  Results are bit-identical to full
-  evaluation (the scalar energy is always re-aggregated from the full
-  table).
+* **Incremental energy** — when the energy is a
+  :class:`~repro.placement.objectives.PredictionEnergy`, each pass
+  anneals one mutable :class:`~repro.placement.objectives.SearchState`:
+  a proposed swap is applied in place, re-predicts only the instances
+  with units on the two touched nodes, and is undone if rejected; a
+  :class:`Placement` is built only for each new best.  Results are
+  bit-identical to full evaluation (the scalar energy is always
+  re-aggregated from the full table).
 * **Bulk draws** — proposals and acceptance tests come from a
   :class:`~repro._util.DrawStream`, an exact replica of PCG64's
   ``choice``/``integers``/``random`` fed by raw-word blocks, which
@@ -28,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro._util import DrawStream, make_rng
 from repro.errors import PlacementError
 from repro.obs import recorder as _obs
 from repro.placement.assignment import Placement
-from repro.placement.objectives import IncrementalEnergy
+from repro.placement.objectives import PredictionEnergy
 
 EnergyFunction = Callable[[Placement], float]
 
@@ -112,6 +113,32 @@ class SearchResult:
     energy_trajectory: List[float]
 
 
+class _Rescored:
+    """A plain energy callable's search state: every swap makes a fresh
+    placement (:meth:`Placement.swap_units`) and scores it in full."""
+
+    def __init__(self, energy: EnergyFunction, placement: Placement) -> None:
+        self._energy = energy
+        self._current = placement
+        self.assignment = placement._assignment
+        self.energy = energy(placement)
+        self._undo = (placement, self.energy)
+
+    def swap(self, key_a: str, unit_a: int, key_b: str, unit_b: int) -> float:
+        self._undo = (self._current, self.energy)
+        self._current = self._current.swap_units(key_a, unit_a, key_b, unit_b)
+        self.assignment = self._current._assignment
+        self.energy = self._energy(self._current)
+        return self.energy
+
+    def undo(self) -> None:
+        self._current, self.energy = self._undo
+        self.assignment = self._current._assignment
+
+    def placement(self) -> Placement:
+        return self._current
+
+
 class SimulatedAnnealingPlacer:
     """Searches placements by annealed unit swaps.
 
@@ -119,8 +146,8 @@ class SimulatedAnnealingPlacer:
     ----------
     energy:
         Placement score to *minimize* (model-predicted).  Plain
-        callables are fully evaluated per proposal; objects
-        implementing :class:`IncrementalEnergy` get delta evaluation.
+        callables are fully evaluated on a fresh placement per
+        proposal; a :class:`PredictionEnergy` gets delta evaluation.
     schedule:
         Cooling schedule.
     seed:
@@ -139,25 +166,21 @@ class SimulatedAnnealingPlacer:
         self._rng = make_rng(seed)
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _propose_swap(
-        self, placement: Placement, draws: DrawStream,
+        assignment: Mapping[str, Sequence[int]], draws: DrawStream,
         keys: List[str], units: List[int],
-    ) -> Optional[Tuple[Placement, Tuple[int, int]]]:
+    ) -> Optional[Tuple[str, int, str, int]]:
         """A random swap of two units of different instances.
 
         ``keys`` and ``units`` are the instances' keys and unit counts
-        in instance order (shared by every placement of a pass).
-        Returns the new placement plus the two nodes that traded
-        residents (the delta-evaluation frontier), or ``None`` if no
-        valid proposal was found.
+        in instance order.  Returns ``(key_a, unit_a, key_b, unit_b)``,
+        or ``None`` if no valid proposal was found.
         """
         if len(keys) < 2:
             return None
-        assignment = placement._assignment
         for _ in range(16):  # retry degenerate proposals
-            idx_a, idx_b = draws.pair(len(keys))
-            unit_a = draws.integers(units[idx_a])
-            unit_b = draws.integers(units[idx_b])
+            idx_a, idx_b, unit_a, unit_b = draws.proposal(units)
             key_a, key_b = keys[idx_a], keys[idx_b]
             nodes_a, nodes_b = assignment[key_a], assignment[key_b]
             node_a, node_b = nodes_a[unit_a], nodes_b[unit_b]
@@ -166,8 +189,7 @@ class SimulatedAnnealingPlacer:
             # only rule for a 1-for-1 exchange).
             if node_a == node_b or node_b in nodes_a or node_a in nodes_b:
                 continue
-            swapped = placement.swap_units(key_a, unit_a, key_b, unit_b)
-            return swapped, (node_a, node_b)
+            return key_a, unit_a, key_b, unit_b
         return None
 
     def search_from(
@@ -181,39 +203,29 @@ class SimulatedAnnealingPlacer:
         loop itself carries no instrumentation.
         """
         rng = rng if rng is not None else self._rng
-        incremental = isinstance(self.energy, IncrementalEnergy)
+        incremental = isinstance(self.energy, PredictionEnergy)
         stride = self.schedule.effective_stride()
         with _obs.RECORDER.span(
             "anneal.restart",
             iterations=self.schedule.iterations,
             incremental=incremental,
         ) as obs_span, DrawStream(rng) as draws:
-            current = initial
-            if incremental:
-                state = self.energy.full_state(current)
-                current_energy = state.energy
-            else:
-                state = None
-                current_energy = self.energy(current)
-            best, best_energy = current, current_energy
+            state = (
+                self.energy.full_state(initial) if incremental
+                else _Rescored(self.energy, initial)
+            )
+            current_energy = state.energy
+            best, best_energy = initial, current_energy
             evaluations = 1
             accepted = 0
             trajectory = [current_energy]
             keys = [spec.instance_key for spec in initial.instances]
             units = [spec.num_units for spec in initial.instances]
             for iteration in range(self.schedule.iterations):
-                proposal = self._propose_swap(current, draws, keys, units)
-                if proposal is None:
+                swap = self._propose_swap(state.assignment, draws, keys, units)
+                if swap is None:
                     continue
-                candidate, touched_nodes = proposal
-                if incremental:
-                    candidate_state = self.energy.swap_state(
-                        state, candidate, touched_nodes
-                    )
-                    candidate_energy = candidate_state.energy
-                else:
-                    candidate_state = None
-                    candidate_energy = self.energy(candidate)
+                candidate_energy = state.swap(*swap)
                 evaluations += 1
                 delta = candidate_energy - current_energy
                 accept = delta <= 0
@@ -223,11 +235,12 @@ class SimulatedAnnealingPlacer:
                         draws.random() < math.exp(-delta / temperature)
                     )
                 if accept:
-                    current, current_energy = candidate, candidate_energy
-                    state = candidate_state
+                    current_energy = candidate_energy
                     accepted += 1
                     if current_energy < best_energy:
-                        best, best_energy = current, current_energy
+                        best, best_energy = state.placement(), current_energy
+                else:
+                    state.undo()
                 if iteration % stride == 0:
                     trajectory.append(current_energy)
             if stride > 1:

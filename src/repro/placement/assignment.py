@@ -6,8 +6,10 @@ four applications of four units each onto eight 16-core hosts: every
 host carries exactly two units, so at most two distinct workloads share
 a node — the pairwise co-location constraint the model requires.
 
-:class:`Placement` is immutable; the annealing search produces new
-placements through :meth:`Placement.swap_units`.
+:class:`Placement` is immutable; :meth:`Placement.swap_units` makes a
+new one with two units exchanged.  The annealing search swaps a mutable
+:class:`~repro.placement.objectives.SearchState` instead and builds a
+placement only for each new best.
 """
 
 from __future__ import annotations
@@ -281,6 +283,11 @@ class Placement:
         assignment = dict(self._assignment)
         assignment[key_a] = tuple(swapped_a)
         assignment[key_b] = tuple(swapped_b)
+        return self._reassigned(assignment)
+
+    def _reassigned(self, assignment: Dict[str, Tuple[int, ...]]) -> "Placement":
+        """These instances under ``assignment``, which the caller has
+        kept valid (no validation pass)."""
         clone = Placement.__new__(Placement)
         clone.cluster_spec = self.cluster_spec
         clone.instances = self.instances

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import PlacementError
 from repro.placement.assignment import Placement
@@ -122,97 +122,149 @@ class QoSConstraint:
 # trades nodes with one unit of instance B.  Only the two touched nodes
 # change hands, so the only instances whose predicted time can move are
 # those with a unit on either node — everyone else keeps the same
-# spanned-node set and the same co-runners.  The protocol below lets
-# the search re-predict just that handful while carrying the rest of
-# the per-instance prediction table forward unchanged, which is what
-# turns an O(instances) energy evaluation into an O(slots-per-node)
-# one.
+# spanned-node set and the same co-runners.  A :class:`SearchState`
+# applies each swap in place and re-predicts just that handful, which
+# is what turns an O(instances) energy evaluation into an
+# O(slots-per-node) one.
 
-#: Per node, ``(rank, instance_key, workload)`` units in assignment order.
-Residents = Dict[int, List[Tuple[int, str, str]]]
+#: A resident unit: ``(assignment rank, instance_key, workload)``.
+Unit = Tuple[int, str, str]
 
 
-def _residents_index(placement: Placement) -> Residents:
-    """:meth:`Placement.node_residents`, each unit with its assignment rank."""
-    rank = {key: i for i, key in enumerate(placement._assignment)}
+def _co_runner_names(units: List[Unit]) -> Dict[str, Tuple[str, ...]]:
+    """Each resident's co-runner workloads on one node.
+
+    The names keep assignment-rank order (NOT sorted): combining
+    pressures sums floats in list order, so a reordered tuple could
+    replay a bit-different result.
+    """
     return {
-        node: [(rank[key], key, workload) for key, workload in units]
-        for node, units in placement.node_residents().items()
+        key: tuple([w for _, k, w in units if k != key]) for _, key, _ in units
     }
 
 
-def _co_runner_names(
-    residents: Residents, key: str, nodes: Iterable[int]
-) -> Tuple[Tuple[str, ...], ...]:
-    """Workloads of ``key``'s co-runners on each of ``nodes``, in turn.
+class SearchState:
+    """One annealing pass's placement, swapped and unswapped in place.
 
-    Each node's names keep assignment-rank order (NOT sorted):
-    combining pressures sums floats in list order, so a reordered
-    tuple could replay a bit-different result.
-    """
-    return tuple([
-        tuple([w for _, k, w in residents[node] if k != key]) for node in nodes
-    ])
-
-
-@dataclass
-class EnergyState:
-    """A placement with its per-instance prediction table and energy.
-
-    ``predictions`` is the cached table delta evaluation carries
-    forward; ``energy`` is always re-aggregated from the full table so
-    incremental and full evaluation agree bit-for-bit (no running-sum
-    drift).  ``residents`` indexes the placement's units per node so a
-    swap re-reads only its touched nodes (``None``: not indexed yet).
+    Built by :meth:`PredictionEnergy.full_state`.  It carries the
+    assignment (each instance's node per unit), each node's residents
+    in assignment order, each node's co-runner names per resident and
+    the per-instance prediction table in instance order.  A swap
+    rebuilds only its two nodes' residents and names and re-predicts
+    only the instances on them; ``energy`` is re-aggregated from the
+    full table every time, so it equals a from-scratch evaluation of
+    the same placement bit for bit (no running-sum drift).
     """
 
-    placement: Placement
-    predictions: Dict[str, float]
-    energy: float
-    residents: Optional[Residents] = None
+    def __init__(self, objective: "PredictionEnergy", placement: Placement) -> None:
+        self._objective = objective
+        #: The placement the pass started from (instances, cluster shape).
+        self.start = placement
+        self.assignment: Dict[str, List[int]] = {
+            key: list(nodes) for key, nodes in placement._assignment.items()
+        }
+        self._units: Dict[str, Unit] = {
+            key: (rank, key, placement._by_key[key].workload)
+            for rank, key in enumerate(self.assignment)
+        }
+        self.residents: Dict[int, List[Unit]] = {}
+        for key, nodes in self.assignment.items():
+            for node in nodes:
+                self.residents.setdefault(node, []).append(self._units[key])
+        #: Co-runner names per resident composition: a pass sees few.
+        self._names_of: Dict[Tuple[Unit, ...], Dict[str, Tuple[str, ...]]] = {}
+        self.names = {
+            node: self._names(units) for node, units in self.residents.items()
+        }
+        self.predictions: Dict[str, float] = {
+            spec.instance_key: self._predict(spec.instance_key)
+            for spec in placement.instances
+        }
+        self.energy = objective.aggregate(self)
+        self._undo: Tuple = ()
 
+    def _names(self, units: List[Unit]) -> Dict[str, Tuple[str, ...]]:
+        """:func:`_co_runner_names` of ``units``, memoized per pass."""
+        composition = tuple(units)
+        names = self._names_of.get(composition)
+        if names is None:
+            names = self._names_of[composition] = _co_runner_names(units)
+        return names
 
-class IncrementalEnergy:
-    """Protocol for placement energies that support delta evaluation.
+    def co_runners(
+        self, key: str
+    ) -> Tuple[List[int], Tuple[Tuple[str, ...], ...]]:
+        """``key``'s nodes, sorted, and its co-runners' names on each."""
+        nodes = sorted(self.assignment[key])
+        names = self.names
+        return nodes, tuple([names[node][key] for node in nodes])
 
-    Implementations provide :meth:`full_state` (evaluate a placement
-    from scratch) and :meth:`swap_state` (re-evaluate after a unit
-    swap given the previous state).  Instances are also plain energy
-    callables, so every consumer of ``EnergyFunction`` keeps working
-    — :class:`~repro.placement.annealing.SimulatedAnnealingPlacer`
-    simply takes the fast path when it detects the protocol.
-    """
+    def _predict(self, key: str) -> float:
+        nodes, layout = self.co_runners(key)
+        return self._objective._lookup(self._units[key][2], nodes, layout)
 
-    def full_state(self, placement: Placement) -> EnergyState:
-        """Evaluate ``placement`` from scratch."""
-        raise NotImplementedError
+    def swap(self, key_a: str, unit_a: int, key_b: str, unit_b: int) -> float:
+        """Exchange two units' nodes and return the new energy.
 
-    def swap_state(
-        self,
-        state: EnergyState,
-        new_placement: Placement,
-        touched_nodes: Iterable[int],
-    ) -> EnergyState:
-        """Evaluate ``new_placement``, reusing ``state`` where valid.
-
-        ``touched_nodes`` are the nodes whose residents changed (the
-        two endpoints of a unit swap).
+        The caller has checked the swap: the units sit on different
+        nodes, and neither instance has a unit on the other's node.
         """
-        raise NotImplementedError
+        assignment, residents, names = self.assignment, self.residents, self.names
+        nodes_a, nodes_b = assignment[key_a], assignment[key_b]
+        node_a, node_b = nodes_a[unit_a], nodes_b[unit_b]
+        nodes_a[unit_a], nodes_b[unit_b] = node_b, node_a
+        mover_a, mover_b = self._units[key_a], self._units[key_b]
+        was_a, was_b = residents[node_a], residents[node_b]
+        residents[node_a] = now_a = sorted(
+            [unit for unit in was_a if unit is not mover_a] + [mover_b]
+        )
+        residents[node_b] = now_b = sorted(
+            [unit for unit in was_b if unit is not mover_b] + [mover_a]
+        )
+        names_were = names[node_a], names[node_b]
+        names[node_a], names[node_b] = self._names(now_a), self._names(now_b)
+        predictions = self.predictions
+        changed = dict.fromkeys([unit[1] for unit in now_a + now_b])
+        self._undo = (
+            key_a, unit_a, key_b, unit_b, was_a, was_b, names_were,
+            [(key, predictions[key]) for key in changed], self.energy,
+        )
+        for key in changed:
+            predictions[key] = self._predict(key)
+        self.energy = self._objective.aggregate(self)
+        return self.energy
 
-    def __call__(self, placement: Placement) -> float:
-        return self.full_state(placement).energy
+    def undo(self) -> None:
+        """Revert the last :meth:`swap`."""
+        (
+            key_a, unit_a, key_b, unit_b, was_a, was_b, names_were,
+            predicted, self.energy,
+        ) = self._undo
+        nodes_a, nodes_b = self.assignment[key_a], self.assignment[key_b]
+        node_b, node_a = nodes_a[unit_a], nodes_b[unit_b]
+        nodes_a[unit_a], nodes_b[unit_b] = node_a, node_b
+        self.residents[node_a], self.residents[node_b] = was_a, was_b
+        self.names[node_a], self.names[node_b] = names_were
+        self.predictions.update(predicted)
+
+    def placement(self) -> Placement:
+        """The current assignment as a :class:`Placement`."""
+        return self.start._reassigned(
+            {key: tuple(nodes) for key, nodes in self.assignment.items()}
+        )
 
 
-class PredictionEnergy(IncrementalEnergy):
-    """Base class for model-prediction-driven incremental energies.
+class PredictionEnergy:
+    """Base class for model-prediction-driven placement energies.
 
-    Subclasses implement :meth:`aggregate` (prediction table ->
-    scalar energy); this class owns the expensive part — maintaining
-    the per-instance prediction table across swaps — plus a memo of
+    Subclasses implement :meth:`aggregate` (search state -> scalar
+    energy).  This class owns the expensive part: a memo of
     per-instance predictions keyed by the instance's workload and the
     co-runner names on each spanned node, in node order, which
-    annealing revisits constantly.
+    annealing revisits constantly.  An instance is a plain energy
+    callable, and :class:`~repro.placement.annealing.SimulatedAnnealingPlacer`
+    anneals it on one :class:`SearchState` per pass (see
+    :meth:`full_state`).
 
     The contract: a prediction may depend on the co-runner names per
     spanned node and on the nodes' order, not on node ids.  Every model
@@ -236,18 +288,14 @@ class PredictionEnergy(IncrementalEnergy):
         self.model = model
         self._memo: Dict[Tuple, float] = {}
 
-    # -- subclass surface ---------------------------------------------
-    def aggregate(
-        self, predictions: Mapping[str, float], placement: Placement,
-        residents: Residents,
-    ) -> float:
-        """Scalar energy of a full prediction table (cheap).
+    def aggregate(self, state: SearchState) -> float:
+        """Scalar energy of ``state``'s full prediction table (cheap).
 
-        ``residents`` is ``placement``'s :data:`Residents` index.
+        It may read the table, ``state.start``'s instances and
+        :meth:`SearchState.co_runners`, nothing else a swap changes.
         """
         raise NotImplementedError
 
-    # -- prediction table maintenance ---------------------------------
     def _store(self, memo_key: Tuple, value: float) -> None:
         if len(self._memo) >= self.MEMO_LIMIT:
             # Evict only the oldest half (dict preserves insertion
@@ -257,69 +305,25 @@ class PredictionEnergy(IncrementalEnergy):
                 del self._memo[stale]
         self._memo[memo_key] = value
 
-    def _predict_table(
-        self, placement: Placement, keys: Iterable[str],
-        residents: Optional[Residents] = None,
-    ) -> Dict[str, float]:
-        """Memoized predictions for ``keys``; misses predicted as found."""
-        if residents is None:
-            residents = _residents_index(placement)
-        by_key, assignment = placement._by_key, placement._assignment
-        table: Dict[str, float] = {}
-        for key in keys:
-            workload = by_key[key].workload
-            # An instance's units sit on distinct nodes, so this is
-            # ``spanned_nodes``.
-            nodes = sorted(assignment[key])
-            layout = _co_runner_names(residents, key, nodes)
-            value = self._memo.get((workload, layout))
-            if value is None:
-                co_runners = dict(zip(nodes, map(list, layout)))
-                value = self.model.predict_under_corunners(
-                    workload, nodes, co_runners
-                )
-                self._store((workload, layout), value)
-            table[key] = value
-        return table
+    def _lookup(
+        self, workload: str, nodes: List[int],
+        layout: Tuple[Tuple[str, ...], ...],
+    ) -> float:
+        """Memoized prediction of ``workload`` under ``layout`` on ``nodes``."""
+        value = self._memo.get((workload, layout))
+        if value is None:
+            value = self.model.predict_under_corunners(
+                workload, nodes, dict(zip(nodes, map(list, layout)))
+            )
+            self._store((workload, layout), value)
+        return value
 
-    def _predict(self, placement: Placement, key: str) -> float:
-        return self._predict_table(placement, [key])[key]
+    def full_state(self, placement: Placement) -> SearchState:
+        """Evaluate ``placement`` from scratch, as a search state."""
+        return SearchState(self, placement)
 
-    def full_state(self, placement: Placement) -> EnergyState:
-        residents = _residents_index(placement)
-        keys = [spec.instance_key for spec in placement.instances]
-        predictions = self._predict_table(placement, keys, residents)
-        energy = self.aggregate(predictions, placement, residents)
-        return EnergyState(placement, predictions, energy, residents)
-
-    def swap_state(
-        self,
-        state: EnergyState,
-        new_placement: Placement,
-        touched_nodes: Iterable[int],
-    ) -> EnergyState:
-        touched = set(touched_nodes)
-        residents = state.residents
-        if residents is None:
-            residents = _residents_index(new_placement)
-        else:
-            # Only the touched nodes traded units; ``swap_units`` keeps
-            # the assignment's key order, so the ranks stay valid.
-            assignment = new_placement._assignment
-            pool = {u[1]: u for node in touched for u in residents[node]}
-            residents = dict(residents)
-            for node in touched:
-                residents[node] = sorted(
-                    unit for unit in pool.values()
-                    if node in assignment[unit[1]]
-                )
-        changed = dict.fromkeys(
-            unit[1] for node in touched for unit in residents[node]
-        )
-        table = self._predict_table(new_placement, changed, residents)
-        predictions = {**state.predictions, **table}
-        energy = self.aggregate(predictions, new_placement, residents)
-        return EnergyState(new_placement, predictions, energy, residents)
+    def __call__(self, placement: Placement) -> float:
+        return self.full_state(placement).energy
 
 
 class WeightedTimeEnergy(PredictionEnergy):
@@ -335,8 +339,5 @@ class WeightedTimeEnergy(PredictionEnergy):
             raise PlacementError("sign must be +1.0 or -1.0")
         self.sign = sign
 
-    def aggregate(
-        self, predictions: Mapping[str, float], placement: Placement,
-        residents: Residents,
-    ) -> float:
-        return self.sign * weighted_total_time(predictions, placement)
+    def aggregate(self, state: SearchState) -> float:
+        return self.sign * weighted_total_time(state.predictions, state.start)

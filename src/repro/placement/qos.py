@@ -23,14 +23,14 @@ Figure 10 makes between the proposed model and the naive model.
 
 Both phase energies extend
 :class:`~repro.placement.objectives.PredictionEnergy`, so the annealing
-search evaluates swaps incrementally (only instances on the two touched
-nodes are re-predicted).
+search evaluates swaps incrementally on one search state per pass (only
+instances on the two touched nodes are re-predicted).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro._util import mean
 from repro.cluster.cluster import ClusterSpec
@@ -45,8 +45,7 @@ from repro.placement.assignment import InstanceSpec, Placement
 from repro.placement.objectives import (
     PredictionEnergy,
     QoSConstraint,
-    Residents,
-    _co_runner_names,
+    SearchState,
     predict_placement,
     weighted_total_time,
 )
@@ -79,13 +78,11 @@ class ConstrainedEnergy(PredictionEnergy):
         self.constraints = list(constraints)
         self.infeasible_base = infeasible_base
 
-    def _target_pressure(
-        self, placement: Placement, residents: Residents
-    ) -> float:
+    def _target_pressure(self, state: SearchState) -> float:
         """Mean predicted co-runner pressure on the constrained apps.
 
-        Each constrained instance's co-runners come from the residents
-        index, in the order ``co_runner_workloads`` gives.
+        Each constrained instance's co-runners come from the search
+        state, in the order ``co_runner_workloads`` gives.
         When the model carries the NETWORK contention domain the mean
         runs over *both* per-domain vectors: a co-runner that is quiet
         on the compute dimension but saturates the target's uplinks
@@ -95,9 +92,8 @@ class ConstrainedEnergy(PredictionEnergy):
         pressures: List[float] = []
         network = getattr(self.model, "has_network", False)
         for constraint in self.constraints:
-            key = constraint.instance_key
-            nodes = sorted(placement._assignment[key])
-            coworkers = dict(zip(nodes, _co_runner_names(residents, key, nodes)))
+            nodes, layout = state.co_runners(constraint.instance_key)
+            coworkers = dict(zip(nodes, layout))
             vector = self.model.pressure_vector(nodes, coworkers)
             pressures.extend(vector)
             if network:
@@ -106,18 +102,16 @@ class ConstrainedEnergy(PredictionEnergy):
                 ))
         return mean(pressures) if pressures else 0.0
 
-    def aggregate(
-        self, predictions: Mapping[str, float], placement: Placement,
-        residents: Residents,
-    ) -> float:
+    def aggregate(self, state: SearchState) -> float:
+        predictions = state.predictions
         violation = sum(c.violation(predictions) for c in self.constraints)
         if violation > 0:
             return (
                 self.infeasible_base
                 + violation
-                + PRESSURE_TIEBREAK * self._target_pressure(placement, residents)
+                + PRESSURE_TIEBREAK * self._target_pressure(state)
             )
-        return weighted_total_time(predictions, placement)
+        return weighted_total_time(predictions, state.start)
 
 
 class FeasibilityEnergy(ConstrainedEnergy):

@@ -25,6 +25,7 @@ byte-identical event logs and snapshots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -97,8 +98,8 @@ class ServiceConfig:
             raise ServiceError("max_queue_depth must be non-negative")
         if self.reschedule_every < 0:
             raise ServiceError("reschedule_every must be non-negative")
-        if self.migration_cost < 0:
-            raise ServiceError("migration_cost must be non-negative")
+        if not (math.isfinite(self.migration_cost) and self.migration_cost >= 0):
+            raise ServiceError("migration_cost must be non-negative and finite")
         if self.admission_candidates <= 0:
             raise ServiceError("admission_candidates must be positive")
 

@@ -51,8 +51,8 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if not self.workloads:
             raise ServiceError("stream needs at least one workload")
-        if self.arrival_rate < 0:
-            raise ServiceError("arrival_rate must be non-negative")
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate >= 0):
+            raise ServiceError("arrival_rate must be non-negative and finite")
         if not self.unit_choices or any(u <= 0 for u in self.unit_choices):
             raise ServiceError("unit_choices must be positive")
         low, high = self.duration_range

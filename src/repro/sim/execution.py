@@ -102,6 +102,11 @@ class InstanceResult:
     passive: bool = False
 
 
+#: Event slots that are not a task's: the stage advances after its
+#: sync cost, or a lockstep stage's tasks have all completed.
+_ADVANCE, _LOCKSTEP = -1, -2
+
+
 class _Pass:
     """State of one active instance's first pass through its program."""
 
@@ -154,7 +159,9 @@ class CoRunExecutor:
 
     A pass that can never stall (:meth:`StallModel.never_draws`) draws
     each stage's jitter in one call as the stage starts; the others
-    draw jitter and stall per task.  Both give identical results.
+    draw jitter and stall per task.  Both give identical results.  A
+    stage with no more tasks than slots runs in lockstep, as one event
+    at its last task's completion.
 
     Parameters
     ----------
@@ -249,7 +256,8 @@ class CoRunExecutor:
             }
 
         # Events are (time, seq, pass index, slot): a task on ``slot``
-        # completes, or slot -1 advances the stage after its sync cost.
+        # completes, a lockstep stage's tasks all complete, or the
+        # stage advances after its sync cost.
         # One ``seq`` for every pass fires equal-time events in the
         # order they were scheduled, which matters when a finish
         # deactivates pressure that co-runners' next tasks read.
@@ -264,14 +272,9 @@ class CoRunExecutor:
             if self._noise.stall.never_draws(state.slots, sustained):
                 state.factors = iter(())
 
-        def begin(index: int, state: _Pass, slot: int, now: float) -> None:
-            """Start the current stage's next task on ``slot``."""
-            if state.not_started <= 0:
-                raise SimulationError(
-                    "attempted to start more tasks than the stage has"
-                )
-            state.not_started -= 1
-            state.running += 1
+        def finish_of(state: _Pass, slot: int, now: float) -> float:
+            """When a task of the current stage started on ``slot`` at
+            ``now`` completes; draws its jitter and stall."""
             if state.version != deactivations:
                 state.refresh(field, deactivations)
             slowdown, pressure = state.slots[slot]
@@ -281,7 +284,17 @@ class CoRunExecutor:
                 duration *= stall(state.rng, pressure, reacts=slowdown > 1.0)
             else:
                 duration *= next(state.factors)
-            heappush(heap, (now + duration, next(seq), index, slot))
+            return now + duration
+
+        def begin(index: int, state: _Pass, slot: int, now: float) -> None:
+            """Start the current stage's next task on ``slot``."""
+            if state.not_started <= 0:
+                raise SimulationError(
+                    "attempted to start more tasks than the stage has"
+                )
+            state.not_started -= 1
+            state.running += 1
+            heappush(heap, (finish_of(state, slot, now), next(seq), index, slot))
 
         def advance(index: int, state: _Pass, now: float) -> None:
             """Start the pass's next stage, or finish the pass."""
@@ -297,12 +310,23 @@ class CoRunExecutor:
                 return
             stage = state.program[state.stage_index]
             state.stage = stage
-            state.not_started = stage.n_tasks
             if state.factors is not None:
                 state.factors = state.jitter.samples(stage.n_tasks)
             num_slots = len(state.slot_nodes)
+            if stage.n_tasks <= num_slots:
+                # Lockstep: task i runs alone on slot i, all from now,
+                # and only the last completion acts.  Slowdowns are read
+                # at task start and the tasks' seqs would be adjacent,
+                # so one event at the last completion, taking one seq
+                # here, pops exactly where that completion would.
+                finish = max([
+                    finish_of(state, slot, now) for slot in range(stage.n_tasks)
+                ])
+                heappush(heap, (finish, next(seq), index, _LOCKSTEP))
+                return
+            state.not_started = stage.n_tasks
             if stage.dynamic:
-                for slot in range(min(num_slots, stage.n_tasks)):
+                for slot in range(num_slots):
                     begin(index, state, slot, now)
             else:
                 base, extra = divmod(stage.n_tasks, num_slots)
@@ -310,13 +334,12 @@ class CoRunExecutor:
                     base + (1 if slot < extra else 0) for slot in range(num_slots)
                 ]
                 for slot in range(num_slots):
-                    if state.slot_pending[slot] > 0:
-                        begin(index, state, slot, now)
+                    begin(index, state, slot, now)
 
         for index, state in enumerate(passes):
             advance(index, state, 0.0)
         # The loop terminates without an event cap: every event either
-        # completes one of a stage's finitely many tasks or advances
+        # completes some of a stage's finitely many tasks or advances
         # the stage index of a finite program.
         now = 0.0
         events = 0
@@ -324,21 +347,26 @@ class CoRunExecutor:
             now, _seq, index, slot = heappop(heap)
             events += 1
             state = passes[index]
-            if slot < 0:
+            if slot == _ADVANCE:
                 advance(index, state, now)
                 continue
             stage = state.stage
-            state.running -= 1
-            state.tasks_executed += 1
-            if stage.dynamic:
-                if state.not_started > 0:
-                    begin(index, state, slot, now)
+            if slot == _LOCKSTEP:
+                # Counted as if each of the stage's tasks had popped.
+                state.tasks_executed += stage.n_tasks
+                events += stage.n_tasks - 1
             else:
-                state.slot_pending[slot] -= 1
-                if state.slot_pending[slot] > 0:
-                    begin(index, state, slot, now)
-            if state.running or state.not_started:
-                continue
+                state.running -= 1
+                state.tasks_executed += 1
+                if stage.dynamic:
+                    if state.not_started > 0:
+                        begin(index, state, slot, now)
+                else:
+                    state.slot_pending[slot] -= 1
+                    if state.slot_pending[slot] > 0:
+                        begin(index, state, slot, now)
+                if state.running or state.not_started:
+                    continue
             state.stages_completed += 1
             if trace is not None:
                 trace.record_stage(state.key, stage.name, now)
@@ -354,7 +382,7 @@ class CoRunExecutor:
                         for node in state.spanned_nodes
                     )
                     sync_cost *= state.net_sensitivity.slowdown(link)
-                heappush(heap, (now + sync_cost, next(seq), index, -1))
+                heappush(heap, (now + sync_cost, next(seq), index, _ADVANCE))
             else:
                 advance(index, state, now)
         # Telemetry is per run, never per event: the loop above is the

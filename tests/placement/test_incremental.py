@@ -99,10 +99,16 @@ class TestSwapState:
         if node_a == node_b:
             pytest.skip("degenerate seed: same node on both sides")
         swapped = placement.swap_units("loud#0", 0, "quiet#1", 1)
-        incremental = energy.swap_state(state, swapped, (node_a, node_b))
+        assert state.swap("loud#0", 0, "quiet#1", 1) == state.energy
         full = energy.full_state(swapped)
-        assert incremental.predictions == full.predictions
-        assert incremental.energy == full.energy
+        assert state.predictions == full.predictions
+        assert state.energy == full.energy
+        assert state.placement() == swapped
+        state.undo()
+        start = energy.full_state(placement)
+        assert state.predictions == start.predictions
+        assert state.energy == start.energy
+        assert state.placement() == placement
 
     def test_callable_protocol_matches_full_state(self):
         model = make_model()
@@ -150,6 +156,59 @@ class TestIncrementalSearch:
         ).search(factory)
         assert fast.energy == slow.energy
         assert assignment_of(fast.placement) == assignment_of(slow.placement)
+
+
+class _Counting:
+    """Counts calls of one ``Placement`` method through ``monkeypatch``."""
+
+    def __init__(self, monkeypatch, name):
+        self.calls = 0
+        original = getattr(Placement, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(Placement, name, counted)
+
+
+def _new_bests(trajectory):
+    """How often a stride-1 trajectory sets a new minimum."""
+    best, count = trajectory[0], 0
+    for energy in trajectory[1:]:
+        if energy < best:
+            best, count = energy, count + 1
+    return count
+
+
+class TestSearchStateBuildsNoPlacementPerProposal:
+    SCHEDULE = AnnealingSchedule(iterations=300, restarts=1, trajectory_stride=1)
+
+    @pytest.mark.parametrize("kind", ["weighted", "feasibility", "throughput"])
+    def test_prediction_energies_never_swap_placements(self, kind, monkeypatch):
+        model = make_model()
+        constraints = [QoSConstraint("sensitive#2", 1.25)]
+        energy = {
+            "weighted": lambda: WeightedTimeEnergy(model),
+            "feasibility": lambda: FeasibilityEnergy(model, constraints),
+            "throughput": lambda: ConstrainedThroughputEnergy(model, constraints),
+        }[kind]()
+        swaps = _Counting(monkeypatch, "swap_units")
+        builds = _Counting(monkeypatch, "_reassigned")
+        result = SimulatedAnnealingPlacer(
+            energy, schedule=self.SCHEDULE, seed=4
+        ).search_from(Placement.random(SPEC, instances(), seed=8))
+        assert result.evaluations > 200
+        assert swaps.calls == 0
+        # One placement per new best, and no other.
+        assert builds.calls == _new_bests(result.energy_trajectory) > 0
+
+    def test_a_plain_callable_swaps_a_placement_per_proposal(self, monkeypatch):
+        swaps = _Counting(monkeypatch, "swap_units")
+        result = SimulatedAnnealingPlacer(
+            full_energy_callable(make_model()), schedule=self.SCHEDULE, seed=4
+        ).search_from(Placement.random(SPEC, instances(), seed=8))
+        assert swaps.calls == result.evaluations - 1 > 200
 
 
 class TestTrajectoryStride:

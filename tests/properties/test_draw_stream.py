@@ -1,8 +1,9 @@
 """Property test: a ``DrawStream`` replays NumPy's PCG64 draws bit for bit.
 
-The annealing search draws its proposals (``choice(n, 2,
-replace=False)`` and ``integers(k)``) and acceptance tests
-(``random()``) from :class:`repro._util.DrawStream`.  The oracle is a
+The annealing search draws each proposal in one ``proposal(units)``
+call (``choice(len(units), 2, replace=False)``, then ``integers`` of
+each chosen instance's units) and its acceptance tests (``random()``)
+from :class:`repro._util.DrawStream`.  The oracle is a
 twin NumPy generator making the same calls: every value must be equal,
 and after the stream hands its generator back, the two generators'
 states and their next NumPy draws must be equal too.  Sequences start
@@ -27,6 +28,11 @@ operations = st.one_of(
     st.tuples(st.just("integers"), bounds, st.integers(1, 40)),
     st.tuples(st.just("pair"), st.integers(2, 10**6), st.integers(1, 40)),
     st.tuples(st.just("random"), st.just(0), st.integers(1, 300)),
+    st.tuples(
+        st.just("proposal"),
+        st.lists(st.one_of(st.integers(1, 8), bounds), min_size=2, max_size=60),
+        st.integers(1, 40),
+    ),
 )
 
 
@@ -46,6 +52,12 @@ def numpy_draw(rng, name, arg):
     if name == "pair":
         first, second = rng.choice(arg, 2, replace=False)
         return int(first), int(second)
+    if name == "proposal":
+        first, second = numpy_draw(rng, "pair", len(arg))
+        return (
+            first, second, int(rng.integers(arg[first])),
+            int(rng.integers(arg[second])),
+        )
     return rng.random()
 
 
@@ -55,7 +67,10 @@ def stream_draw(draws, name, arg):
 
 def assert_handed_back(streamed, oracle):
     assert streamed.bit_generator.state == oracle.bit_generator.state
-    for name, arg in (("integers", 2**31), ("random", 0), ("pair", 48)):
+    for name, arg in (
+        ("integers", 2**31), ("random", 0), ("pair", 48),
+        ("proposal", [4, 1, 2**32, 3]),
+    ):
         assert numpy_draw(streamed, name, arg) == numpy_draw(oracle, name, arg)
 
 
@@ -80,8 +95,11 @@ def test_long_mixed_run_crosses_blocks(buffered):
     streamed, oracle = twin_generators(2016, buffered)
     with DrawStream(streamed) as draws:
         for step in range(3000):
-            name = ("pair", "integers", "random")[step % 3]
-            arg = 2 + step % 47 if name == "pair" else 1 + step % 4
+            name = ("pair", "integers", "random", "proposal")[step % 4]
+            if name == "proposal":
+                arg = [1 + (step + i) % 4 for i in range(2 + step % 47)]
+            else:
+                arg = 2 + step % 47 if name == "pair" else 1 + step % 4
             got = stream_draw(draws, name, arg)
             assert got == numpy_draw(oracle, name, arg)
     assert_handed_back(streamed, oracle)

@@ -1,14 +1,17 @@
-"""Property test: swap evaluation's residents index equals a full scan.
+"""Property test: a search state's carried indexes equal a full scan.
 
-``PredictionEnergy.swap_state`` carries the placement's per-node
-residents across unit swaps and rebuilds only the two touched nodes.
-Over random placements (two- and four-slot nodes, assignment order
-shuffled against instance order) and chains of swaps, some branching
-from an older state the way a rejected proposal does, every swapped
-state must equal a from-scratch ``full_state`` bit for bit, and every
-re-predicted instance must see exactly ``co_runner_workloads``' lists,
-in order.  The memo keys on co-runner names per spanned node, not node
-ids, so a cold memo predicts each changed name layout exactly once.
+``PredictionEnergy.full_state`` starts a mutable ``SearchState`` that
+carries the assignment, each node's residents and co-runner names and
+the prediction table across unit swaps, rebuilding only the two touched
+nodes.  Over random placements (two- and four-slot nodes, assignment
+order shuffled against instance order) and chains of swaps, each kept
+or undone at random (an undo right after a memo miss included), the
+state after every step must equal a from-scratch ``full_state`` of the
+same ``Placement`` bit for bit, and every prediction the model is asked
+for must come from a changed instance's real nodes and exactly
+``co_runner_workloads``' lists, in order.  The memo keys on co-runner
+names per spanned node, not node ids, so a cold memo asks the model at
+most once per name layout.
 """
 
 import math
@@ -20,7 +23,6 @@ from repro.cluster.cluster import ClusterSpec
 from repro.errors import PlacementError
 from repro.placement.assignment import InstanceSpec, Placement
 from repro.placement.objectives import (
-    EnergyState,
     WeightedTimeEnergy,
     predict_placement_scalar,
 )
@@ -83,7 +85,7 @@ def chains(draw):
 
 
 def _swap(placement, rng):
-    """A random valid unit swap and its two nodes, or ``None``."""
+    """A random valid unit swap, its placement and its two nodes."""
     for _ in range(20):
         key_a, key_b = rng.sample(
             [spec.instance_key for spec in placement.instances], 2
@@ -97,9 +99,10 @@ def _swap(placement, rng):
         if touched[0] == touched[1]:
             continue
         try:
-            return placement.swap_units(key_a, unit_a, key_b, unit_b), touched
+            swapped = placement.swap_units(key_a, unit_a, key_b, unit_b)
         except PlacementError:
             continue
+        return (key_a, unit_a, key_b, unit_b), swapped, touched
     return None
 
 
@@ -107,11 +110,16 @@ def _assert_state_is_full(model, state, placement):
     full = WeightedTimeEnergy(model).full_state(placement)
     assert list(state.predictions.items()) == list(full.predictions.items())
     assert state.energy == full.energy
+    assert list(state.assignment.items()) == list(full.assignment.items())
+    assert state.residents == full.residents
+    assert state.names == full.names
     assert {
         node: [(key, workload) for _, key, workload in units]
         for node, units in state.residents.items()
     } == placement.node_residents()
-    return full
+    built = state.placement()
+    assert built == placement
+    assert list(built._assignment) == list(placement._assignment)
 
 
 @given(case=chains())
@@ -119,57 +127,64 @@ def _assert_state_is_full(model, state, placement):
 def test_swap_chains_equal_full_evaluation(case):
     model, placement, seed = case
     rng = random.Random(seed)
-    energy = WeightedTimeEnergy(model)
-    states = [energy.full_state(placement)]
-    for _ in range(12):
-        # Mostly extend the latest state; sometimes branch from an
-        # older one, as annealing does after rejecting a proposal.
-        parent = states[-1] if rng.random() < 0.6 else rng.choice(states)
-        proposal = _swap(parent.placement, rng)
+    recording = _Recording(model)
+    energy = WeightedTimeEnergy(recording)
+    state = energy.full_state(placement)
+    _assert_state_is_full(model, state, placement)
+    undid_a_miss = False
+    for _ in range(16):
+        proposal = _swap(placement, rng)
         if proposal is None:
             continue
-        swapped, touched = proposal
-        state = energy.swap_state(parent, swapped, touched)
+        swap, swapped, touched = proposal
+        asked = len(recording.calls)
+        assert state.swap(*swap) == state.energy
         _assert_state_is_full(model, state, swapped)
-        states.append(state)
 
-        # A cold memo predicts each changed instance's name layout
-        # once, from that instance's real nodes and co_runner_workloads'
-        # lists, in order.
-        recording = _Recording(model)
-        WeightedTimeEnergy(recording).swap_state(parent, swapped, touched)
-        changed = [
+        # Every miss predicts a changed instance from its real nodes
+        # and co_runner_workloads' lists, in order; every changed
+        # instance's layout is memoized.
+        changed = {
+            key for node in touched for _, key, _ in state.residents[node]
+        }
+        views = [
             (
                 swapped.instance(key).workload,
                 swapped.spanned_nodes(key),
                 swapped.co_runner_workloads(key),
             )
-            for key in {
-                key for node in touched for _, key, _ in state.residents[node]
-            }
+            for key in changed
         ]
-        asked = [_names(*call) for call in recording.calls]
-        assert len(asked) == len(set(asked))
-        assert set(asked) == {_names(*args) for args in changed}
-        for call in recording.calls:
-            assert call in changed
+        for call in recording.calls[asked:]:
+            assert call in views
+        for view in views:
+            assert _names(*view) in energy._memo
+
+        missed = len(recording.calls) > asked
+        if (missed and not undid_a_miss) or rng.random() < 0.4:
+            undid_a_miss = undid_a_miss or missed
+            state.undo()
+            _assert_state_is_full(model, state, placement)
+        else:
+            placement = swapped
+
+    # A cold memo asks the model at most once per name layout.
+    asked = [_names(*call) for call in recording.calls]
+    assert len(asked) == len(set(asked))
 
 
 @given(case=chains())
 @settings(max_examples=30, deadline=None, derandomize=True)
-def test_paths_without_a_carried_index(case):
-    model, placement, seed = case
-    rng = random.Random(seed)
-    proposal = _swap(placement, rng)
-    if proposal is None:
-        return
-    swapped, touched = proposal
+def test_a_fresh_state_equals_the_scalar_reference(case):
+    model, placement, _ = case
     energy = WeightedTimeEnergy(model)
-    start = energy.full_state(placement)
-    bare = EnergyState(start.placement, start.predictions, start.energy)
-    state = energy.swap_state(bare, swapped, touched)
-    full = _assert_state_is_full(model, state, swapped)
-    reference = predict_placement_scalar(model, swapped)
-    key = rng.choice(list(reference))
-    assert WeightedTimeEnergy(model)._predict(swapped, key) == reference[key]
-    assert WeightedTimeEnergy(model)(swapped) == full.energy
+    state = energy.full_state(placement)
+    assert state.predictions == predict_placement_scalar(model, placement)
+    assert energy(placement) == state.energy
+    for spec in placement.instances:
+        key = spec.instance_key
+        nodes, layout = state.co_runners(key)
+        assert nodes == placement.spanned_nodes(key)
+        assert dict(zip(nodes, map(list, layout))) == (
+            placement.co_runner_workloads(key)
+        )

@@ -236,8 +236,14 @@ _BAD_DAY_FLAGS = [
         ("epochs", ["--epochs", "0"], "--epochs must be at least 1"),
         ("arrival-rate", ["--arrival-rate", "-1"],
          "arrival_rate must be non-negative"),
+        ("arrival-rate-nan", ["--arrival-rate", "nan"],
+         "arrival_rate must be non-negative and finite"),
+        ("arrival-rate-inf", ["--arrival-rate", "inf"],
+         "arrival_rate must be non-negative and finite"),
         ("migration-cost", ["--migration-cost", "-1"],
          "migration_cost must be non-negative"),
+        ("migration-cost-nan", ["--migration-cost", "nan"],
+         "migration_cost must be non-negative and finite"),
         ("spot-fraction", _SPOT, "spot_fraction must be in [0, 1]"),
         ("workloads",
          ["--workloads", "M.lmps", "X.bogus", "--policy-samples", "5"],
