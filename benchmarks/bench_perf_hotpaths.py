@@ -159,8 +159,6 @@ class _ScalarOnly:
 
     _HIDDEN = frozenset(
         {
-            "predict_batch",
-            "predict_corunners_batch",
             "predict_placement_batch",
             "predict_placements_batch",
             "prediction_kernel",

@@ -9,16 +9,15 @@ stable across releases:
 * **Model building & prediction** — :func:`build_model` /
   :func:`build_batch_profiles` / :func:`build_network_profiles`, the
   :class:`InterferenceModel` (whose
-  :meth:`~repro.core.model.InterferenceModel.predict` is the single
-  scalar prediction entry point and whose
-  :meth:`~repro.core.model.InterferenceModel.predict_batch` scores
-  many requests through the vectorized, bit-identical
-  :class:`PredictionRequest` / kernel-snapshot path — see the "Batch
-  prediction" section of ``docs/performance.md``), persistence via
-  :func:`load_model` / :func:`save_model`, the
+  :meth:`~repro.core.model.InterferenceModel.predict` answers one
+  setting, and whose ``predict_placement_batch`` and
+  ``predict_placements_batch`` score a whole placement or admission
+  wave through the bit-identical :class:`PredictionKernel` snapshot —
+  see the "Batch prediction" section of ``docs/performance.md``),
+  persistence via :func:`load_model` / :func:`save_model`, the
   :class:`NaiveProportionalModel` baseline, and the
-  :class:`OnlineModel` refinement wrapper.  Both prediction entry
-  points take a ``domain`` keyword selecting the contention resource
+  :class:`OnlineModel` refinement wrapper.  ``predict`` takes a
+  ``domain`` keyword selecting the contention resource
   (:class:`ContentionDomain`); omitting it is the scalar-era
   compute-only call and stays bit-identical.
 * **Placement** — :class:`Placement` / :class:`InstanceSpec`, the
@@ -87,7 +86,6 @@ from repro.core import (
     NaiveProportionalModel,
     OnlineModel,
     PredictionKernel,
-    PredictionRequest,
     PropagationMatrix,
     build_batch_profiles,
     build_model,
@@ -174,7 +172,6 @@ __all__ = [
     "NaiveProportionalModel",
     "OnlineModel",
     "PredictionKernel",
-    "PredictionRequest",
     "PropagationMatrix",
     "build_batch_profiles",
     "build_model",

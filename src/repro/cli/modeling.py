@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 from typing import Mapping
 
 from repro.analysis.reporting import format_table
@@ -13,6 +14,7 @@ from repro.core.builder import (
     build_network_profiles,
 )
 from repro.core.profile_store import load_model, save_model
+from repro.errors import ConfigurationError
 from repro.obs import console
 from repro.sim.runner import ClusterRunner
 
@@ -57,10 +59,34 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_non_negative(flag: str, text: object) -> float:
+    """``text`` as a finite, non-negative float, or a CLI error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} takes numbers; got {text!r}"
+        ) from None
+    if not math.isfinite(value) or value < 0.0:
+        raise ConfigurationError(
+            f"{flag} must be finite and non-negative; got {text!r}"
+        )
+    return value
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
+    _finite_non_negative("--pressure", args.pressure)
+    _finite_non_negative("--count", args.count)
+    vector = None
+    if args.pressures is not None:
+        if not args.pressures.strip():
+            raise ConfigurationError("--pressures must name at least one node")
+        vector = [
+            _finite_non_negative("--pressures", entry)
+            for entry in args.pressures.split(",")
+        ]
     model = load_model(args.model)
-    if args.pressures:
-        vector = [float(p) for p in args.pressures.split(",")]
+    if vector is not None:
         predicted = model.predict(args.workload, vector, domain=args.domain)
         setting = f"heterogeneous vector {vector}"
     else:

@@ -10,7 +10,7 @@ from repro.core.builder import (
     default_pressures,
 )
 from repro.core.curves import HomogeneousSetting, PropagationMatrix
-from repro.core.kernel import PredictionKernel, PredictionRequest
+from repro.core.kernel import PredictionKernel
 from repro.core.model import InterferenceModel, InterferenceProfile
 from repro.core.multiway import (
     MultiwayPredictor,
@@ -51,7 +51,6 @@ __all__ = [
     "CorrectionState",
     "POLICY_CLASSES",
     "PredictionKernel",
-    "PredictionRequest",
     "PropagationMatrix",
     "all_policies",
     "build_batch_profiles",

@@ -57,17 +57,6 @@ from repro.errors import ModelError
 #: on 4x5 and 8x9 matrices, and the array path wins from 16 rows.
 SMALL_GROUP = 12
 
-#: What one batched prediction asks for; ``interference`` takes the
-#: same forms :meth:`InterferenceModel.predict` accepts (a
-#: ``HomogeneousSetting``, a ``(pressure, count)`` tuple, or a per-node
-#: pressure vector).
-@dataclass(frozen=True)
-class PredictionRequest:
-    """One entry of a :meth:`InterferenceModel.predict_batch` call."""
-
-    workload: str
-    interference: object
-
 
 @dataclass(frozen=True)
 class _WorkloadTable:
@@ -398,10 +387,6 @@ class PredictionKernel:
     # ------------------------------------------------------------------
     # Vectorized prediction
     # ------------------------------------------------------------------
-    def knows(self, workload: str) -> bool:
-        """Whether the snapshot carries a profile for ``workload``."""
-        return workload in self._tables
-
     def predict_vectors(
         self,
         workloads: Sequence[str],
@@ -475,9 +460,3 @@ class PredictionKernel:
             scale = table.max_count / group_lengths
             out[rows] = table.matrix.lookup_batch(pressure, count * scale)
         return out
-
-    def lookup_settings(
-        self, workload: str, pressures: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized homogeneous lookups for one workload."""
-        return self._tables[workload].matrix.lookup_batch(pressures, counts)

@@ -28,9 +28,7 @@ import numpy as np
 
 from repro.cluster.contention import ContentionDomain
 from repro.core.curves import HomogeneousSetting, PropagationMatrix
-from repro.core.kernel import (
-    AdmissionWave, PredictionKernel, PredictionRequest,
-)
+from repro.core.kernel import AdmissionWave, PredictionKernel
 from repro.core.policies import HeterogeneityPolicy, get_policy
 from repro.errors import ModelError
 from repro.faults.degradation import conservative_wave
@@ -478,103 +476,6 @@ class InterferenceModel:
     # ------------------------------------------------------------------
     # Batch predictions (the vectorized hot path)
     # ------------------------------------------------------------------
-    def predict_batch(
-        self,
-        requests: Sequence[Union[PredictionRequest, Tuple[str, object]]],
-        *,
-        domain: ContentionDomain = ContentionDomain.COMPUTE,
-    ) -> np.ndarray:
-        """Vectorized :meth:`predict` over many requests at once.
-
-        Each request is a :class:`~repro.core.kernel.PredictionRequest`
-        or a plain ``(workload, interference)`` pair; ``interference``
-        takes the same forms :meth:`predict` accepts.  ``domain``
-        selects the contention resource exactly as in :meth:`predict`.
-        Results are bit-identical to calling :meth:`predict` per
-        request (see :mod:`repro.core.kernel`); any malformed request
-        drops the whole batch onto the scalar path so the scalar
-        exception is raised, in request order.
-        """
-        if domain is not ContentionDomain.COMPUTE:
-            domain = ContentionDomain.parse(domain)
-        network = domain is ContentionDomain.NETWORK
-        unpacked: List[Tuple[str, object]] = []
-        for request in requests:
-            if isinstance(request, PredictionRequest):
-                unpacked.append((request.workload, request.interference))
-            else:
-                workload, interference = request
-                unpacked.append((workload, interference))
-        _count_batch(len(unpacked))
-        if network:
-            kernel = self.network_kernel()
-            predictable = self._network_predictable()
-        else:
-            kernel = self.prediction_kernel()
-            predictable = None
-        out = np.empty(len(unpacked), dtype=float)
-        het_indices: List[int] = []
-        het_workloads: List[str] = []
-        het_vectors: List[Sequence[float]] = []
-        # Homogeneous settings grouped per workload: indices, pressures,
-        # counts.
-        hom: Dict[str, Tuple[List[int], List[float], List[float]]] = {}
-        for i, (workload, interference) in enumerate(unpacked):
-            if not kernel.knows(workload):
-                return self._predict_batch_scalar(unpacked, domain=domain)
-            if predictable is not None and workload not in predictable:
-                # The network view knows the workload only as a pressure
-                # source; scalar replay raises the proper ModelError.
-                return self._predict_batch_scalar(unpacked, domain=domain)
-            if isinstance(interference, tuple) and not isinstance(
-                interference, HomogeneousSetting
-            ):
-                if len(interference) != 2:
-                    return self._predict_batch_scalar(unpacked, domain=domain)
-                try:
-                    interference = HomogeneousSetting(
-                        float(interference[0]), float(interference[1])
-                    )
-                except (TypeError, ValueError):
-                    return self._predict_batch_scalar(unpacked, domain=domain)
-            if isinstance(interference, HomogeneousSetting):
-                bucket = hom.setdefault(workload, ([], [], []))
-                bucket[0].append(i)
-                bucket[1].append(interference.pressure)
-                bucket[2].append(interference.count)
-            elif isinstance(interference, (list, np.ndarray)) or (
-                isinstance(interference, Sequence)
-                and not isinstance(interference, (str, bytes))
-            ):
-                het_indices.append(i)
-                het_workloads.append(workload)
-                het_vectors.append(interference)
-            else:
-                return self._predict_batch_scalar(unpacked, domain=domain)
-        if het_indices:
-            values = kernel.predict_vectors(het_workloads, het_vectors)
-            if values is None:
-                return self._predict_batch_scalar(unpacked, domain=domain)
-            out[het_indices] = values
-        for workload, (indices, pressures, counts) in hom.items():
-            out[indices] = kernel.lookup_settings(
-                workload, np.asarray(pressures), np.asarray(counts)
-            )
-        return out
-
-    def _predict_batch_scalar(
-        self,
-        unpacked: Sequence[Tuple[str, object]],
-        *,
-        domain: ContentionDomain = ContentionDomain.COMPUTE,
-    ) -> np.ndarray:
-        """Reference scalar path (also the error-raising fallback)."""
-        return np.array(
-            [self.predict(workload, interference, domain=domain)
-             for workload, interference in unpacked],
-            dtype=float,
-        )
-
     def _predict_rows(
         self,
         workloads: Sequence[str],
@@ -620,39 +521,6 @@ class InterferenceModel:
             return values
         factors[rows] = values
         return factors
-
-    def predict_corunners_batch(
-        self,
-        items: Sequence[Tuple[str, Sequence[int], Mapping[int, Sequence[str]]]],
-    ) -> np.ndarray:
-        """Vectorized :meth:`predict_under_corunners` over many items.
-
-        Each item is ``(workload, workload_nodes, co_runners_by_node)``.
-        No production path calls it: annealing's memo misses take the
-        scalar path (see ``docs/performance.md``).
-        """
-        _count_batch(len(items))
-        try:
-            vectors = [self.pressure_vector(n, c) for _, n, c in items]
-            if self.has_network:
-                net_vectors = [
-                    self.pressure_vector(n, c, domain=ContentionDomain.NETWORK)
-                    for _, n, c in items
-                ]
-        except ModelError:
-            # An unknown co-runner: replay scalar in item order so the
-            # error surfaces exactly where the scalar loop raises it.
-            return np.array(
-                [self.predict_under_corunners(w, n, c) for w, n, c in items],
-                dtype=float,
-            )
-        workloads = [workload for workload, _, _ in items]
-        values = self._predict_rows(workloads, vectors)
-        if self.has_network:
-            values = values * self._predict_rows(
-                workloads, net_vectors, network=True
-            )
-        return values
 
     def predict_placement_batch(
         self, placement: "Placement"  # noqa: F821

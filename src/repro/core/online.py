@@ -28,7 +28,7 @@ from typing import Collection, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.contention import ContentionDomain
-from repro.core.kernel import PredictionKernel, PredictionRequest
+from repro.core.kernel import PredictionKernel
 from repro.core.model import InterferenceModel
 from repro.errors import ModelError
 from repro.faults.degradation import conservative_wave
@@ -156,7 +156,9 @@ class OnlineModel:
         )
 
     # ------------------------------------------------------------------
-    # Batch predictions (mirrors InterferenceModel's vectorized path)
+    # Batch predictions.  Placements and admission waves read the base
+    # model's kernel and correct its rows; predict_batch and
+    # predict_corunners_batch correct scalar predictions.
     # ------------------------------------------------------------------
     def prediction_kernel(self) -> PredictionKernel:
         """The static base model's frozen batch snapshot (delegated).
@@ -181,26 +183,42 @@ class OnlineModel:
 
     def predict_batch(
         self,
-        requests: Sequence,
+        requests: Sequence[Tuple[str, object]],
         *,
         domain: ContentionDomain = ContentionDomain.COMPUTE,
     ) -> np.ndarray:
-        """Corrected :meth:`InterferenceModel.predict_batch`."""
-        values = self.base.predict_batch(requests, domain=domain)
-        workloads = [
-            request.workload
-            if isinstance(request, PredictionRequest)
-            else request[0]
-            for request in requests
-        ]
+        """Corrected :meth:`predict` over ``(workload, interference)`` pairs.
+
+        No workload calls it.  It stays only because the reference-day
+        benchmark's ``core.predict_batch`` layer (``daybench/layers.py``)
+        patches it by name; once that layer stops naming it, delete it.
+        Every pair is predicted before any correction is read, so a bad
+        pair raises the scalar error and creates no correction state.
+        """
+        workloads = [workload for workload, _ in requests]
+        values = np.array(
+            [
+                self.base.predict(workload, interference, domain=domain)
+                for workload, interference in requests
+            ],
+            dtype=float,
+        )
         return self._apply_batch(workloads, values)
 
     def predict_corunners_batch(
         self,
         items: Sequence[Tuple[str, Sequence[int], Mapping[int, Sequence[str]]]],
     ) -> np.ndarray:
-        """Corrected :meth:`InterferenceModel.predict_corunners_batch`."""
-        values = self.base.predict_corunners_batch(items)
+        """Corrected :meth:`predict_under_corunners` over many items.
+
+        Each item is ``(workload, workload_nodes, co_runners_by_node)``.
+        Kept for the same reason as :meth:`predict_batch`, and predicts
+        every item before any correction is read in the same way.
+        """
+        values = np.array(
+            [self.base.predict_under_corunners(*item) for item in items],
+            dtype=float,
+        )
         return self._apply_batch([workload for workload, _, _ in items], values)
 
     def predict_placement_batch(self, placement) -> Dict[str, float]:

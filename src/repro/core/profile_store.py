@@ -44,4 +44,7 @@ def load_model(path: Union[str, Path]) -> InterferenceModel:
             f"profile store version {version!r} unsupported "
             f"(expected {_FORMAT_VERSION})"
         )
-    return InterferenceModel.from_dict(payload["profiles"])
+    try:
+        return InterferenceModel.from_dict(payload["profiles"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelError(f"malformed profile store {path}: {exc!r}") from exc

@@ -30,6 +30,10 @@ def _payload_from_jsonl(lines: List[str]) -> Dict[str, object]:
         if not line.strip():
             continue
         record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"a record must be a JSON object, got {type(record).__name__}"
+            )
         kind = record.pop("type", None)
         if kind == "trace":
             payload["version"] = record.get("version")
@@ -105,13 +109,13 @@ def load_trace(path: str) -> Dict[str, object]:
         if isinstance(document, dict) and "traceEvents" in document:
             try:
                 return _payload_from_chrome(document)
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, AttributeError) as exc:
                 raise ReproError(
                     f"malformed Chrome trace {path!r}: {exc}"
                 ) from None
     try:
         return _payload_from_jsonl(text.splitlines())
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         raise ReproError(f"malformed JSONL trace {path!r}: {exc}") from None
 
 

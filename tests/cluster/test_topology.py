@@ -27,16 +27,7 @@ class TestSwitchTopology:
     def test_shuffle_exceeds_collective(self):
         topo = SwitchTopology()
         assert topo.shuffle_cost(8) > topo.collective_cost(8)
-
-    def test_shuffle_data_scale(self):
-        topo = SwitchTopology()
-        assert topo.shuffle_cost(8, data_scale=2.0) == pytest.approx(
-            topo.collective_cost(8) * 3.0
-        )
-
-    def test_negative_data_scale(self):
-        with pytest.raises(ValueError):
-            SwitchTopology().shuffle_cost(8, data_scale=-1.0)
+        assert topo.shuffle_cost(8) == topo.collective_cost(8) * 2.0
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):

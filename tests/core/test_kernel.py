@@ -2,7 +2,9 @@
 
 The batch path (:mod:`repro.core.kernel`) promises results that are
 *bit-identical* to the scalar reference, not merely close — so every
-comparison here is ``==``, never ``pytest.approx``.
+comparison here is ``==``, never ``pytest.approx``.  Rows go straight
+to :meth:`PredictionKernel.predict_vectors`, the one vectorized entry
+that placements, admission waves and the degraded override share.
 """
 
 import random
@@ -10,8 +12,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.curves import HomogeneousSetting, PropagationMatrix
-from repro.core.kernel import PredictionRequest
+from repro.core.curves import PropagationMatrix
+from repro.core.kernel import SMALL_GROUP
 from repro.core.model import InterferenceModel, InterferenceProfile
 from repro.core.online import OnlineModel
 from repro.errors import ModelError
@@ -45,22 +47,23 @@ def random_model(rng, num_workloads=5, *, ec2=False):
     return InterferenceModel(profiles)
 
 
-def random_request(rng, workloads):
-    workload = rng.choice(workloads)
-    form = rng.randrange(4)
-    if form == 0:
-        return workload, HomogeneousSetting(
-            rng.uniform(0.0, 9.0), rng.uniform(0.0, 5.0)
-        )
-    if form == 1:
-        return workload, (rng.uniform(0.0, 9.0), rng.uniform(0.0, 5.0))
+def random_vector(rng):
     length = rng.randint(1, 5)
-    if form == 2 and rng.random() < 0.3:
-        return workload, [0.0] * length  # idle vector
+    if rng.random() < 0.15:
+        return [0.0] * length  # idle vector
     vector = [rng.uniform(0.0, 9.0) for _ in range(length)]
     if rng.random() < 0.2:
         vector = [p * 0.37 for p in vector]  # exercise fractional values
-    return workload, vector
+    return vector
+
+
+def assert_kernel_matches_scalar(model, rows):
+    """``predict_vectors`` over ``(workload, vector)`` rows equals
+    ``predict`` row by row."""
+    batch = model.prediction_kernel().predict_vectors(
+        [workload for workload, _ in rows], [vector for _, vector in rows]
+    )
+    assert list(batch) == [model.predict(w, vector) for w, vector in rows]
 
 
 class TestBatchIdentity:
@@ -69,36 +72,20 @@ class TestBatchIdentity:
         rng = random.Random(seed)
         model = random_model(rng, ec2=(seed % 2 == 0))
         workloads = sorted(model.workloads)
-        requests = [random_request(rng, workloads) for _ in range(40)]
-        scalar = [model.predict(w, arg) for w, arg in requests]
-        batch = model.predict_batch(requests)
-        assert list(batch) == scalar
+        rows = [
+            (rng.choice(workloads), random_vector(rng)) for _ in range(40)
+        ]
+        assert_kernel_matches_scalar(model, rows)
 
     def test_small_and_large_batches_identical(self):
-        # Small per-workload groups run the scalar ops directly, large
-        # ones the array path; both must agree with the reference.
+        # Groups below SMALL_GROUP rows run the scalar ops directly,
+        # larger ones the array path; both must agree with the reference.
         rng = random.Random(99)
-        model = random_model(rng, num_workloads=2)
-        workloads = sorted(model.workloads)
-        for size in (1, 2, 5, 30, 80):
-            requests = [
-                random_request(rng, workloads) for _ in range(size)
-            ]
-            scalar = [model.predict(w, arg) for w, arg in requests]
-            assert list(model.predict_batch(requests)) == scalar
-
-    def test_prediction_request_objects_accepted(self):
-        rng = random.Random(3)
-        model = random_model(rng)
-        requests = [
-            PredictionRequest("w0", [1.5, 2.5]),
-            PredictionRequest("w1", HomogeneousSetting(4.0, 2.0)),
-            PredictionRequest("w2", (3.0, 1.0)),
-        ]
-        scalar = [
-            model.predict(r.workload, r.interference) for r in requests
-        ]
-        assert list(model.predict_batch(requests)) == scalar
+        model = random_model(rng, num_workloads=4)
+        for workload in model.workloads:
+            for size in (1, SMALL_GROUP - 1, SMALL_GROUP, SMALL_GROUP + 1, 80):
+                rows = [(workload, random_vector(rng)) for _ in range(size)]
+                assert_kernel_matches_scalar(model, rows)
 
     def test_float64_ndarray_fast_path(self):
         rng = random.Random(5)
@@ -107,11 +94,9 @@ class TestBatchIdentity:
         assert model.predict("w0", vector) == model.predict(
             "w0", [float(p) for p in vector]
         )
-        batch = model.predict_batch([("w0", vector), ("w1", vector)])
-        assert list(batch) == [
-            model.predict("w0", vector),
-            model.predict("w1", vector),
-        ]
+        assert_kernel_matches_scalar(
+            model, [("w0", vector), ("w1", vector)] * SMALL_GROUP
+        )
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_every_policy_matches_scalar(self, policy):
@@ -131,23 +116,23 @@ class TestBatchIdentity:
                 )
             }
         )
-        requests = [
-            ("app", [rng.uniform(0.0, 9.0) for _ in range(rng.randint(1, 4))])
-            for _ in range(25)
-        ]
-        scalar = [model.predict(w, arg) for w, arg in requests]
-        assert list(model.predict_batch(requests)) == scalar
+        for size in (SMALL_GROUP - 1, SMALL_GROUP + 1, 25):
+            rows = [
+                ("app", [rng.uniform(0.0, 9.0)
+                         for _ in range(rng.randint(1, 4))])
+                for _ in range(size)
+            ]
+            assert_kernel_matches_scalar(model, rows)
 
     def test_ec2_sparse_count_axis(self):
         rng = random.Random(11)
         model = random_model(rng, ec2=True)
         # Fractional converted counts land between the sparse knots.
-        requests = [
+        rows = [
             ("w0", [rng.uniform(0.0, 9.0) for _ in range(3)])
             for _ in range(30)
         ]
-        scalar = [model.predict(w, arg) for w, arg in requests]
-        assert list(model.predict_batch(requests)) == scalar
+        assert_kernel_matches_scalar(model, rows)
 
     def test_online_model_corrections_applied(self):
         rng = random.Random(21)
@@ -186,64 +171,60 @@ class TestSnapshotInvalidation:
         )
         rebuilt = model.prediction_kernel()
         assert rebuilt is not first
-        assert rebuilt.knows("fresh")
-        assert not first.knows("fresh")
-        # Predictions through the new snapshot see the new profile.
-        assert model.predict_batch([("fresh", [1.0])])[0] == model.predict(
-            "fresh", [1.0]
-        )
+        # The old snapshot does not know the new profile; the new one
+        # predicts it like the scalar path.
+        assert first.predict_vectors(["fresh"], [[1.0]]) is None
+        assert_kernel_matches_scalar(model, [("fresh", [1.0])])
 
     def test_kernel_snapshot_is_frozen(self):
         # Mutating the live model's matrix after the snapshot must not
-        # leak into the old kernel (matrices are deep-copied).
+        # leak into the old kernel (matrices are deep-copied), on the
+        # scalar small-group path or the array path.
         rng = random.Random(13)
         model = random_model(rng)
         kernel = model.prediction_kernel()
-        before = kernel.lookup_settings(
-            "w0", np.array([4.0]), np.array([2.0])
-        )[0]
-        model.profile("w0").matrix.values[:] += 0.5
-        after = kernel.lookup_settings(
-            "w0", np.array([4.0]), np.array([2.0])
-        )[0]
-        assert before == after
+        for size in (1, SMALL_GROUP):
+            vectors = [[4.0, 4.0, 0.0]] * size
+            before = kernel.predict_vectors(["w0"] * size, vectors)
+            model.profile("w0").matrix.values[:] += 0.5
+            after = kernel.predict_vectors(["w0"] * size, vectors)
+            assert list(before) == list(after)
+            assert model.predict("w0", vectors[0]) != after[0]
 
 
 class TestErrorParity:
+    """An anomalous row makes the kernel return ``None``, so the caller
+    replays the scalar path, which raises."""
+
     def test_unknown_workload_raises_scalar_error(self):
         rng = random.Random(17)
         model = random_model(rng)
-        with pytest.raises(ModelError) as scalar_err:
+        kernel = model.prediction_kernel()
+        rows = (["w0", "nope"], [[1.0], [1.0, 2.0]])
+        assert kernel.predict_vectors(*rows) is None
+        with pytest.raises(ModelError, match="no interference profile"):
             model.predict("nope", [1.0, 2.0])
-        with pytest.raises(ModelError) as batch_err:
-            model.predict_batch([("w0", [1.0]), ("nope", [1.0, 2.0])])
-        assert str(batch_err.value) == str(scalar_err.value)
 
     def test_empty_vector_raises_scalar_error(self):
         rng = random.Random(19)
         model = random_model(rng)
-        with pytest.raises(ModelError) as scalar_err:
+        kernel = model.prediction_kernel()
+        assert kernel.predict_vectors(["w1", "w0"], [[1.0], []]) is None
+        with pytest.raises(ModelError):
             model.predict("w0", [])
-        with pytest.raises(ModelError) as batch_err:
-            model.predict_batch([("w1", [1.0]), ("w0", [])])
-        assert str(batch_err.value) == str(scalar_err.value)
 
     def test_negative_pressure_raises_scalar_error(self):
         rng = random.Random(23)
         model = random_model(rng)
-        with pytest.raises(Exception) as scalar_err:
+        kernel = model.prediction_kernel()
+        assert kernel.predict_vectors(["w0"], [[1.0, -2.0]]) is None
+        with pytest.raises(ValueError, match="non-negative"):
             model.predict("w0", [1.0, -2.0])
-        with pytest.raises(Exception) as batch_err:
-            model.predict_batch([("w0", [1.0, -2.0])])
-        assert type(batch_err.value) is type(scalar_err.value)
-        assert str(batch_err.value) == str(scalar_err.value)
 
     def test_nan_pressure_raises_scalar_error(self):
         rng = random.Random(29)
         model = random_model(rng)
-        with pytest.raises(Exception) as scalar_err:
+        kernel = model.prediction_kernel()
+        assert kernel.predict_vectors(["w0"], [[float("nan")]]) is None
+        with pytest.raises(ValueError, match="NaN"):
             model.predict("w0", [float("nan")])
-        with pytest.raises(Exception) as batch_err:
-            model.predict_batch([("w0", [float("nan")])])
-        assert type(batch_err.value) is type(scalar_err.value)
-        assert str(batch_err.value) == str(scalar_err.value)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.curves import HomogeneousSetting, PropagationMatrix
 from repro.core.model import InterferenceModel, InterferenceProfile
+from repro.core.online import OnlineModel
 from repro.errors import ModelError
 
 SETTING = HomogeneousSetting(3.0, 1.5)
@@ -104,6 +105,6 @@ class TestNaNCount:
         with pytest.raises(ValueError) as scalar:
             m.predict("w", (1.5, math.nan))
         with pytest.raises(ValueError) as batch:
-            m.predict_batch([("w", (1.5, math.nan))])
+            OnlineModel(m).predict_batch([("w", (1.5, math.nan))])
         assert str(batch.value) == str(scalar.value)
         assert "count" in str(scalar.value)

@@ -166,40 +166,49 @@ class TestBatchScalarIdentity:
             flat_profile("plain"),
         )
 
+    def make_online(self):
+        """The wrapper whose two scalar-backed batch routes remain."""
+        online = OnlineModel(self.make_model())
+        online.observe("app", predicted=1.3, measured=1.6)
+        return online
+
     def test_predict_batch_network_domain(self):
-        model = self.make_model()
+        online = self.make_online()
         requests = [
             ("app", (4.0, 2.0)),
             ("src", [8.0, 2.0, 0.0, 0.0]),
             ("app", HomogeneousSetting(2.0, 3.0)),
         ]
-        batch = model.predict_batch(
+        batch = online.predict_batch(
             requests, domain=ContentionDomain.NETWORK
         )
         for value, (workload, interference) in zip(batch, requests):
-            assert value == model.predict(
+            assert value == online.predict(
                 workload, interference, domain=ContentionDomain.NETWORK
             )
 
     def test_predict_batch_network_raises_for_flat_target(self):
-        model = self.make_model()
+        online = self.make_online()
         with pytest.raises(ModelError, match="no network profile"):
-            model.predict_batch(
+            online.predict_batch(
                 [("app", (4.0, 2.0)), ("plain", (4.0, 2.0))],
                 domain=ContentionDomain.NETWORK,
             )
+        # The bad pair raised before any correction was read, so no
+        # correction state was created for it.
+        assert list(online.state_dict()) == ["app"]
 
     def test_corunners_batch_matches_combined_scalar(self):
-        model = self.make_model()
+        online = self.make_online()
         items = [
             ("app", [0, 1], {0: ["src"], 1: ["plain"]}),
             ("plain", [0, 1], {0: ["src"], 1: []}),
             ("src", [2, 3], {2: ["app", "app"], 3: ["plain"]}),
             ("app", [0, 1, 2, 3], {}),
         ]
-        batch = model.predict_corunners_batch(items)
+        batch = online.predict_corunners_batch(items)
         for value, (w, n, c) in zip(batch, items):
-            assert value == model.predict_under_corunners(w, n, c)
+            assert value == online.predict_under_corunners(w, n, c)
 
     def test_placement_batches_match_combined_scalar(self):
         model = self.make_model()

@@ -47,6 +47,15 @@ class TestProfileStore:
         with pytest.raises(ModelError, match="not a profile store"):
             load_model(path)
 
+    @pytest.mark.parametrize("profiles", [{"M.lmps": {}}, []],
+                             ids=["profile-without-keys", "list"])
+    def test_malformed_profiles(self, tmp_path, profiles):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"version": 1, "profiles": profiles}))
+        with pytest.raises(ModelError, match="malformed profile") as error:
+            load_model(path)
+        assert str(path) in str(error.value)
+
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text('{"version": 99, "profiles": {}}')

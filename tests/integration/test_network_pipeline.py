@@ -118,8 +118,12 @@ class TestComputeBitIdentity:
 
     def test_batch_predictions_unchanged(self, built):
         _, model, snapshot, _ = built
+        rows = [(w, i) for w, i in SETTINGS if isinstance(i, list)]
+        workloads = [workload for workload, _ in rows]
+        vectors = [vector for _, vector in rows]
         assert np.array_equal(
-            model.predict_batch(SETTINGS), snapshot.predict_batch(SETTINGS)
+            model.prediction_kernel().predict_vectors(workloads, vectors),
+            snapshot.prediction_kernel().predict_vectors(workloads, vectors),
         )
 
     def test_compute_matrix_serialization_unchanged(self, built):

@@ -121,10 +121,17 @@ class TestTraceSummarize:
         assert "M.lmps" in out and "H.KM" in out
 
     def test_summarize_rejects_garbage(self, tmp_path, capsys):
-        path = tmp_path / "junk.json"
-        path.write_text("not a trace")
-        assert main(["trace", "summarize", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
+        garbage = {
+            "junk.json": "not a trace",
+            # Valid JSON, but a record or event that is no object.
+            "list.jsonl": "[1, 2]\n",
+            "chrome.json": '{"traceEvents": [1]}',
+        }
+        for name, text in garbage.items():
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["trace", "summarize", str(path)]) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_daemon_accounting_lists_counters_and_gauges(self):
         payload = {

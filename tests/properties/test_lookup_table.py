@@ -5,7 +5,8 @@ and interpolates only the two rows that bracket the pressure.  The
 oracle below is the NumPy formulation it replaced: ``np.interp`` along
 the count axis in every row, then along pressure with the implicit
 pressure-0 anchor.  Every result must match in ``float.hex`` and be a
-Python ``float``.
+Python ``float``, and ``lookup_batch`` over the same settings must
+match ``lookup`` on each.
 """
 
 import math
@@ -101,7 +102,15 @@ def cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_table_lookup_equals_np_interp(case):
     matrix, points = case
+    scalar = []
     for pressure, count in points:
         result = matrix.lookup(HomogeneousSetting(pressure, count))
         assert type(result) is float
         assert result.hex() == numpy_lookup(matrix, pressure, count).hex()
+        scalar.append(result.hex())
+    # The kernel's array lookup over the same settings, bit for bit.
+    batch = matrix.lookup_batch(
+        np.array([pressure for pressure, _ in points]),
+        np.array([count for _, count in points]),
+    )
+    assert [value.hex() for value in batch.tolist()] == scalar

@@ -11,6 +11,7 @@ the combined pressure, network profiles on only some targets, and
 learned ``OnlineModel`` corrections.
 """
 
+import dataclasses
 import math
 import random
 
@@ -36,18 +37,6 @@ from tests.properties.test_admission_wave import (
 )
 
 
-def _items(placement):
-    """``predict_under_corunners`` arguments, one per instance."""
-    return [
-        (
-            spec.workload,
-            placement.spanned_nodes(spec.instance_key),
-            placement.co_runner_workloads(spec.instance_key),
-        )
-        for spec in placement.instances
-    ]
-
-
 def _placements(case, limit=3):
     """The base placement and the first few candidate placements."""
     _, base, _, job, controller = case
@@ -62,11 +51,6 @@ def _placements(case, limit=3):
 def test_batches_equal_scalar_bit_for_bit(case):
     model = case[0]
     for placement in _placements(case):
-        items = _items(placement)
-        batch = model.predict_corunners_batch(items)
-        assert batch.tolist() == [
-            model.predict_under_corunners(*item) for item in items
-        ]
         table = model.predict_placement_batch(placement)
         reference = predict_placement_scalar(model, placement)
         assert list(table.items()) == list(reference.items())
@@ -81,33 +65,37 @@ def _raised(call):
 @given(case=waves(), data=st.data())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_unknown_workloads_raise_the_scalar_error(case, data):
-    """An unknown target before an unknown co-runner (and vice versa)."""
+    """Two unknown workloads in one placement: the batch table raises
+    the error the scalar walk meets first, whether it meets a ghost as
+    a target or as some earlier target's co-runner."""
     model = case[0]
     placements = _placements(case, limit=1)
     if not placements:
         return
-    items = _items(placements[-1])
-    if len(items) < 2:
+    placement = placements[-1]
+    instances = list(placement.instances)
+    if len(instances) < 2:
         return
-    first = data.draw(st.integers(0, len(items) - 2))
-    second = data.draw(st.integers(first + 1, len(items) - 1))
-    target_first = data.draw(st.booleans())
-    ghost_target, ghost_neighbour = (
-        (first, second) if target_first else (second, first)
+    first = data.draw(st.integers(0, len(instances) - 2))
+    second = data.draw(st.integers(first + 1, len(instances) - 1))
+    for index, ghost in ((first, "ghost-a"), (second, "ghost-b")):
+        instances[index] = dataclasses.replace(
+            instances[index], workload=ghost
+        )
+    # Assignment order reversed against instance order, so co-runner
+    # order on a node differs from the order targets are visited in.
+    haunted = Placement(
+        placement.cluster_spec,
+        instances,
+        {
+            spec.instance_key: placement.nodes_of(spec.instance_key)
+            for spec in reversed(instances)
+        },
+        unit_slots_per_node=placement.unit_slots_per_node,
     )
-    _, nodes, co_runners = items[ghost_target]
-    items[ghost_target] = ("ghost-target", nodes, co_runners)
-    workload, nodes, co_runners = items[ghost_neighbour]
-    haunted = {node: list(names) for node, names in co_runners.items()}
-    haunted.setdefault(nodes[-1], []).append("ghost-neighbour")
-    items[ghost_neighbour] = (workload, nodes, haunted)
-
-    def scalar():
-        return [model.predict_under_corunners(*item) for item in items]
-
-    expected = _raised(scalar)
-    assert ("ghost-target" if target_first else "ghost-neighbour") in expected
-    assert _raised(lambda: model.predict_corunners_batch(items)) == expected
+    expected = _raised(lambda: predict_placement_scalar(model, haunted))
+    assert "ghost-" in expected
+    assert _raised(lambda: model.predict_placement_batch(haunted)) == expected
 
 
 @st.composite

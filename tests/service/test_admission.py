@@ -197,8 +197,6 @@ from repro.obs.recorder import recording
 class _ScalarOnlyModel:
     _HIDDEN = frozenset(
         {
-            "predict_batch",
-            "predict_corunners_batch",
             "predict_placement_batch",
             "predict_placements_batch",
             "prediction_kernel",

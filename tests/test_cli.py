@@ -3,9 +3,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.curves import PropagationMatrix
+from repro.core.model import InterferenceModel, InterferenceProfile
+from repro.core.profile_store import save_model
 
 CHAOS_PLAN = str(
     Path(__file__).resolve().parents[1]
@@ -100,6 +104,36 @@ class TestProfilePredictRoundtrip:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--pressures", "nan"),
+        ("--pressures", "1,,2"),
+        ("--pressures", "1,inf"),
+        ("--pressures", ""),
+        ("--pressure", "-1"),
+        ("--pressure", "inf"),
+        ("--count", "-1"),
+        ("--count", "nan"),
+    ])
+    def test_predict_rejects_bad_numbers(self, flag, value, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        matrix = PropagationMatrix(
+            [4.0, 8.0], [0.0, 1.0], np.array([[1.0, 1.2], [1.0, 1.5]])
+        )
+        save_model(
+            InterferenceModel({"M.lmps": InterferenceProfile(
+                "M.lmps", matrix, "N MAX", bubble_score=2.5
+            )}),
+            model_path,
+        )
+        code = main(
+            ["predict", "--model", str(model_path), "--workload", "M.lmps",
+             flag, value]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"error: {flag} " in captured.err
+        assert "solo time" not in captured.out
 
 
 class TestProfileAlgorithms:
