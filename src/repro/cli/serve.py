@@ -1,9 +1,10 @@
 """``repro serve`` — the online consolidation service over a traffic day.
 
-Crash safety: with ``--checkpoint`` the service writes an atomic
-:class:`~repro.service.checkpoint.ServiceCheckpoint` after every epoch,
-and (when ``--event-log`` is also given) persists each event to disk
-with an fsync before moving on.  A killed day is then continued with
+Crash safety: with ``--checkpoint`` the day runs one epoch at a time
+and saves the service's atomic
+:class:`~repro.service.checkpoint.ServiceCheckpoint` after each, and
+(when ``--event-log`` is also given) persists each event to disk with
+an fsync as it is appended.  A killed day is then continued with
 ``--resume``: the checkpoint restores the last epoch boundary, the
 event log is recovered (a torn final line from the crash is dropped),
 and the remaining epochs re-run — producing an event log and metrics
@@ -251,7 +252,6 @@ def _build_sharded(
         stream,
         seed=args.seed,
         config=config,
-        checkpoint_path=args.checkpoint,
         cell_workers=args.cell_workers,
         runner_factory=runner_factory,
         degraded_workloads=sorted(profiling_runner.faulted_workloads),
@@ -306,7 +306,6 @@ def _build_service(args: argparse.Namespace):
         stream,
         config=config,
         seed=args.seed,
-        checkpoint_path=args.checkpoint,
         provider=provider,
     )
 
@@ -349,7 +348,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     remaining = args.epochs - service.epochs_run
     if remaining > 0:
         console.info(f"Serving {remaining} epochs...")
-        service.run(remaining)
+        for epoch in range(service.epochs_run, args.epochs):
+            service.run_epoch(epoch)
+            if args.checkpoint:
+                # After the epoch's events (fsync'd as appended), as in
+                # the daemon's commit.
+                service.checkpoint().save(args.checkpoint)
     else:
         console.info(
             f"checkpoint already covers all {args.epochs} epoch(s)"

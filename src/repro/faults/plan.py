@@ -20,25 +20,33 @@ Plans serialize to plain JSON, the form ``--faults plan.json`` reads.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 from typing import Tuple, Union
 
 from repro._util import make_rng, stable_seed
 from repro.errors import FaultError
 
-#: Fault families, each with its own independent RNG stream.  The
-#: ``worker`` and ``lease`` families target the daemon's executor pool
-#: (a claimed epoch execution dying, a lease lapsing un-renewed); they
-#: never touch measurement draws, so enabling them leaves event-log
-#: bytes identical to an uninjected day.  The ``preempt`` family
-#: targets the capacity provider's spot instances (a two-phase
-#: warning-then-reclaim, see :mod:`repro.providers`); like the daemon
-#: families it draws from its own stream, so a plan that only preempts
-#: perturbs no measurement.
-FAULT_FAMILIES = (
-    "crash", "straggler", "outlier", "worker", "lease", "preempt",
-)
+#: Fault family -> its :class:`FaultConfig` rate field.  Each family
+#: draws from its own independent RNG stream.  The ``worker`` and
+#: ``lease`` families target the daemon's executor pool (a claimed
+#: epoch execution dying, a lease lapsing un-renewed); they never
+#: touch measurement draws, so enabling them leaves event-log bytes
+#: identical to an uninjected day.  The ``preempt`` family targets the
+#: capacity provider's spot instances (a two-phase warning-then-reclaim,
+#: see :mod:`repro.providers`); like the daemon families it draws from
+#: its own stream, so a plan that only preempts perturbs no measurement.
+_RATE_FIELDS = {
+    "crash": "crash_rate",
+    "straggler": "straggler_rate",
+    "outlier": "outlier_rate",
+    "worker": "worker_crash_rate",
+    "lease": "lease_expiry_rate",
+    "preempt": "preemption_rate",
+}
+
+#: The fault families, in declaration order.
+FAULT_FAMILIES = tuple(_RATE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -91,9 +99,7 @@ class FaultConfig:
     preemption_warning_epochs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("crash_rate", "straggler_rate", "outlier_rate",
-                     "worker_crash_rate", "lease_expiry_rate",
-                     "preemption_rate"):
+        for name in _RATE_FIELDS.values():
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise FaultError(f"{name} must be in [0, 1], got {rate}")
@@ -120,12 +126,8 @@ class FaultPlan:
     @property
     def enabled(self) -> bool:
         """Whether any fault family has a nonzero rate."""
-        cfg = self.config
         return any(
-            rate > 0.0
-            for rate in (cfg.crash_rate, cfg.straggler_rate,
-                         cfg.outlier_rate, cfg.worker_crash_rate,
-                         cfg.lease_expiry_rate, cfg.preemption_rate)
+            getattr(self.config, name) > 0.0 for name in _RATE_FIELDS.values()
         )
 
     def signature(self) -> str:
@@ -135,42 +137,35 @@ class FaultPlan:
         ``churn_signature``, so a resume under a different churn plan
         is refused.
         """
-        cfg = self.config
-        return "faults|" + "|".join(
-            str(part) for part in (
-                cfg.seed, cfg.crash_rate, cfg.straggler_rate,
-                cfg.straggler_factor, cfg.outlier_rate, cfg.outlier_factor,
-                cfg.worker_crash_rate, cfg.lease_expiry_rate,
-                cfg.preemption_rate, cfg.preemption_warning_epochs,
-            )
-        )
+        return "faults|" + "|".join(map(str, astuple(self.config)))
 
-    def _draw(self, family: str, labels: Tuple) -> "float":
+    def _hits(self, family: str, labels: Tuple) -> bool:
+        """Does ``family``'s draw for ``labels`` fall below its rate?
+
+        A zero rate never draws.
+        """
+        rate = getattr(self.config, _RATE_FIELDS[family])
+        if rate <= 0.0:
+            return False
         rng = make_rng(stable_seed(self.config.seed, "fault", family, *labels))
-        return float(rng.random())
+        return float(rng.random()) < rate
 
     # ------------------------------------------------------------------
     # Per-family decisions
     # ------------------------------------------------------------------
     def crashes(self, label: Tuple, attempt: int) -> bool:
         """Does attempt ``attempt`` of the reading ``label`` crash?"""
-        if self.config.crash_rate <= 0.0:
-            return False
-        return self._draw("crash", label + (attempt,)) < self.config.crash_rate
+        return self._hits("crash", label + (attempt,))
 
     def straggler(self, label: Tuple, attempt: int) -> float:
         """Multiplicative straggler inflation of a reading (1.0 = none)."""
-        if self.config.straggler_rate <= 0.0:
-            return 1.0
-        if self._draw("straggler", label + (attempt,)) < self.config.straggler_rate:
+        if self._hits("straggler", label + (attempt,)):
             return self.config.straggler_factor
         return 1.0
 
     def outlier(self, label: Tuple, attempt: int) -> float:
         """Multiplicative garbage factor of a reading (1.0 = clean)."""
-        if self.config.outlier_rate <= 0.0:
-            return 1.0
-        if self._draw("outlier", label + (attempt,)) < self.config.outlier_rate:
+        if self._hits("outlier", label + (attempt,)):
             return self.config.outlier_factor
         return 1.0
 
@@ -183,12 +178,7 @@ class FaultPlan:
         ``worker`` family's own stream, so enabling it perturbs no
         measurement draw (event-log bytes stay identical).
         """
-        if self.config.worker_crash_rate <= 0.0:
-            return False
-        return (
-            self._draw("worker", (epoch, attempt))
-            < self.config.worker_crash_rate
-        )
+        return self._hits("worker", (epoch, attempt))
 
     def lease_expires(self, epoch: int, attempt: int) -> bool:
         """Does attempt ``attempt`` of ``epoch`` wedge past its lease?
@@ -198,12 +188,7 @@ class FaultPlan:
         status-updater must reject, since the reaped work has been
         requeued (and possibly committed) by another worker.
         """
-        if self.config.lease_expiry_rate <= 0.0:
-            return False
-        return (
-            self._draw("lease", (epoch, attempt))
-            < self.config.lease_expiry_rate
-        )
+        return self._hits("lease", (epoch, attempt))
 
     def preempts(self, node_id: int, epoch: int) -> bool:
         """Is a preemption warning issued for spot instance ``node_id``?
@@ -216,12 +201,7 @@ class FaultPlan:
         bookkeeping: reclaim follows ``preemption_warning_epochs``
         after the warning.
         """
-        if self.config.preemption_rate <= 0.0:
-            return False
-        return (
-            self._draw("preempt", (node_id, epoch))
-            < self.config.preemption_rate
-        )
+        return self._hits("preempt", (node_id, epoch))
 
     # ------------------------------------------------------------------
     # Construction / serialization

@@ -79,6 +79,23 @@ def _payload_from_chrome(document: Dict[str, object]) -> Dict[str, object]:
     }
 
 
+def _checked(payload: Dict[str, object]) -> Dict[str, object]:
+    """Reject the records the report cannot render, in either format."""
+    for span in payload["spans"]:
+        if not isinstance(span.get("name"), str):
+            raise ValueError(f"span without a string name: {span!r}")
+    for name, stats in payload["histograms"].items():
+        if not isinstance(stats, dict) or not all(
+            isinstance(stats.get(key), (int, float))
+            and not isinstance(stats.get(key), bool)
+            for key in ("count", "sum", "min", "max")
+        ):
+            raise ValueError(
+                f"histogram {name!r} needs numeric count, sum, min and max"
+            )
+    return payload
+
+
 def load_trace(path: str) -> Dict[str, object]:
     """Load a trace file (JSONL or Chrome-trace) into payload form.
 
@@ -108,13 +125,13 @@ def load_trace(path: str) -> Dict[str, object]:
             document = None
         if isinstance(document, dict) and "traceEvents" in document:
             try:
-                return _payload_from_chrome(document)
-            except (KeyError, TypeError, AttributeError) as exc:
+                return _checked(_payload_from_chrome(document))
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise ReproError(
                     f"malformed Chrome trace {path!r}: {exc}"
                 ) from None
     try:
-        return _payload_from_jsonl(text.splitlines())
+        return _checked(_payload_from_jsonl(text.splitlines()))
     except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         raise ReproError(f"malformed JSONL trace {path!r}: {exc}") from None
 

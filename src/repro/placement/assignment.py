@@ -303,14 +303,6 @@ class Placement:
             for spec in self.instances
         ]
 
-    def occupancy(self) -> Dict[int, List[str]]:
-        """Sorted instance keys per node (diagnostics, reporting)."""
-        result: Dict[int, List[str]] = {}
-        for key, nodes in sorted(self._assignment.items()):
-            for node in nodes:
-                result.setdefault(node, []).append(key)
-        return {node: sorted(keys) for node, keys in result.items()}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Placement):
             return NotImplemented

@@ -5,11 +5,11 @@ most *QoS headroom*: the router probes a few candidate node
 combinations per cell (the cell admission controller's own
 :meth:`~repro.service.admission.AdmissionController.candidate_node_sets`
 enumeration), scores them through the cell's own online model — as
-one factored ``predict_placements_batch`` wave when the model supports
-it — and summarizes each cell as the best candidate's worst margin
-over every mission-critical bound involved.  Emptier, calmer cells
-score higher; the global tier (:mod:`repro.scale.coordinator`) only
-intervenes later if a cell's margin collapses anyway.
+one factored ``predict_placements_batch`` wave — and summarizes each
+cell as the best candidate's worst margin over every mission-critical
+bound involved.  Emptier, calmer cells score higher; the global tier
+(:mod:`repro.scale.coordinator`) only intervenes later if a cell's
+margin collapses anyway.
 
 The router is intentionally much cheaper than admission proper: it
 probes ``probe_candidates`` combinations (default 4) instead of
@@ -24,10 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ServiceError
 from repro.obs import recorder as _obs
-from repro.placement.objectives import (
-    QoSConstraint,
-    predict_placement_scalar,
-)
+from repro.placement.objectives import QoSConstraint
 from repro.service.jobs import Job
 
 #: Reference bound used to score best-effort jobs (the paper's
@@ -96,7 +93,8 @@ class HeadroomRouter:
         units at all (capacity, not QoS).  Candidates come from the
         cell admission controller's own enumeration
         (:meth:`~repro.service.admission.AdmissionController.candidate_node_sets`)
-        and are scored as one factored wave when the model supports it.
+        and are scored as one factored wave of the cell's
+        :class:`~repro.core.online.OnlineModel`.
         """
         service = cell.service
         placement = service.placement
@@ -122,18 +120,9 @@ class HeadroomRouter:
              column_of[constraint.instance_key])
             for constraint in self._constraints(service.tenants, job)
         ]
-        model = service.model
-        if hasattr(model, "predict_placements_batch"):
-            rows = model.predict_placements_batch(
-                placement, spec, node_sets
-            ).tolist()
-        else:
-            rows = []
-            for nodes in node_sets:
-                table = predict_placement_scalar(
-                    model, admission.candidate(placement, job, nodes)
-                )
-                rows.append([table[key] for key in column_of])
+        rows = service.model.predict_placements_batch(
+            placement, spec, node_sets
+        ).tolist()
         best: Optional[CellScore] = None
         slots = free_slot_count(cell)
         for row in rows:

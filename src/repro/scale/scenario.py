@@ -22,8 +22,6 @@ under its own online corrections.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.catalog import BATCH_WORKLOADS
 from repro.core.builder import build_batch_profiles, build_model
 from repro.placement.annealing import AnnealingSchedule
@@ -67,55 +65,41 @@ def scale_service_config(
 
 
 def scale_day_service(
-    *,
-    seed: int = SCALE_DAY_SEED,
-    nodes: int = SCALE_DAY_NODES,
-    cells: int = SCALE_DAY_CELLS,
-    arrival_rate: float = SCALE_DAY_ARRIVAL_RATE,
-    workloads: tuple = SCALE_DAY_MIX,
-    policy_samples: int = 10,
-    qos_fraction: float = 0.5,
-    checkpoint_path: Optional[str] = None,
-    cell_workers: int = 0,
-    config: Optional[ServiceConfig] = None,
+    *, seed: int = SCALE_DAY_SEED, cell_workers: int = 0
 ) -> ShardedConsolidationService:
     """Build the seeded 1000-node day's sharded service.
 
     Profiles the serving model on the paper's 8-node testbed (same
-    procedure as ``repro serve``), then shards ``nodes`` nodes into
-    ``cells`` cells fed by a Poisson stream of ``arrival_rate`` jobs
-    per epoch.  Run it with ``service.run(SCALE_DAY_EPOCHS)``.
+    procedure as ``repro serve``), then shards :data:`SCALE_DAY_NODES`
+    nodes into :data:`SCALE_DAY_CELLS` cells fed by a Poisson stream of
+    :data:`SCALE_DAY_ARRIVAL_RATE` jobs per epoch.  Run it with
+    ``service.run(SCALE_DAY_EPOCHS)``.
     """
     from repro.cluster.cluster import ClusterSpec
 
     profiling_runner = ClusterRunner(base_seed=seed)
-    distributed = [w for w in workloads if w not in BATCH_WORKLOADS]
-    batch = [w for w in workloads if w in BATCH_WORKLOADS]
+    distributed = [w for w in SCALE_DAY_MIX if w not in BATCH_WORKLOADS]
+    batch = [w for w in SCALE_DAY_MIX if w in BATCH_WORKLOADS]
     report = build_model(
-        profiling_runner,
-        distributed,
-        policy_samples=policy_samples,
-        seed=seed,
-        span=4,
+        profiling_runner, distributed, policy_samples=10, seed=seed, span=4
     )
     if batch:
         build_batch_profiles(profiling_runner, report.model, batch, span=4)
     stream = WorkloadStream(
         StreamConfig(
-            workloads=tuple(workloads),
-            arrival_rate=arrival_rate,
-            qos_fraction=qos_fraction,
+            workloads=SCALE_DAY_MIX,
+            arrival_rate=SCALE_DAY_ARRIVAL_RATE,
+            qos_fraction=0.5,
         ),
         seed=seed,
     )
     return build_sharded_service(
         report.model,
-        ClusterSpec(num_nodes=nodes),
-        cells,
+        ClusterSpec(num_nodes=SCALE_DAY_NODES),
+        SCALE_DAY_CELLS,
         stream,
         seed=seed,
-        config=config or scale_service_config(),
-        checkpoint_path=checkpoint_path,
+        config=scale_service_config(),
         cell_workers=cell_workers,
         degraded_workloads=sorted(profiling_runner.faulted_workloads),
     )

@@ -37,10 +37,12 @@ from repro.parallel import fan_out
 from repro.scale.coordinator import GlobalCoordinator
 from repro.scale.router import HeadroomRouter, free_slot_count
 from repro.scale.sharding import CellSpec, shard_cluster
-from repro.service.checkpoint import ServiceCheckpoint
-from repro.service.events import EventLog
 from repro.service.jobs import Job
-from repro.service.loop import ConsolidationService, ServiceConfig
+from repro.service.loop import (
+    ConsolidationService,
+    EpochService,
+    ServiceConfig,
+)
 from repro.service.telemetry import MetricsSnapshot
 from repro.sim.runner import ClusterRunner
 
@@ -88,12 +90,12 @@ def _cell_epoch(item: Tuple[ConsolidationService, int]) -> ConsolidationService:
     return service
 
 
-class ShardedConsolidationService:
+class ShardedConsolidationService(EpochService):
     """Cells + router + coordinator behind the flat service's interface.
 
-    Exposes the surface ``repro serve`` consumes — ``run`` /
-    ``snapshots`` / ``log`` / ``epochs_run`` / ``checkpoint`` /
-    ``restore`` — so the CLI treats flat and sharded days uniformly.
+    Shares the flat service's epoch protocol
+    (:class:`~repro.service.loop.EpochService`), so ``repro serve``
+    treats flat and sharded days uniformly.
 
     Parameters
     ----------
@@ -103,13 +105,11 @@ class ShardedConsolidationService:
     stream:
         The *global* arrival source; the router distributes its jobs
         into the cells' :class:`RoutedStream` feeds.
-    router / coordinator:
-        The two global tiers (defaults are constructed when omitted).
+    coordinator:
+        The global tier (a default :class:`GlobalCoordinator` when
+        omitted); every arrival is routed by a :class:`HeadroomRouter`.
     seed:
         Root seed, recorded in checkpoints for resume validation.
-    checkpoint_path:
-        When set, a :class:`~repro.service.checkpoint.ServiceCheckpoint`
-        covering every cell is written after every epoch.
     cell_workers:
         Worker processes the per-cell epochs fan out over (0 or 1 =
         serial, the deterministic-trace default; results are identical
@@ -122,10 +122,8 @@ class ShardedConsolidationService:
         cells: Sequence[Cell],
         stream,
         *,
-        router: Optional[HeadroomRouter] = None,
         coordinator: Optional[GlobalCoordinator] = None,
         seed: int = 0,
-        checkpoint_path: Optional[str] = None,
         cell_workers: int = 0,
     ) -> None:
         if not cells:
@@ -134,25 +132,16 @@ class ShardedConsolidationService:
             raise ServiceError("cells must be dense and ordered by cell_id")
         if cell_workers < 0:
             raise ServiceError("cell_workers must be non-negative")
+        super().__init__(seed)
         self.cells = list(cells)
         self.stream = stream
-        self.router = router or HeadroomRouter()
+        self.router = HeadroomRouter()
         self.coordinator = coordinator or GlobalCoordinator()
-        self.seed = seed
-        self.checkpoint_path = checkpoint_path
         self.cell_workers = cell_workers
-        self.log = EventLog()
-        self.snapshots: List[MetricsSnapshot] = []
-        self._epochs_run = 0
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def epochs_run(self) -> int:
-        """Epochs the sharded service has completed."""
-        return self._epochs_run
-
     @property
     def cell_migrations_total(self) -> int:
         """Cross-cell moves executed so far."""
@@ -172,22 +161,8 @@ class ShardedConsolidationService:
     # ------------------------------------------------------------------
     # The sharded epoch
     # ------------------------------------------------------------------
-    def run(self, epochs: int) -> List[MetricsSnapshot]:
-        """Advance the sharded day by ``epochs`` epochs."""
-        if epochs <= 0:
-            raise ServiceError("epochs must be positive")
-        return [
-            self.run_epoch(epoch)
-            for epoch in range(self._epochs_run, self._epochs_run + epochs)
-        ]
-
-    def run_epoch(self, epoch: int) -> MetricsSnapshot:
+    def _epoch(self, epoch: int) -> MetricsSnapshot:
         """Route, run every cell, rebalance, snapshot — one epoch."""
-        if epoch != self._epochs_run:
-            raise ServiceError(
-                f"epoch {epoch} is not next (service has run "
-                f"{self._epochs_run})"
-            )
         with _obs.RECORDER.span(
             "scale.epoch", epoch=epoch, cells=len(self.cells)
         ) as span:
@@ -206,9 +181,6 @@ class ShardedConsolidationService:
                 cell_migrations=len(moves),
             )
         self.snapshots.append(snapshot)
-        self._epochs_run = epoch + 1
-        if self.checkpoint_path is not None:
-            self.checkpoint().save(self.checkpoint_path)
         return snapshot
 
     def _route(self, epoch: int) -> None:
@@ -339,28 +311,6 @@ class ShardedConsolidationService:
             cells=tuple(rows),
         )
 
-    # ------------------------------------------------------------------
-    # Crash safety
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> ServiceCheckpoint:
-        """Capture the current epoch boundary across every cell."""
-        return ServiceCheckpoint.capture(self)
-
-    def restore(
-        self,
-        checkpoint: ServiceCheckpoint,
-        *,
-        log: Optional[EventLog] = None,
-    ) -> None:
-        """Resume a sharded day from a checkpoint (see the flat contract).
-
-        Same semantics as
-        :meth:`repro.service.loop.ConsolidationService.restore`; ``log``
-        is the recovered *global* event log.  Cell logs restart empty:
-        the events they already produced live in the global log.
-        """
-        checkpoint.restore(self, log=log)
-
 
 # ----------------------------------------------------------------------
 # Construction
@@ -373,9 +323,7 @@ def build_sharded_service(
     *,
     seed: int = 0,
     config: Optional[ServiceConfig] = None,
-    router: Optional[HeadroomRouter] = None,
     coordinator: Optional[GlobalCoordinator] = None,
-    checkpoint_path: Optional[str] = None,
     cell_workers: int = 0,
     runner_factory=None,
     degraded_workloads: Optional[Sequence[str]] = None,
@@ -456,9 +404,7 @@ def build_sharded_service(
     return ShardedConsolidationService(
         cells,
         stream,
-        router=router,
         coordinator=coordinator,
         seed=seed,
-        checkpoint_path=checkpoint_path,
         cell_workers=cell_workers,
     )

@@ -20,7 +20,9 @@ long-running controller.  Each epoch it:
 
 Every stochastic choice derives from ``stable_seed`` labels, so a
 seeded traffic day is fully deterministic: two runs produce
-byte-identical event logs and snapshots.
+byte-identical event logs and snapshots.  The epoch protocol itself —
+strict epoch order, checkpoint and restore — is :class:`EpochService`,
+which the sharded service (:mod:`repro.scale.service`) extends too.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from repro.service.admission import (
     AdmissionController,
     placement_without_job,
 )
+from repro.service.checkpoint import ServiceCheckpoint
 from repro.service.events import EventLog
 from repro.service.jobs import Job
 from repro.service.telemetry import MetricsSnapshot
@@ -110,7 +113,96 @@ class _QueuedJob:
     failures: int = 0
 
 
-class ConsolidationService:
+class EpochService:
+    """The epoch protocol the flat and sharded services share.
+
+    Epochs run strictly in order, each appending to :attr:`log` and
+    :attr:`snapshots`; a subclass supplies only :meth:`_epoch` (one
+    epoch's body) and :attr:`cell_services`.  A service writes no
+    file: its drivers save :meth:`checkpoint` at the epoch boundaries
+    they choose (``repro serve --checkpoint`` after every epoch, the
+    daemon at every commit).
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.log = EventLog()
+        self.snapshots: List[MetricsSnapshot] = []
+        self._epochs_run = 0
+
+    @property
+    def epochs_run(self) -> int:
+        """Epochs the service has completed so far."""
+        return self._epochs_run
+
+    @property
+    def cell_services(self) -> Tuple["ConsolidationService", ...]:
+        """The flat services a checkpoint captures, in cell order."""
+        raise NotImplementedError
+
+    def _epoch(self, epoch: int) -> MetricsSnapshot:
+        """Run epoch ``epoch``'s body; return its snapshot."""
+        raise NotImplementedError
+
+    def run(self, epochs: int) -> List[MetricsSnapshot]:
+        """Advance the service by ``epochs`` epochs.
+
+        Callable repeatedly: epoch numbering continues where the last
+        call stopped, so ``run(3); run(3)`` replays the same traffic
+        day as ``run(6)``.
+
+        Returns
+        -------
+        list of MetricsSnapshot
+            One snapshot per newly run epoch.
+        """
+        if epochs <= 0:
+            raise ServiceError("epochs must be positive")
+        return [
+            self.run_epoch(epoch)
+            for epoch in range(self._epochs_run, self._epochs_run + epochs)
+        ]
+
+    def run_epoch(self, epoch: int) -> MetricsSnapshot:
+        """Run exactly one epoch (the next one due) and return its snapshot.
+
+        ``epoch`` must be the service's next epoch — epochs cannot be
+        skipped or replayed.
+        """
+        if epoch != self._epochs_run:
+            raise ServiceError(
+                f"epoch {epoch} is not next (service has run "
+                f"{self._epochs_run})"
+            )
+        snapshot = self._epoch(epoch)
+        self._epochs_run = epoch + 1
+        return snapshot
+
+    def checkpoint(self) -> ServiceCheckpoint:
+        """Capture the current epoch boundary across every cell."""
+        return ServiceCheckpoint.capture(self)
+
+    def restore(
+        self,
+        checkpoint: ServiceCheckpoint,
+        *,
+        log: Optional[EventLog] = None,
+    ) -> None:
+        """Resume from a checkpoint captured on an identical service.
+
+        ``log`` is the recovered event log (usually
+        :meth:`EventLog.recover` of the persisted file), validated
+        against the checkpoint's boundary and truncated to it (see
+        :meth:`~repro.service.checkpoint.ServiceCheckpoint.resume_log`).
+        Epoch numbering continues from the checkpoint's boundary, so
+        the resumed run's log and snapshots come out byte-identical to
+        an uninterrupted run's.  A sharded service's cell logs restart
+        empty: the events they already produced live in ``log``.
+        """
+        checkpoint.restore(self, log=log)
+
+
+class ConsolidationService(EpochService):
     """Admit, place, measure, learn — epoch after epoch.
 
     Parameters
@@ -128,11 +220,6 @@ class ConsolidationService:
         Operating knobs.
     seed:
         Root seed for searches and measurement repetitions.
-    checkpoint_path:
-        When set, a :class:`~repro.service.checkpoint.ServiceCheckpoint`
-        is written (atomically) to this path after every completed
-        epoch, so a crashed service can resume from its last epoch
-        boundary via :meth:`restore`.
     cell_id:
         When this service is one cell of a sharded deployment
         (:mod:`repro.scale`), its cell id.  Every span its epochs
@@ -160,7 +247,6 @@ class ConsolidationService:
         *,
         config: Optional[ServiceConfig] = None,
         seed: int = 0,
-        checkpoint_path: Optional[str] = None,
         cell_id: Optional[int] = None,
         provider=None,
     ) -> None:
@@ -173,12 +259,11 @@ class ConsolidationService:
                 f"runner at max_nodes so every mintable node id has a "
                 f"physical identity"
             )
+        super().__init__(seed)
         self.runner = runner
         self.model = model if isinstance(model, OnlineModel) else OnlineModel(model)
         self.stream = stream
         self.config = config or ServiceConfig()
-        self.seed = seed
-        self.checkpoint_path = checkpoint_path
         self.cell_id = cell_id
         self.provider = provider
         # The admission controller shares the runner's degraded set
@@ -191,15 +276,12 @@ class ConsolidationService:
             degraded_workloads=runner.faulted_workloads,
             capacity=provider,
         )
-        self.log = EventLog()
-        self.snapshots: List[MetricsSnapshot] = []
 
         self._placement: Optional[Placement] = None
         self._tenants: Dict[str, Job] = {}
         self._ends_at: Dict[str, int] = {}
         self._queue: List[_QueuedJob] = []
         self._pending_cancels: List[str] = []
-        self._epochs_run = 0
 
         self._admitted = 0
         self._rejected = 0
@@ -231,11 +313,6 @@ class ConsolidationService:
     def queue_depth(self) -> int:
         """Jobs currently waiting for admission."""
         return len(self._queue)
-
-    @property
-    def epochs_run(self) -> int:
-        """Epochs the service has completed so far."""
-        return self._epochs_run
 
     @property
     def cancelled_total(self) -> int:
@@ -780,48 +857,17 @@ class ConsolidationService:
         return snapshot
 
     # ------------------------------------------------------------------
-    def run(self, epochs: int) -> List[MetricsSnapshot]:
-        """Advance the service by ``epochs`` epochs.
+    def _epoch(self, epoch: int) -> MetricsSnapshot:
+        """The epoch body the scale layer drives per cell.
 
-        Callable repeatedly: epoch numbering continues where the last
-        call stopped, so ``run(3); run(3)`` replays the same traffic
-        day as ``run(6)``.
-
-        Returns
-        -------
-        list of MetricsSnapshot
-            One snapshot per newly run epoch.
+        Depart, arrive, admit, reschedule, measure-and-learn, snapshot,
+        ``epoch_end``.  When :attr:`cell_id` is set, every span recorded
+        inside carries a ``cell`` attribute.
         """
-        if epochs <= 0:
-            raise ServiceError("epochs must be positive")
-        fresh: List[MetricsSnapshot] = []
-        for epoch in range(self._epochs_run, self._epochs_run + epochs):
-            fresh.append(self.run_epoch(epoch))
-        return fresh
-
-    def run_epoch(self, epoch: int) -> MetricsSnapshot:
-        """Run exactly one epoch (the next one due).
-
-        The reusable epoch body the scale layer drives per cell:
-        depart, arrive, admit, reschedule, measure-and-learn, snapshot,
-        ``epoch_end``.  ``epoch`` must be the service's next epoch —
-        epochs cannot be skipped or replayed.  When :attr:`cell_id` is
-        set, every span recorded inside carries a ``cell`` attribute.
-        """
-        if epoch != self._epochs_run:
-            raise ServiceError(
-                f"epoch {epoch} is not next (service has run "
-                f"{self._epochs_run})"
-            )
         if self.cell_id is None:
-            snapshot = self._epoch_body(epoch)
-        else:
-            with _obs.ambient(cell=self.cell_id):
-                snapshot = self._epoch_body(epoch)
-        self._epochs_run = epoch + 1
-        if self.checkpoint_path is not None:
-            self.checkpoint().save(self.checkpoint_path)
-        return snapshot
+            return self._epoch_body(epoch)
+        with _obs.ambient(cell=self.cell_id):
+            return self._epoch_body(epoch)
 
     def _epoch_body(self, epoch: int) -> MetricsSnapshot:
         # The epoch span cross-links to the EventLog: log_seq_start
@@ -915,30 +961,3 @@ class ConsolidationService:
         self._tenants[job.job_id] = job
         self._ends_at[job.job_id] = ends_at
         self._migrations_in += 1
-
-    # ------------------------------------------------------------------
-    # Crash safety
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> "ServiceCheckpoint":
-        """Capture the current epoch boundary's state."""
-        from repro.service.checkpoint import ServiceCheckpoint
-
-        return ServiceCheckpoint.capture(self)
-
-    def restore(
-        self,
-        checkpoint: "ServiceCheckpoint",
-        *,
-        log: Optional[EventLog] = None,
-    ) -> None:
-        """Resume from a checkpoint captured on an identical service.
-
-        ``log`` is the recovered event log (usually
-        :meth:`EventLog.recover` of the persisted file), validated
-        against the checkpoint's boundary and truncated to it (see
-        :meth:`~repro.service.checkpoint.ServiceCheckpoint.resume_log`).
-        Epoch numbering continues from the checkpoint's boundary, so
-        the resumed run's log and snapshots come out byte-identical to
-        an uninterrupted run's.
-        """
-        checkpoint.restore(self, log=log)

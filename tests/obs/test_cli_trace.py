@@ -126,12 +126,20 @@ class TestTraceSummarize:
             # Valid JSON, but a record or event that is no object.
             "list.jsonl": "[1, 2]\n",
             "chrome.json": '{"traceEvents": [1]}',
+            # A span without a name; a histogram without its numbers.
+            "nameless.jsonl": '{"type": "span"}\n',
+            "hollow.jsonl": '{"type": "histogram", "name": "h"}\n',
+            "nameless.json": '{"traceEvents": [{"name": 5, "ts": 0}]}',
+            "hollow.json": (
+                '{"traceEvents": [], '
+                '"otherData": {"histograms": {"h": {"count": 1}}}}'
+            ),
         }
         for name, text in garbage.items():
             path = tmp_path / name
             path.write_text(text)
             assert main(["trace", "summarize", str(path)]) == 1
-            assert "error:" in capsys.readouterr().err
+            assert "error: malformed" in capsys.readouterr().err
 
     def test_daemon_accounting_lists_counters_and_gauges(self):
         payload = {

@@ -119,10 +119,6 @@ class TestQueries:
         key, workload, units = deployments[0]
         assert key == "app0#0" and workload == "app0"
 
-    def test_occupancy(self):
-        placement = Placement(SPEC, four_apps(), paired_assignment())
-        assert placement.occupancy()[0] == ["app0#0", "app2#2"]
-
     def test_unknown_instance(self):
         placement = Placement(SPEC, four_apps(), paired_assignment())
         with pytest.raises(PlacementError):

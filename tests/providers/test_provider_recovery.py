@@ -19,6 +19,7 @@ from repro.service.events import EventLog
 from repro.service.loop import ConsolidationService, ServiceConfig
 from repro.service.stream import StreamConfig, WorkloadStream
 from repro.sim.runner import ClusterRunner
+from tests._checkpointing import run_saving
 from tests._synthetic import QUIET_NOISE, quiet_runner, synthetic_factory
 
 FAST_SCHEDULE = AnnealingSchedule(iterations=150, restarts=1)
@@ -52,7 +53,7 @@ def churn_provider():
     )
 
 
-def make_service(environment, *, provider, seed=4, checkpoint_path=None):
+def make_service(environment, *, provider, seed=4):
     shared, model = environment
     runner = ClusterRunner(
         shared.spec,
@@ -69,7 +70,6 @@ def make_service(environment, *, provider, seed=4, checkpoint_path=None):
         stream,
         config=ServiceConfig(schedule=FAST_SCHEDULE),
         seed=seed,
-        checkpoint_path=checkpoint_path,
         provider=provider,
     )
 
@@ -185,13 +185,9 @@ class TestElasticResumeIdentity:
         checkpoint_path = str(tmp_path / "service.ckpt")
         log_path = str(tmp_path / "events.jsonl")
 
-        first = make_service(
-            environment,
-            provider=churn_provider(),
-            checkpoint_path=checkpoint_path,
-        )
+        first = make_service(environment, provider=churn_provider())
         first.log.attach(log_path)
-        first.run(BOUNDARY)
+        run_saving(first, BOUNDARY, checkpoint_path)
         first.log.detach()
         # Hard kill mid-append: the file gains a torn final line.
         with open(log_path, "a", encoding="utf-8") as handle:
@@ -201,11 +197,7 @@ class TestElasticResumeIdentity:
         assert checkpoint.epoch == BOUNDARY
         assert checkpoint.to_dict()["cells"][0]["provider_state"] is not None
         recovered = EventLog.recover(log_path)
-        resumed = make_service(
-            environment,
-            provider=churn_provider(),
-            checkpoint_path=checkpoint_path,
-        )
+        resumed = make_service(environment, provider=churn_provider())
         resumed.restore(checkpoint, log=recovered)
         assert resumed.epochs_run == BOUNDARY
         # The resumed provider carries the donor's pool shape — the
@@ -215,7 +207,7 @@ class TestElasticResumeIdentity:
             == checkpoint.to_dict()["cells"][0]["provider_state"]
         )
         resumed.log.attach(log_path)
-        resumed.run(DAY - BOUNDARY)
+        run_saving(resumed, DAY - BOUNDARY, checkpoint_path)
         resumed.log.detach()
 
         expected = uninterrupted.log.to_jsonl()

@@ -83,7 +83,6 @@ def sharded_service(
     *,
     num_nodes: int = 12,
     seed: int = 11,
-    checkpoint_path=None,
     cell_workers: int = 0,
     coordinator=None,
     **config,
@@ -97,7 +96,6 @@ def sharded_service(
         seed=seed,
         config=service_config(**config),
         runner_factory=CellRunnerFactory(),
-        checkpoint_path=checkpoint_path,
         cell_workers=cell_workers,
         coordinator=coordinator,
     )

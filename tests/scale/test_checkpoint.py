@@ -10,6 +10,7 @@ from repro.errors import ServiceError
 from repro.service.checkpoint import CHECKPOINT_VERSION, ServiceCheckpoint
 from repro.service.events import EventLog
 from repro.service.jobs import Job
+from tests._checkpointing import run_saving
 from tests.scale._helpers import flat_service, sharded_service
 
 
@@ -21,22 +22,18 @@ def test_resumed_day_is_byte_identical(synthetic_model, tmp_path):
     unbroken = sharded_service(synthetic_model, 3)
     unbroken.run(6)
 
-    first = sharded_service(
-        synthetic_model, 3, checkpoint_path=checkpoint_path
-    )
+    first = sharded_service(synthetic_model, 3)
     first.log.attach(event_path)
-    first.run(3)
+    run_saving(first, 3, checkpoint_path)
     first.log.detach()
 
-    resumed = sharded_service(
-        synthetic_model, 3, checkpoint_path=checkpoint_path
-    )
+    resumed = sharded_service(synthetic_model, 3)
     checkpoint = ServiceCheckpoint.load(checkpoint_path)
     assert checkpoint.epoch == 3
     assert len(checkpoint.cells) == 3
     resumed.restore(checkpoint, log=EventLog.recover(event_path))
     resumed.log.attach(event_path)
-    resumed.run(3)
+    run_saving(resumed, 3, checkpoint_path)
     resumed.log.detach()
 
     assert resumed.log.to_jsonl() == unbroken.log.to_jsonl()
@@ -49,8 +46,8 @@ def test_resumed_day_is_byte_identical(synthetic_model, tmp_path):
 
 def test_checkpoint_round_trips_through_json(synthetic_model, tmp_path):
     path = str(tmp_path / "scale.ckpt")
-    service = sharded_service(synthetic_model, 2, checkpoint_path=path)
-    service.run(2)
+    service = sharded_service(synthetic_model, 2)
+    run_saving(service, 2, path)
     loaded = ServiceCheckpoint.load(path)
     assert loaded.to_dict() == service.checkpoint().to_dict()
     assert loaded.version == CHECKPOINT_VERSION
@@ -88,8 +85,8 @@ def test_migration_counters_round_trip_in_the_cells(synthetic_model):
 
 def test_restore_requires_matching_seed(synthetic_model, tmp_path):
     path = str(tmp_path / "scale.ckpt")
-    service = sharded_service(synthetic_model, 2, checkpoint_path=path)
-    service.run(1)
+    service = sharded_service(synthetic_model, 2)
+    run_saving(service, 1, path)
     other = sharded_service(synthetic_model, 2, seed=99)
     with pytest.raises(ServiceError):
         other.restore(ServiceCheckpoint.load(path))
@@ -97,8 +94,8 @@ def test_restore_requires_matching_seed(synthetic_model, tmp_path):
 
 def test_restore_requires_matching_cell_count(synthetic_model, tmp_path):
     path = str(tmp_path / "scale.ckpt")
-    service = sharded_service(synthetic_model, 2, checkpoint_path=path)
-    service.run(1)
+    service = sharded_service(synthetic_model, 2)
+    run_saving(service, 1, path)
     other = sharded_service(synthetic_model, 3)
     with pytest.raises(
         ServiceError, match=r"covers 2 cell\(s\), service has 3"
@@ -128,8 +125,8 @@ def test_flat_and_sharded_checkpoints_do_not_cross(
 
 def test_restore_requires_a_fresh_service(synthetic_model, tmp_path):
     path = str(tmp_path / "scale.ckpt")
-    service = sharded_service(synthetic_model, 2, checkpoint_path=path)
-    service.run(2)
+    service = sharded_service(synthetic_model, 2)
+    run_saving(service, 2, path)
     with pytest.raises(ServiceError):
         service.restore(ServiceCheckpoint.load(path))
 
@@ -190,8 +187,8 @@ def test_version_1_files_are_rejected(tmp_path, layout):
 
 def test_recovered_log_must_cover_the_checkpoint(synthetic_model, tmp_path):
     path = str(tmp_path / "scale.ckpt")
-    service = sharded_service(synthetic_model, 2, checkpoint_path=path)
-    service.run(2)
+    service = sharded_service(synthetic_model, 2)
+    run_saving(service, 2, path)
     fresh = sharded_service(synthetic_model, 2)
     short = EventLog()
     with pytest.raises(ServiceError):

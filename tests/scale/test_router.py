@@ -163,7 +163,6 @@ from repro.errors import PlacementError
 from repro.placement.objectives import predict_placement_scalar
 from repro.scale import CellScore
 from repro.service.admission import placement_with_job
-from tests.service.test_admission import _ScalarOnlyModel
 
 
 def _reference_score(router, cell, job):
@@ -211,9 +210,7 @@ def _reference_score(router, cell, job):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_score_equals_materialised_reference(
-    synthetic_model, seed, monkeypatch
-):
+def test_score_equals_materialised_reference(synthetic_model, seed):
     rng = random.Random(seed)
     cells = sharded_service(synthetic_model, 3, num_nodes=24).cells
     for i in range(rng.randint(3, 12)):
@@ -248,11 +245,3 @@ def test_score_equals_materialised_reference(
             for probe in probes:
                 expected = _reference_score(router, cell, probe)
                 assert router.score(cell, probe) == expected
-                # Without the batch interface the router predicts the
-                # materialised candidates itself: same score.
-                with monkeypatch.context() as patch:
-                    patch.setattr(
-                        cell.service, "model",
-                        _ScalarOnlyModel(cell.service.model),
-                    )
-                    assert router.score(cell, probe) == expected

@@ -13,6 +13,7 @@ from repro.service.events import EventLog
 from repro.service.loop import ConsolidationService, ServiceConfig
 from repro.service.stream import StreamConfig, WorkloadStream
 from repro.sim.runner import ClusterRunner
+from tests._checkpointing import run_saving
 from tests._synthetic import QUIET_NOISE, quiet_runner, synthetic_factory
 
 FAST_SCHEDULE = AnnealingSchedule(iterations=150, restarts=1)
@@ -27,7 +28,7 @@ def environment():
     return runner, report.model
 
 
-def make_service(environment, *, seed=4, checkpoint_path=None, runner=None):
+def make_service(environment, *, seed=4, runner=None):
     shared_runner, model = environment
     stream = WorkloadStream(
         StreamConfig(workloads=("A", "B"), arrival_rate=1.2), seed=seed
@@ -38,7 +39,6 @@ def make_service(environment, *, seed=4, checkpoint_path=None, runner=None):
         stream,
         config=ServiceConfig(schedule=FAST_SCHEDULE),
         seed=seed,
-        checkpoint_path=checkpoint_path,
     )
 
 
@@ -267,9 +267,9 @@ class TestResumeIdentity:
         checkpoint_path = str(tmp_path / "service.ckpt")
         log_path = str(tmp_path / "events.jsonl")
 
-        first = make_service(environment, checkpoint_path=checkpoint_path)
+        first = make_service(environment)
         first.log.attach(log_path)
-        first.run(4)
+        run_saving(first, 4, checkpoint_path)
         first.log.detach()
         # Hard kill mid-append: the file gains a torn final line.
         with open(log_path, "a", encoding="utf-8") as handle:
@@ -278,11 +278,11 @@ class TestResumeIdentity:
         checkpoint = ServiceCheckpoint.load(checkpoint_path)
         assert checkpoint.epoch == 4
         recovered = EventLog.recover(log_path)
-        resumed = make_service(environment, checkpoint_path=checkpoint_path)
+        resumed = make_service(environment)
         resumed.restore(checkpoint, log=recovered)
         assert resumed.epochs_run == 4
         resumed.log.attach(log_path)
-        resumed.run(2)
+        run_saving(resumed, 2, checkpoint_path)
         resumed.log.detach()
 
         expected = uninterrupted.log.to_jsonl()
